@@ -207,9 +207,10 @@ def _verify_analyze(g: CubicGraph, res: dict, problems: list[str]) -> None:
             flow = characteristic_flow(g, rdf_arr)
             if flow.serialize() != cf:
                 problems.append("characteristic flow does not match the rdf witness")
-            chk = verify_flow(g, CharacteristicFlow.deserialize(cf, g.edge_count))
-            if not chk:
-                problems.append(f"characteristic flow invalid: {chk.violation}")
+            else:
+                chk = verify_flow(g, CharacteristicFlow.deserialize(cf, g.edge_count))
+                if not chk:
+                    problems.append(f"characteristic flow invalid: {chk.violation}")
 
     gb = res.get("girth_bound")
     if gb is not None:
@@ -267,17 +268,56 @@ def _verify_fulkerson(g: CubicGraph, res: dict, problems: list[str]) -> None:
             problems.append("roundtrip pass flag is not true despite consistent stages")
 
 
-def verify_certificate(cert: dict) -> list[str]:
+def _edge_lists_problem(x, m: int) -> str | None:
+    """Why x is not a list of lists of edge ids below m, or None."""
+    if not (isinstance(x, list) and all(
+            isinstance(y, list) and all(isinstance(v, int) for v in y) for y in x)):
+        return "is not a list of edge-id lists"
+    if any(not 0 <= v < m for y in x for v in y):
+        return "names an edge the graph does not have"
+    return None
+
+
+def _shape_problems(res: object, m: int) -> list[str]:
+    """Parts of a result whose JSON type or edge ids (m edges) are not
+    the ones the checks read; such a certificate is reported, not checked."""
+    if not isinstance(res, (dict, type(None))):
+        return [f"result: expected an object, got {type(res).__name__}"]
+    res = res or {}
+    problems = []
+    for key in ("df", "rdf"):
+        sec = res.get(key)
+        if sec is None:
+            continue
+        if not isinstance(sec, dict):
+            problems.append(f"{key}: expected an object, got {type(sec).__name__}")
+        elif sec.get("witness") is not None:
+            bad = _edge_lists_problem(sec["witness"], m)
+            if bad:
+                problems.append(f"{key}: witness {bad}")
+    if isinstance(res.get("cover"), list):
+        bad = _edge_lists_problem(res["cover"], m)
+        if bad:
+            problems.append(f"cover {bad}")
+    return problems
+
+
+def verify_certificate(cert: object) -> list[str]:
     """Re-check a certificate's claims; empty list means PASS."""
     problems: list[str] = []
+    if not isinstance(cert, dict):
+        return [f"certificate: expected an object, got {type(cert).__name__}"]
     if cert.get("schema") != SCHEMA:
         return [f"unsupported schema {cert.get('schema')!r}"]
     if "error" in cert:
         return []  # an error record makes no checkable claims
     try:
         g = graph_from_payload(cert["graph"])
-    except (GraphError, KeyError, TypeError) as exc:
+    except (GraphError, KeyError, TypeError, ValueError) as exc:  # malformed payload
         return [f"graph payload: {exc}"]
+    shape = _shape_problems(cert.get("result"), g.edge_count)
+    if shape:
+        return shape
     res = cert.get("result") or {}
     try:
         if cert.get("command") == "analyze":

@@ -2,8 +2,9 @@
 re-verify certificates.
 
 Certificates are emitted one JSON object per line with sorted keys, so
-output is byte-identical across runs and thread counts.  Timing is only
-recorded under --timing (and is then, of course, not reproducible).
+output is byte-identical across runs; ``--threads`` is accepted and has
+no effect.  Timing is only recorded under --timing (and is then, of
+course, not reproducible).
 
 Exit codes: 0 all results exact and all checks pass; 2 at least one
 result was budget-limited; 1 errors or failed checks.
@@ -18,7 +19,7 @@ import sys
 import time
 
 from . import certificates as certs
-from .colouring import is_snark, oddness, three_edge_colour
+from .colouring import GraphFacts, is_snark, oddness
 from .constructions import flower_snark, inflate_pair_theorem_check, inflate_to_triangle, petersen
 from .defect_engine import (
     BudgetError,
@@ -144,13 +145,15 @@ def _defect_word(sec: dict) -> str:
     return f"{v}" + ("" if sec["exhaustive"] else "?")
 
 
-def analyze_graph(g: CubicGraph, budget, threads) -> tuple[dict, bool]:
+def analyze_graph(g: CubicGraph, budget, threads=None) -> tuple[dict, bool]:
+    """The analyze result section and whether it is exact; ``threads`` is ignored."""
+    facts = GraphFacts(g)
     res: dict = {"girth": girth(g)}
-    res["colourable"] = three_edge_colour(g) is not None
-    res["snark"] = is_snark(g)
-    res["oddness"] = oddness(g)
-    d = defect(g, budget=budget, threads=threads)
-    r = regular_defect(g, budget=budget, threads=threads)
+    res["colourable"] = facts.colourable
+    res["snark"] = is_snark(g, facts=facts)
+    res["oddness"] = oddness(g, facts=facts)
+    d = defect(g, budget=budget, facts=facts)
+    r = regular_defect(g, budget=budget, facts=facts)
     res["df"] = certs.defect_json(d)
     res["rdf"] = certs.defect_json(r)
 
@@ -206,7 +209,6 @@ def _human_analyze(src: str, res: dict, cert: dict) -> str:
 def cmd_analyze(args) -> int:
     emitter = Emitter(args)
     budget = budget_from(args)
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
     any_error = False
     any_bounded = False
     try:
@@ -218,7 +220,7 @@ def cmd_analyze(args) -> int:
                 continue
             t0 = time.perf_counter()
             try:
-                res, exact = analyze_graph(item, budget, threads)
+                res, exact = analyze_graph(item, budget)
             except GraphError as exc:
                 emitter.certificate(certs.error_certificate("analyze", src, str(exc)))
                 emitter.human(f"{src}: ERROR {exc}")
@@ -370,7 +372,7 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quiet", action="store_true", help="suppress human summary lines")
     p.add_argument("--output", metavar="FILE", help="also write certificates (JSONL) to FILE")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: machine parallelism)")
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--timing", action="store_true",
                    help="record wall time (certificates stop being reproducible)")
     p.add_argument("--max-matchings", type=int, default=None,

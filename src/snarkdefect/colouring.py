@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graph_core import CubicGraph, GraphError, Multipole, is_two_connected
 
@@ -229,9 +230,9 @@ def verify_parity(m: Multipole, colouring: dict[int, int]) -> ParityReport:
     return ParityReport(ok, tuple(counts), n, msg)
 
 
-def is_snark(g: CubicGraph) -> bool:
+def is_snark(g: CubicGraph, *, facts: GraphFacts | None = None) -> bool:
     """2-connected and not 3-edge-colourable."""
-    return is_two_connected(g) and three_edge_colour(g) is None
+    return is_two_connected(g) and not _facts_for(g, facts).colourable
 
 
 def two_factor_circuits(g: CubicGraph, matching: frozenset[int]) -> list[list[int]]:
@@ -267,19 +268,71 @@ def two_factor_circuits(g: CubicGraph, matching: frozenset[int]) -> list[list[in
     return circuits
 
 
-def oddness(g: CubicGraph) -> int:
+def odd_circuit_count(g: CubicGraph, matching: frozenset[int]) -> int:
+    """Number of odd circuits in the 2-factor complementary to a perfect matching."""
+    return sum(1 for c in two_factor_circuits(g, matching) if len(c) % 2)
+
+
+def matching_masks(matchings: list[frozenset[int]]) -> list[int]:
+    """Each matching as an edge bitmask (bit e set for edge e), in order."""
+    return [sum(1 << e for e in mm) for mm in matchings]
+
+
+class GraphFacts:
+    """Facts about one cubic graph, all derived from one perfect-matching
+    enumeration and each computed at most once, on first use.
+
+    Create one per graph and hand it to the functions that accept
+    ``facts=``; nothing is cached beyond the object's own lifetime.
+    """
+
+    def __init__(self, g: CubicGraph):
+        self.graph = g
+
+    @cached_property
+    def matchings(self) -> list[frozenset[int]]:
+        """All perfect matchings in lexicographic order."""
+        return enumerate_perfect_matchings(self.graph)
+
+    @cached_property
+    def masks(self) -> list[int]:
+        """The matchings as edge bitmasks, in the same order."""
+        return matching_masks(self.matchings)
+
+    @cached_property
+    def oddness(self) -> int:
+        """Minimum number of odd circuits over all 2-factors."""
+        if not self.matchings:
+            raise GraphError("graph has no perfect matching")
+        best = None
+        for pm in self.matchings:
+            odd = odd_circuit_count(self.graph, pm)
+            if best is None or odd < best:
+                best = odd
+                if best == 0:
+                    break
+        return best
+
+    @property
+    def colourable(self) -> bool:
+        """3-edge-colourable: some 2-factor has only even circuits (the
+        colour classes 2 and 3 alternate along them)."""
+        return bool(self.matchings) and self.oddness == 0
+
+
+def _facts_for(g: CubicGraph, facts: GraphFacts | None) -> GraphFacts:
+    """The caller's facts for g, or fresh ones; facts about another graph
+    are an error, not a silent wrong answer."""
+    if facts is None:
+        return GraphFacts(g)
+    if facts.graph is not g:
+        raise GraphError("facts= was built for a different graph")
+    return facts
+
+
+def oddness(g: CubicGraph, *, facts: GraphFacts | None = None) -> int:
     """Minimum number of odd circuits over all 2-factors of g."""
-    matchings = enumerate_perfect_matchings(g)
-    if not matchings:
-        raise GraphError("graph has no perfect matching")
-    best = None
-    for pm in matchings:
-        odd = sum(1 for c in two_factor_circuits(g, pm) if len(c) % 2)
-        if best is None or odd < best:
-            best = odd
-            if best == 0:
-                break
-    return best
+    return _facts_for(g, facts).oddness
 
 
 def warn_if_not_snark(g: CubicGraph, context: str) -> None:

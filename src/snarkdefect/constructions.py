@@ -8,8 +8,6 @@ covers computed before a transformation can be compared after it.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 from .colouring import three_edge_colour, warn_if_not_snark
 from .defect_engine import ThreeArray, core_of
 from .graph_core import (
@@ -79,20 +77,13 @@ def _removal_colourable(g: CubicGraph, vs) -> bool:
     return three_edge_colour(pole) is not None
 
 
-def _ordered_scan(items, fn, threads):
-    if threads is not None and threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def find_non_removable_pairs(g: CubicGraph, threads: int | None = None) -> list[tuple[int, int]]:
     """Adjacent pairs {u,v} whose deletion (dangling ends kept) leaves a
-    3-edge-colourable multipole.  Output sorted; loops never qualify."""
+    3-edge-colourable multipole.  Output sorted; loops never qualify.
+    ``threads`` is accepted and ignored."""
     warn_if_not_snark(g, "non-removable pair scan")
     pairs = sorted({(min(a, b), max(a, b)) for a, b in g.edges if a != b})
-    hits = _ordered_scan(pairs, lambda p: _removal_colourable(g, p), threads)
-    return [p for p, ok in zip(pairs, hits) if ok]
+    return [p for p in pairs if _removal_colourable(g, p)]
 
 
 def five_circuits(g: CubicGraph) -> list[tuple[int, ...]]:
@@ -125,10 +116,8 @@ def five_circuits(g: CubicGraph) -> list[tuple[int, ...]]:
 
 def find_non_removable_5cycles(g: CubicGraph, threads: int | None = None) -> list[tuple[int, ...]]:
     """5-circuits whose vertex deletion (dangling ends kept) leaves a
-    3-edge-colourable multipole."""
-    circuits = five_circuits(g)
-    hits = _ordered_scan(circuits, lambda c: _removal_colourable(g, c), threads)
-    return [c for c, ok in zip(circuits, hits) if ok]
+    3-edge-colourable multipole.  ``threads`` is accepted and ignored."""
+    return [c for c in five_circuits(g) if _removal_colourable(g, c)]
 
 
 def inflate_pair_theorem_check(g: CubicGraph, u: int, v: int) -> tuple[CubicGraph, ThreeArray]:

@@ -14,19 +14,18 @@ reported witness is the first triple attaining the minimum, i.e. the
 lexicographically least optimal 3-array.  Sound pruning (a pair bound on
 the uncovered count, and early stop once a proven global lower bound is
 attained: 0 for colourable graphs, 3 for snarks) never changes the
-value or the witness.  Worker threads split the scan by first index and
-merge candidates by (value, i, j, k), so results are independent of
-thread count and timing.  When a triple budget is set the scan runs on
-a single thread so the cutoff point is reproducible.
+value or the witness.  The scan runs on one thread, so a triple
+budget's cutoff point is reproducible.  The ``threads`` keywords are
+accepted for compatibility and have no effect: the scan is pure Python,
+which threads cannot overlap under the interpreter lock.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .colouring import enumerate_perfect_matchings, is_perfect_matching, three_edge_colour
+from .colouring import (GraphFacts, _facts_for, enumerate_perfect_matchings,
+                        is_perfect_matching, matching_masks, odd_circuit_count)
 from .graph_core import CubicGraph, GraphError, bridges, girth, is_bridgeless
 
 
@@ -217,72 +216,15 @@ def is_induced_circuit(g: CubicGraph, comp: CoreComponent) -> bool:
 # triple scan
 # ---------------------------------------------------------------------------
 
-def _scan_full(masks: list[int], m: int, half: int, regular: bool,
-               lower: int, threads: int | None):
-    """Exact scan; returns (value, (i,j,k)) or (None, None) if nothing admissible.
+def _scan(masks: list[int], m: int, half: int, regular: bool, lower: int,
+          max_triples: int | None = None):
+    """Scan triples i <= j <= k; returns (value, (i, j, k), completed).
 
-    Early-stops once `lower` is attained (the bound must be globally
-    valid); the witness is still the lexicographically least optimum.
+    The witness is the first triple attaining the minimum; value and
+    witness are None when no admissible triple was inspected.  The scan
+    stops once `lower` is attained (the bound must be globally valid),
+    and with `completed` False once `max_triples` triples were inspected.
     """
-    n = len(masks)
-    state = {"best": m + 1, "earliest_hit": n}
-    lock = threading.Lock()
-
-    def task(i: int):
-        mi = masks[i]
-        local_val = m + 1
-        local_wit = None
-        for j in range(i, n):
-            if state["earliest_hit"] < i:
-                break
-            mj = masks[j]
-            u = mi | mj
-            if m - u.bit_count() - half > state["best"]:
-                continue
-            mij = mi & mj
-            for k in range(j, n):
-                if regular and (mij & masks[k]):
-                    continue
-                val = m - (u | masks[k]).bit_count()
-                if val < local_val:
-                    local_val = val
-                    local_wit = (i, j, k)
-                    if val < state["best"]:
-                        with lock:
-                            if val < state["best"]:
-                                state["best"] = val
-                    if val <= lower:
-                        with lock:
-                            if i < state["earliest_hit"]:
-                                state["earliest_hit"] = i
-                        return local_val, local_wit
-        return local_val, local_wit
-
-    if threads is None or threads <= 1:
-        results = []
-        for i in range(n):
-            results.append(task(i))
-            if state["earliest_hit"] <= i:
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(task, range(n)))
-
-    best = None
-    for i, (val, wit) in enumerate(results):
-        if wit is None:
-            continue
-        key = (val,) + wit
-        if best is None or key < best:
-            best = key
-    if best is None:
-        return None, None
-    return best[0], best[1:]
-
-
-def _scan_budget(masks: list[int], m: int, half: int, regular: bool,
-                 lower: int, max_triples: int):
-    """Budgeted sequential scan; returns (value, wit, completed)."""
     n = len(masks)
     best_val = m + 1
     best_wit = None
@@ -296,10 +238,10 @@ def _scan_budget(masks: list[int], m: int, half: int, regular: bool,
                 continue
             mij = mi & mj
             for k in range(j, n):
-                if left <= 0:
-                    wit = None if best_wit is None else best_wit
-                    return (best_val if wit else None), wit, False
-                left -= 1
+                if left is not None:
+                    if left <= 0:
+                        return (best_val if best_wit else None), best_wit, False
+                    left -= 1
                 if regular and (mij & masks[k]):
                     continue
                 val = m - (u | masks[k]).bit_count()
@@ -312,32 +254,33 @@ def _scan_budget(masks: list[int], m: int, half: int, regular: bool,
 
 
 def _defect_impl(g: CubicGraph, regular: bool, budget: SearchBudget | None,
-                 threads: int | None) -> DefectResult:
+                 facts: GraphFacts | None) -> DefectResult:
     if not is_bridgeless(g):
         bad = bridges(g)
         raise GraphError(
             f"defect is undefined for graphs with bridges (found {bad or 'disconnected'})")
-    colourable = three_edge_colour(g) is not None
-    lower = 0 if colourable else 3  # snark lower bound; bridgeless + uncolourable = snark
-
     cap = budget.max_matchings if budget else None
     if cap is not None and cap < 1:
         raise GraphError("max_matchings must be at least 1")
-    matchings = enumerate_perfect_matchings(g, None if cap is None else cap + 1)
-    complete = cap is None or len(matchings) <= cap
-    if not complete:
+    facts = _facts_for(g, facts)
+    if cap is None:
+        matchings, masks, complete = facts.matchings, facts.masks, True
+    else:
+        # the capped search-order prefix, so budgeted results stay reproducible
+        matchings = enumerate_perfect_matchings(g, cap + 1)
+        complete = len(matchings) <= cap
         matchings = matchings[:cap]
+        masks = matching_masks(matchings)
     if not matchings:
         raise GraphError("graph has no perfect matching")
+    # an all-even 2-factor in a capped prefix proves colourability without
+    # enumerating every matching; otherwise ask the facts
+    colourable = ((cap is not None and any(odd_circuit_count(g, mm) == 0 for mm in matchings))
+                  or facts.colourable)
+    lower = 0 if colourable else 3  # snark lower bound; bridgeless + uncolourable = snark
 
-    masks = [sum(1 << e for e in mm) for mm in matchings]
-    m, half = g.edge_count, g.vertex_count // 2
     mt = budget.max_triples if budget else None
-    if mt is not None:
-        val, wit, scanned_all = _scan_budget(masks, m, half, regular, lower, mt)
-    else:
-        val, wit = _scan_full(masks, m, half, regular, lower, threads)
-        scanned_all = True
+    val, wit, scanned_all = _scan(masks, g.edge_count, g.vertex_count // 2, regular, lower, mt)
 
     # a witness attaining the proven lower bound is exact even if the
     # matching list was truncated
@@ -351,15 +294,20 @@ def _defect_impl(g: CubicGraph, regular: bool, budget: SearchBudget | None,
 
 
 def defect(g: CubicGraph, budget: SearchBudget | None = None,
-           threads: int | None = None) -> DefectResult:
-    """df(g): minimum uncovered count over all 3-arrays, with witness."""
-    return _defect_impl(g, False, budget, threads)
+           threads: int | None = None, *, facts: GraphFacts | None = None) -> DefectResult:
+    """df(g): minimum uncovered count over all 3-arrays, with witness.
+
+    ``threads`` is accepted and ignored.  ``facts`` shares one matching
+    enumeration with other calls on the same graph.
+    """
+    return _defect_impl(g, False, budget, facts)
 
 
 def regular_defect(g: CubicGraph, budget: SearchBudget | None = None,
-                   threads: int | None = None) -> DefectResult:
+                   threads: int | None = None, *,
+                   facts: GraphFacts | None = None) -> DefectResult:
     """rdf(g): as defect but restricted to regular 3-arrays."""
-    return _defect_impl(g, True, budget, threads)
+    return _defect_impl(g, True, budget, facts)
 
 
 def enumerate_optimal_arrays(g: CubicGraph, regular: bool, target: int | None = None,
@@ -368,19 +316,19 @@ def enumerate_optimal_arrays(g: CubicGraph, regular: bool, target: int | None = 
 
     Runs the full scan with no early stop; `target` defaults to the
     exhaustively computed df/rdf.  Output in lexicographic order.
+    ``threads`` is accepted and ignored.
     """
+    facts = GraphFacts(g)
     if target is None:
-        res = regular_defect(g) if regular else defect(g)
+        res = (regular_defect if regular else defect)(g, facts=facts)
         if not isinstance(res.value, int):
             raise GraphError(f"no optimum to enumerate: {res.value!r}")
         target = res.value
-    matchings = enumerate_perfect_matchings(g)
-    masks = [sum(1 << e for e in mm) for mm in matchings]
+    matchings, masks = facts.matchings, facts.masks
     m, half = g.edge_count, g.vertex_count // 2
     n = len(masks)
-
-    def task(i: int):
-        found = []
+    found = []
+    for i in range(n):
         mi = masks[i]
         for j in range(i, n):
             mj = masks[j]
@@ -392,16 +340,8 @@ def enumerate_optimal_arrays(g: CubicGraph, regular: bool, target: int | None = 
                 if regular and (mij & masks[k]):
                     continue
                 if m - (u | masks[k]).bit_count() == target:
-                    found.append((i, j, k))
-        return found
-
-    if threads is None or threads <= 1:
-        chunks = [task(i) for i in range(n)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(task, range(n)))
-    return [ThreeArray.of(matchings[i], matchings[j], matchings[k])
-            for chunk in chunks for (i, j, k) in chunk]
+                    found.append(ThreeArray.of(matchings[i], matchings[j], matchings[k]))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +372,9 @@ def check_girth_bound(g: CubicGraph, r: DefectResult) -> bool:
 
 def verify_corollary_rdf3(g: CubicGraph) -> bool:
     """(df = 3) iff (rdf = 3), both computed exhaustively."""
-    d = defect(g)
-    r = regular_defect(g)
+    facts = GraphFacts(g)
+    d = defect(g, facts=facts)
+    r = regular_defect(g, facts=facts)
     if not (d.exhaustive and r.exhaustive):
         raise GraphError("corollary check requires exhaustive searches")
     return (d.value == 3) == (r.value == 3)

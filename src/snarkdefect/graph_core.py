@@ -532,43 +532,14 @@ def is_bridgeless(g: CubicGraph) -> bool:
 
 
 def is_two_connected(g: CubicGraph) -> bool:
-    """Connected with no cut vertex (loops ignored for articulation)."""
-    n = g.vertex_count
-    if not is_connected(g):
-        return False
-    if n <= 2:
-        # too small for an articulation vertex; a bridge is the only obstruction
-        return not bridges(g)
-    base = len(connected_components(g))
-    for v in range(n):
-        kept = [u for u in range(n) if u != v]
-        remap = {u: i for i, u in enumerate(kept)}
-        eps = []
-        for a, b in g.edges:
-            if a != v and b != v:
-                eps.append((remap[a], remap[b]))
-        # degree bookkeeping does not matter here; use a throwaway count
-        if _component_count(n - 1, eps) > base:
-            return False
-    return True
+    """Connected with no cut vertex (loops ignored for articulation).
 
-
-def _component_count(n: int, edges: list[tuple[int, int]]) -> int:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = n
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            comps -= 1
-    return comps
+    In a connected cubic multigraph on three or more vertices a cut
+    vertex forces a bridge and a bridge forces a cut vertex; on two or
+    fewer there is no cut vertex and a bridge is the only obstruction.
+    So this is the bridge test.
+    """
+    return is_connected(g) and not bridges(g)
 
 
 def is_bipartite(g: CubicGraph) -> bool:

@@ -140,3 +140,48 @@ def fano_line_triples():
         for t in itertools.combinations(range(1, 8), 3)
         if t[0] ^ t[1] ^ t[2] == 0
     }
+
+
+def _component_count(n, edges, dead=None):
+    """Connected components of a plain graph, ignoring vertex `dead`."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    comps = n - (dead is not None)
+    for a, b in edges:
+        if dead in (a, b):
+            continue
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            comps -= 1
+    return comps
+
+
+def two_connected(n, edges):
+    """Connected with no cut vertex, by deleting each vertex in turn.
+
+    Loops are ignored for articulation.  Two or fewer vertices have no
+    cut vertex, so there only a bridge (a single edge whose removal
+    disconnects) is an obstruction.
+    """
+    if _component_count(n, edges) > 1:
+        return False
+    if n <= 2:
+        return all(_component_count(n, edges[:i] + edges[i + 1:]) == 1
+                   for i in range(len(edges)))
+    return all(_component_count(n, edges, dead=v) == 1 for v in range(n))
+
+
+def random_cubic_edges(rng, n):
+    """A random cubic multigraph on n vertices (n even) as a plain edge
+    list: the configuration model, so loops, parallel edges and
+    disconnected graphs all occur."""
+    stubs = [v for v in range(n) for _ in range(3)]
+    rng.shuffle(stubs)
+    return [(min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2])]

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 
@@ -102,6 +103,54 @@ def test_bridge_graph_is_an_error(tmp_path):
     code, out, _ = run(["analyze", "--edge-list", str(path), "--json", "--quiet"])
     assert code == 1
     assert "bridge" in json.loads(out)["error"]
+
+
+def test_missing_matching_is_reported_before_bridges(tmp_path):
+    # a claw whose leaves carry loops has bridges and no perfect matching
+    path = tmp_path / "claw.txt"
+    path.write_text("vertices 4\n0 1\n0 2\n0 3\n1 1\n2 2\n3 3\n")
+    code, out, _ = run(["analyze", "--edge-list", str(path), "--json", "--quiet"])
+    assert code == 1
+    assert json.loads(out)["error"] == "graph has no perfect matching"
+
+
+def _count_calls(monkeypatch, fn):
+    """Rebind every package attribute holding fn to a counting wrapper."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "snarkdefect" or name.startswith("snarkdefect."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_analyze_enumerates_once_and_never_backtracks(monkeypatch):
+    from snarkdefect import colouring
+    graphs = [sd.petersen(), sd.flower_snark(5), sd.bipartite_double(sd.petersen())]
+    enumerations = _count_calls(monkeypatch, colouring.enumerate_perfect_matchings)
+    colourings = _count_calls(monkeypatch, colouring.three_edge_colour)
+    for g in graphs:
+        cli.analyze_graph(g, None)
+    assert enumerations == graphs
+    assert colourings == []
+    code, _, _ = run(["analyze", "--construct", "petersen", "--construct", "flower:5"])
+    assert code == 0
+    assert len(enumerations) == len(graphs) + 2 and colourings == []
+
+
+def test_analyze_flower7_passes_verify(tmp_path):
+    code, out, _ = run(["analyze", "--construct", "flower:7", "--json", "--quiet"])
+    assert code == 0
+    path = tmp_path / "j7.jsonl"
+    path.write_text(out)
+    code, vout, _ = run(["verify", str(path)])
+    assert code == 0 and vout.startswith(f"PASS {path}:1 (flower:7)")
 
 
 def test_budget_flag_gives_exit_2():
@@ -249,6 +298,58 @@ def test_verify_rejects_unparseable_line(tmp_path):
     path.write_text("{not json\n")
     code, vout, _ = run(["verify", str(path)])
     assert code == 1 and "FAIL" in vout
+
+
+def _malform(cert, shape):
+    if shape == "df-not-dict":
+        cert["result"]["df"] = 3
+    elif shape == "witness-not-list":
+        cert["result"]["df"]["witness"] = 7
+    elif shape == "edge-one-endpoint":
+        cert["graph"]["edges"][0] = cert["graph"]["edges"][0][:1]
+    elif shape == "result-list":
+        cert["result"] = [cert["result"]]
+    elif shape == "edges-not-list":
+        cert["graph"]["edges"] = "0 1"
+    elif shape == "witness-edge-out-of-range":
+        cert["result"]["rdf"]["witness"][0][0] = 99
+    elif shape == "witness-edge-negative":  # the same edge under a negative index
+        member = cert["result"]["df"]["witness"][0]
+        member[-1] -= len(cert["graph"]["edges"])
+        member.sort()
+    elif shape == "flow-not-dict":
+        cert["result"]["characteristic_flow"] = 5
+    elif shape == "flow-bad-point":
+        cert["result"]["characteristic_flow"]["0"] = "abc"
+    elif shape == "cover-member-not-list":
+        cert["result"]["cover"][0] = 7
+    elif shape == "cover-edge-out-of-range":
+        cert["result"]["cover"][0][0] = 99
+    elif shape == "cover-edge-negative":  # the same edge under a negative index
+        member = cert["result"]["cover"][0]
+        member[-1] -= len(cert["graph"]["edges"])
+        member.sort()
+    else:
+        cert = [cert]
+    return cert
+
+
+@pytest.mark.parametrize("shape", ["df-not-dict", "witness-not-list", "edge-one-endpoint",
+                                   "result-list", "cert-list", "edges-not-list",
+                                   "witness-edge-out-of-range", "witness-edge-negative",
+                                   "flow-not-dict", "flow-bad-point",
+                                   "cover-member-not-list", "cover-edge-out-of-range",
+                                   "cover-edge-negative"])
+def test_verify_fails_malformed_certificate(tmp_path, shape):
+    command = "fulkerson" if shape.startswith("cover") else "analyze"
+    _, out, _ = run([command, "--construct", "petersen", "--json", "--quiet"])
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(_malform(json.loads(out), shape)) + "\n")
+    code, vout, _ = run(["verify", str(path)])
+    assert code == 1
+    lines = vout.splitlines()
+    assert lines[0].startswith(f"FAIL {path}:1")
+    assert lines[1] == "verified 1 certificate(s): 0 pass, 1 fail"
 
 
 def test_verified_fulkerson_roundtrip_certificate(tmp_path):

@@ -156,6 +156,39 @@ def test_is_snark(petersen, k4, theta, dumbbell, j3, j5, blanusa1, blanusa2):
         assert not sd.is_snark(g)
 
 
+def test_graph_facts_colourability_matches_colourer_and_oracle(
+        petersen, k4, k33, theta, dumbbell, prism, cube, j3, j5, blanusa1, blanusa2):
+    """Colourable iff some 2-factor has only even circuits."""
+    suite = [petersen, k4, k33, theta, dumbbell, prism, cube, j3, j5, blanusa1, blanusa2]
+    rng = random.Random(20260815)
+    suite += [sd.CubicGraph(n, oracles.random_cubic_edges(rng, n))
+              for n in [4, 6, 8, 10, 12, 14] * 10]
+    seen = set()
+    for g in suite:
+        facts = sd.GraphFacts(g)
+        assert facts.colourable == (sd.three_edge_colour(g) is not None), g.edges
+        assert facts.colourable == oracles.proper_three_colourable(g.vertex_count,
+                                                                   edge_pairs(g)), g.edges
+        seen.add(facts.colourable)
+    assert seen == {True, False}
+
+
+def test_graph_facts_reports_missing_matching():
+    # a claw whose three leaves carry loops: matching the centre strands two leaves
+    facts = sd.GraphFacts(sd.CubicGraph(4, ((0, 1), (0, 2), (0, 3), (1, 1), (2, 2), (3, 3))))
+    assert facts.matchings == []
+    assert not facts.colourable
+    with pytest.raises(sd.GraphError, match="no perfect matching"):
+        facts.oddness
+
+
+def test_graph_facts_for_another_graph_are_rejected(petersen, k33):
+    facts = sd.GraphFacts(k33)
+    for call in (sd.is_snark, sd.oddness, sd.defect, sd.regular_defect):
+        with pytest.raises(sd.GraphError, match="different graph"):
+            call(petersen, facts=facts)
+
+
 # --------------------------------------------------------------------------
 # multipoles: parity and the stripped-graph equivalence
 # --------------------------------------------------------------------------

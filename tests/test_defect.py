@@ -187,6 +187,23 @@ def test_budget_with_lower_bound_hit_stays_exact(petersen):
     assert res.status == "EXACT"
 
 
+def test_matching_cap_on_colourable_graph_enumerates_only_the_prefix(monkeypatch, cube):
+    # an all-even 2-factor among the capped matchings proves colourability,
+    # so the capped search never enumerates every matching
+    from snarkdefect import colouring, defect_engine
+    limits = []
+
+    def counted(g, limit=None):
+        limits.append(limit)
+        return enumerate_all(g, limit)
+
+    enumerate_all = colouring.enumerate_perfect_matchings
+    monkeypatch.setattr(colouring, "enumerate_perfect_matchings", counted)
+    monkeypatch.setattr(defect_engine, "enumerate_perfect_matchings", counted)
+    sd.defect(cube, budget=sd.SearchBudget(max_matchings=2))
+    assert limits == [3]
+
+
 def test_threads_do_not_change_results(petersen, j5):
     for g in (petersen, j5):
         base = sd.regular_defect(g)

@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 
 import snarkdefect as sd
+import oracles
 from oracles import edge_pairs
 
 PETERSEN_G6 = "IheA@GUAo"
@@ -182,6 +183,22 @@ def test_connectivity(petersen, dumbbell):
     assert sd.is_two_connected(petersen)
     assert not sd.is_two_connected(dumbbell)
     assert not sd.is_two_connected(two_thetas)
+
+
+def test_two_connected_matches_vertex_deletion_oracle(petersen, k4, k33, theta, dumbbell,
+                                                       prism, cube, j3, j5, blanusa1, blanusa2):
+    two_thetas = sd.CubicGraph(4, ((0, 1), (0, 1), (0, 1), (2, 3), (2, 3), (2, 3)))
+    suite = [petersen, k4, k33, theta, dumbbell, prism, cube, j3, j5, blanusa1, blanusa2,
+             two_thetas]
+    rng = random.Random(20260815)
+    suite += [sd.CubicGraph(n, oracles.random_cubic_edges(rng, n))
+              for n in [2, 4, 6, 8, 10, 12] * 10]
+    seen = set()
+    for g in suite:
+        expected = oracles.two_connected(g.vertex_count, edge_pairs(g))
+        assert sd.is_two_connected(g) == expected, g.edges
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_bipartite(petersen, k4, k33, cube, theta, prism):
