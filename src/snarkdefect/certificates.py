@@ -17,7 +17,6 @@ from .colouring import is_perfect_matching
 from .defect_engine import ThreeArray, core_of, coverage, check_girth_bound, DefectResult
 from .fano_flow import CharacteristicFlow, characteristic_flow, verify_flow
 from .fulkerson import (
-    ComplementaryPair,
     FulkersonCover,
     GroupFlow,
     check_complementary,
@@ -49,10 +48,6 @@ def graph_from_payload(d: dict) -> CubicGraph:
     if graph_digest(g) != d["sha256"]:
         raise GraphError("graph digest mismatch")
     return g
-
-
-def matching_json(mm) -> list[int]:
-    return sorted(mm)
 
 
 def array_json(a: ThreeArray) -> list[list[int]]:

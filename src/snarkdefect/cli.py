@@ -32,7 +32,6 @@ from .defect_engine import (
 )
 from .fano_flow import characteristic_flow, verify_flow
 from .fulkerson import (
-    FulkersonCover,
     complementary_to_flows,
     cover_to_complementary,
     find_cover,
@@ -79,7 +78,11 @@ def iter_inputs(args):
     """Yield (source_label, graph_or_error) in a stable order."""
     if args.graph6:
         name = args.graph6
-        text = sys.stdin.read() if name == "-" else open(name, encoding="ascii").read()
+        try:
+            text = sys.stdin.read() if name == "-" else open(name, encoding="ascii").read()
+        except (OSError, UnicodeDecodeError) as exc:
+            yield name, GraphError(f"cannot read {name}: {exc}")
+            text = ""
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line:
@@ -95,6 +98,8 @@ def iter_inputs(args):
             if not isinstance(g, CubicGraph):
                 g = g.to_graph()
             yield args.edge_list, g
+        except (OSError, UnicodeDecodeError) as exc:
+            yield args.edge_list, GraphError(f"cannot read {args.edge_list}: {exc}")
         except (FormatError, GraphError) as exc:
             yield args.edge_list, GraphError(f"parse error: {exc}")
     for desc in args.construct or ():
@@ -116,28 +121,6 @@ def budget_from(args) -> SearchBudget | None:
     if mm is None and mt is None:
         return None
     return SearchBudget(mm, mt)
-
-
-class Emitter:
-    def __init__(self, args):
-        self.json_stdout = args.json
-        self.quiet = args.quiet
-        self.sink = open(args.output, "w", encoding="utf-8") if args.output else None
-
-    def certificate(self, cert: dict) -> None:
-        line = certs.dump_certificate(cert)
-        if self.sink:
-            self.sink.write(line + "\n")
-        if self.json_stdout:
-            print(line)
-
-    def human(self, text: str) -> None:
-        if not self.json_stdout and not self.quiet:
-            print(text)
-
-    def close(self) -> None:
-        if self.sink:
-            self.sink.close()
 
 
 def _defect_word(sec: dict) -> str:
@@ -206,131 +189,121 @@ def _human_analyze(src: str, res: dict, cert: dict) -> str:
     return " ".join(parts)
 
 
-def cmd_analyze(args) -> int:
-    emitter = Emitter(args)
-    budget = budget_from(args)
-    any_error = False
-    any_bounded = False
+def _run_batch(args, command: str, per_graph, human) -> int:
+    """Emit ``per_graph(g) -> (result, exact, passed)`` as one certificate
+    and one ``human(src, result, cert)`` line per input; bad inputs and
+    GraphErrors become error certificates.  Exit code 1 on any error or
+    failed check, else 2 if any result was budget-limited, else 0."""
+    sink = open(args.output, "w", encoding="utf-8") if args.output else None
+    any_error = any_bounded = any_fail = False
+
+    def emit(cert: dict, line: str) -> None:
+        text = certs.dump_certificate(cert)
+        if sink:
+            sink.write(text + "\n")
+        if args.json:
+            print(text)
+        elif not args.quiet:
+            print(line)
+
     try:
         for src, item in iter_inputs(args):
-            if isinstance(item, GraphError):
-                emitter.certificate(certs.error_certificate("analyze", src, str(item)))
-                emitter.human(f"{src}: ERROR {item}")
-                any_error = True
-                continue
             t0 = time.perf_counter()
             try:
-                res, exact = analyze_graph(item, budget)
+                if isinstance(item, GraphError):
+                    raise item
+                res, exact, passed = per_graph(item)
             except GraphError as exc:
-                emitter.certificate(certs.error_certificate("analyze", src, str(exc)))
-                emitter.human(f"{src}: ERROR {exc}")
+                emit(certs.error_certificate(command, src, str(exc)), f"{src}: ERROR {exc}")
                 any_error = True
                 continue
             dt = time.perf_counter() - t0 if args.timing else None
-            cert = certs.make_certificate("analyze", src, item, res, exact, dt)
-            emitter.certificate(cert)
-            emitter.human(_human_analyze(src, res, cert))
-            if not exact:
-                any_bounded = True
+            cert = certs.make_certificate(command, src, item, res, exact, dt)
+            emit(cert, human(src, res, cert))
+            any_bounded |= not exact
+            any_fail |= not passed
     finally:
-        emitter.close()
-    return 1 if any_error else 2 if any_bounded else 0
+        if sink:
+            sink.close()
+    return 1 if any_error or any_fail else 2 if any_bounded else 0
+
+
+def cmd_analyze(args) -> int:
+    budget = budget_from(args)
+    return _run_batch(args, "analyze", lambda g: (*analyze_graph(g, budget), True),
+                      _human_analyze)
 
 
 def _load_cover_members(path: str):
-    data = json.loads(open(path, encoding="utf-8").read().splitlines()[0])
+    try:
+        data = json.loads((open(path, encoding="utf-8").read().splitlines() or [""])[0])
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise GraphError(f"{path}: cannot read a cover: {exc}") from None
     if isinstance(data, dict) and "matchings" in data:
         lists = data["matchings"]
     elif isinstance(data, dict) and data.get("schema") == certs.SCHEMA:
         lists = (data.get("result") or {}).get("cover")
     else:
         lists = None
-    if not isinstance(lists, list):
+    if not (isinstance(lists, list) and all(
+            isinstance(x, list) and all(isinstance(v, int) for v in x) for x in lists)):
         raise GraphError(f"{path}: expected a 'matchings' list or a fulkerson certificate")
     return [frozenset(x) for x in lists]
 
 
+def _human_fulkerson(src: str, res: dict, cert: dict) -> str:
+    cover = res["cover"]
+    if cover == "budget_exceeded":
+        return f"{src}: budget exceeded ({res['detail']})"
+    if cover == "none_found":
+        return f"{src}: no cover exists"
+    if res["mode"] == "verify":
+        return f"{src}: {'PASS' if res['ok'] else 'FAIL: ' + res['violation']}"
+    if res["mode"] == "roundtrip":
+        return f"{src}: roundtrip {'PASS' if res['pass'] else 'FAIL'}"
+    return f"{src}: cover with {len(cover)} matchings"
+
+
 def cmd_fulkerson(args) -> int:
-    emitter = Emitter(args)
     budget = budget_from(args)
     max_matchings = budget.max_matchings if budget else None
-    any_error = False
-    any_bounded = False
-    any_fail = False
-    try:
-        for src, item in iter_inputs(args):
-            if isinstance(item, GraphError):
-                emitter.certificate(certs.error_certificate("fulkerson", src, str(item)))
-                emitter.human(f"{src}: ERROR {item}")
-                any_error = True
-                continue
-            g = item
-            t0 = time.perf_counter()
-            try:
-                if args.verify:
-                    members = _load_cover_members(args.verify)
-                    chk = verify_cover(g, members)
-                    res = {
-                        "mode": "verify",
-                        "cover": [sorted(mm) for mm in members],
-                        "ok": bool(chk),
-                        "violation": chk.violation,
-                        "multiplicities": list(chk.multiplicities),
-                    }
-                    exact = True
-                    if not chk:
-                        any_fail = True
-                    emitter.human(f"{src}: {'PASS' if chk else 'FAIL: ' + chk.violation}")
-                elif args.roundtrip:
-                    cover = find_cover(g, max_matchings, args.max_nodes)
-                    if cover is NONE_FOUND:
-                        res = {"mode": "roundtrip", "cover": "none_found"}
-                        exact = True
-                        emitter.human(f"{src}: no cover exists")
-                    else:
-                        pair = cover_to_complementary(cover)
-                        p1, p2, f1, f2 = complementary_to_flows(g, pair)
-                        rebuilt = flows_to_cover(g, p1, p2, f1, f2)
-                        ok = sorted(cover.matchings, key=sorted) == sorted(
-                            rebuilt.matchings, key=sorted)
-                        res = {
-                            "mode": "roundtrip",
-                            "cover": certs.cover_json(cover),
-                            "pair": [certs.array_json(pair.first), certs.array_json(pair.second)],
-                            "p1": sorted(p1),
-                            "p2": sorted(p2),
-                            "flows": [certs.flow_json(f1), certs.flow_json(f2)],
-                            "rebuilt": certs.cover_json(rebuilt),
-                            "pass": ok,
-                        }
-                        exact = True
-                        if not ok:
-                            any_fail = True
-                        emitter.human(f"{src}: roundtrip {'PASS' if ok else 'FAIL'}")
-                else:
-                    cover = find_cover(g, max_matchings, args.max_nodes)
-                    if cover is NONE_FOUND:
-                        res = {"mode": "find", "cover": "none_found"}
-                        emitter.human(f"{src}: no cover exists")
-                    else:
-                        res = {"mode": "find", "cover": certs.cover_json(cover), "ok": True}
-                        emitter.human(f"{src}: cover with {len(cover.matchings)} matchings")
-                    exact = True
-            except BudgetError as exc:
-                res = {"mode": "find", "cover": "budget_exceeded", "detail": str(exc)}
-                exact = False
-                any_bounded = True
-                emitter.human(f"{src}: budget exceeded ({exc})")
-            except GraphError as exc:
-                emitter.certificate(certs.error_certificate("fulkerson", src, str(exc)))
-                emitter.human(f"{src}: ERROR {exc}")
-                any_error = True
-                continue
-            dt = time.perf_counter() - t0 if args.timing else None
-            emitter.certificate(certs.make_certificate("fulkerson", src, g, res, exact, dt))
-    finally:
-        emitter.close()
-    return 1 if any_error or any_fail else 2 if any_bounded else 0
+    mode = "roundtrip" if args.roundtrip else "find"
+
+    def one(g: CubicGraph):
+        if args.verify:
+            members = _load_cover_members(args.verify)
+            chk = verify_cover(g, members)
+            return {
+                "mode": "verify",
+                "cover": [sorted(mm) for mm in members],
+                "ok": bool(chk),
+                "violation": chk.violation,
+                "multiplicities": list(chk.multiplicities),
+            }, True, bool(chk)
+        try:
+            cover = find_cover(g, max_matchings, args.max_nodes)
+        except BudgetError as exc:
+            return {"mode": mode, "cover": "budget_exceeded", "detail": str(exc)}, False, True
+        if cover is NONE_FOUND:
+            return {"mode": mode, "cover": "none_found"}, True, True
+        if mode == "find":
+            return {"mode": "find", "cover": certs.cover_json(cover), "ok": True}, True, True
+        pair = cover_to_complementary(cover)
+        p1, p2, f1, f2 = complementary_to_flows(g, pair)
+        rebuilt = flows_to_cover(g, p1, p2, f1, f2)
+        ok = sorted(cover.matchings, key=sorted) == sorted(rebuilt.matchings, key=sorted)
+        return {
+            "mode": "roundtrip",
+            "cover": certs.cover_json(cover),
+            "pair": [certs.array_json(pair.first), certs.array_json(pair.second)],
+            "p1": sorted(p1),
+            "p2": sorted(p2),
+            "flows": [certs.flow_json(f1), certs.flow_json(f2)],
+            "rebuilt": certs.cover_json(rebuilt),
+            "pass": ok,
+        }, True, ok
+
+    return _run_batch(args, "fulkerson", one, _human_fulkerson)
 
 
 def cmd_verify(args) -> int:

@@ -19,10 +19,13 @@ COLOURS = (1, 2, 3)
 
 
 def is_perfect_matching(g: CubicGraph, edges) -> bool:
-    """Every vertex covered exactly once; loops never qualify."""
-    seen = [0] * g.vertex_count
+    """Every vertex covered exactly once by edges of g; loops never
+    qualify, nor do ids that are not edges of g."""
+    ends, seen = g.edges, [0] * g.vertex_count
     for e in edges:
-        a, b = g.endpoints(e)
+        if not (isinstance(e, int) and 0 <= e < len(ends)):
+            return False
+        a, b = ends[e]
         if a == b:
             return False
         seen[a] += 1
@@ -299,6 +302,23 @@ class GraphFacts:
         """The matchings as edge bitmasks, in the same order."""
         return matching_masks(self.matchings)
 
+    def prefix(self, cap: int | None) -> tuple[list[frozenset[int]], list[int], bool]:
+        """(matchings, masks, complete) for a search capped at ``cap``
+        matchings: the search-order prefix, re-sorted, so capped results
+        are reproducible.  A cap that holds every matching fills the full
+        list; an all-even 2-factor in a partial prefix records oddness 0.
+        """
+        if cap is None:
+            return self.matchings, self.masks, True
+        found = enumerate_perfect_matchings(self.graph, cap + 1)
+        if len(found) <= cap:
+            self.matchings = found
+            return found, self.masks, True
+        found = found[:cap]
+        if any(odd_circuit_count(self.graph, mm) == 0 for mm in found):
+            self.oddness = 0
+        return found, matching_masks(found), False
+
     @cached_property
     def oddness(self) -> int:
         """Minimum number of odd circuits over all 2-factors."""
@@ -317,7 +337,10 @@ class GraphFacts:
     def colourable(self) -> bool:
         """3-edge-colourable: some 2-factor has only even circuits (the
         colour classes 2 and 3 alternate along them)."""
-        return bool(self.matchings) and self.oddness == 0
+        try:
+            return self.oddness == 0
+        except GraphError:  # no perfect matching
+            return False
 
 
 def _facts_for(g: CubicGraph, facts: GraphFacts | None) -> GraphFacts:

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .colouring import (GraphFacts, _facts_for, enumerate_perfect_matchings,
-                        is_perfect_matching, matching_masks, odd_circuit_count)
+from .colouring import GraphFacts, _facts_for, is_perfect_matching
 from .graph_core import CubicGraph, GraphError, bridges, girth, is_bridgeless
 
 
@@ -218,16 +217,17 @@ def is_induced_circuit(g: CubicGraph, comp: CoreComponent) -> bool:
 
 def _scan(masks: list[int], m: int, half: int, regular: bool, lower: int,
           max_triples: int | None = None):
-    """Scan triples i <= j <= k; returns (value, (i, j, k), completed).
+    """Scan triples i <= j <= k; returns (value, optimal, completed).
 
-    The witness is the first triple attaining the minimum; value and
-    witness are None when no admissible triple was inspected.  The scan
-    stops once `lower` is attained (the bound must be globally valid),
-    and with `completed` False once `max_triples` triples were inspected.
+    ``optimal`` is every inspected triple attaining the minimum, in scan
+    order, so its first entry is the witness; value is None when it is
+    empty.  The scan stops once `lower` is attained (the bound must be
+    globally valid; -1 never stops it), and with `completed` False once
+    `max_triples` triples were inspected.
     """
     n = len(masks)
     best_val = m + 1
-    best_wit = None
+    best: list[tuple[int, int, int]] = []
     left = max_triples
     for i in range(n):
         mi = masks[i]
@@ -240,56 +240,47 @@ def _scan(masks: list[int], m: int, half: int, regular: bool, lower: int,
             for k in range(j, n):
                 if left is not None:
                     if left <= 0:
-                        return (best_val if best_wit else None), best_wit, False
+                        return (best_val if best else None), best, False
                     left -= 1
                 if regular and (mij & masks[k]):
                     continue
                 val = m - (u | masks[k]).bit_count()
-                if val < best_val:
-                    best_val = val
-                    best_wit = (i, j, k)
+                if val <= best_val:
+                    if val < best_val:
+                        best_val, best = val, []
+                    best.append((i, j, k))
                     if val <= lower:
-                        return best_val, best_wit, True
-    return (best_val if best_wit else None), best_wit, True
+                        return best_val, best, True
+    return (best_val if best else None), best, True
+
+
+def _require_bridgeless(g: CubicGraph) -> None:
+    if not is_bridgeless(g):
+        raise GraphError("defect is undefined for graphs with bridges "
+                         f"(found {bridges(g) or 'disconnected'})")
 
 
 def _defect_impl(g: CubicGraph, regular: bool, budget: SearchBudget | None,
                  facts: GraphFacts | None) -> DefectResult:
-    if not is_bridgeless(g):
-        bad = bridges(g)
-        raise GraphError(
-            f"defect is undefined for graphs with bridges (found {bad or 'disconnected'})")
+    _require_bridgeless(g)
     cap = budget.max_matchings if budget else None
     if cap is not None and cap < 1:
         raise GraphError("max_matchings must be at least 1")
     facts = _facts_for(g, facts)
-    if cap is None:
-        matchings, masks, complete = facts.matchings, facts.masks, True
-    else:
-        # the capped search-order prefix, so budgeted results stay reproducible
-        matchings = enumerate_perfect_matchings(g, cap + 1)
-        complete = len(matchings) <= cap
-        matchings = matchings[:cap]
-        masks = matching_masks(matchings)
-    if not matchings:
-        raise GraphError("graph has no perfect matching")
-    # an all-even 2-factor in a capped prefix proves colourability without
-    # enumerating every matching; otherwise ask the facts
-    colourable = ((cap is not None and any(odd_circuit_count(g, mm) == 0 for mm in matchings))
-                  or facts.colourable)
-    lower = 0 if colourable else 3  # snark lower bound; bridgeless + uncolourable = snark
+    matchings, masks, complete = facts.prefix(cap)
+    lower = 0 if facts.colourable else 3  # snark lower bound; bridgeless + uncolourable = snark
 
     mt = budget.max_triples if budget else None
-    val, wit, scanned_all = _scan(masks, g.edge_count, g.vertex_count // 2, regular, lower, mt)
+    val, optimal, scanned_all = _scan(masks, g.edge_count, g.vertex_count // 2, regular, lower, mt)
 
     # a witness attaining the proven lower bound is exact even if the
     # matching list was truncated
-    exhaustive = (complete and scanned_all) or (wit is not None and val == lower)
-    if wit is None:
+    exhaustive = (complete and scanned_all) or val == lower
+    if not optimal:
         if regular and complete and scanned_all:
             return DefectResult(NONE_FOUND, None, True, True)
         return DefectResult(UNKNOWN, None, False, regular)
-    witness = ThreeArray.of(matchings[wit[0]], matchings[wit[1]], matchings[wit[2]])
+    witness = ThreeArray.of(*(matchings[x] for x in optimal[0]))
     return DefectResult(val, witness, exhaustive, regular)
 
 
@@ -312,36 +303,21 @@ def regular_defect(g: CubicGraph, budget: SearchBudget | None = None,
 
 def enumerate_optimal_arrays(g: CubicGraph, regular: bool, target: int | None = None,
                              threads: int | None = None) -> list[ThreeArray]:
-    """Every 3-array (regular ones if requested) attaining the optimum.
+    """Every 3-array (regular ones if requested) attaining the optimum,
+    in lexicographic order, from one scan with no early stop.
 
-    Runs the full scan with no early stop; `target` defaults to the
-    exhaustively computed df/rdf.  Output in lexicographic order.
-    ``threads`` is accepted and ignored.
+    ``target`` is a claimed optimum: if it is not the optimum the result
+    is empty, even when it is above it and arrays attain it.  Graphs with
+    bridges are rejected, as by ``defect``.  ``threads`` is ignored.
     """
+    _require_bridgeless(g)
     facts = GraphFacts(g)
-    if target is None:
-        res = (regular_defect if regular else defect)(g, facts=facts)
-        if not isinstance(res.value, int):
-            raise GraphError(f"no optimum to enumerate: {res.value!r}")
-        target = res.value
-    matchings, masks = facts.matchings, facts.masks
-    m, half = g.edge_count, g.vertex_count // 2
-    n = len(masks)
-    found = []
-    for i in range(n):
-        mi = masks[i]
-        for j in range(i, n):
-            mj = masks[j]
-            u = mi | mj
-            if m - u.bit_count() - half > target:
-                continue
-            mij = mi & mj
-            for k in range(j, n):
-                if regular and (mij & masks[k]):
-                    continue
-                if m - (u | masks[k]).bit_count() == target:
-                    found.append(ThreeArray.of(matchings[i], matchings[j], matchings[k]))
-    return found
+    val, optimal, _ = _scan(facts.masks, g.edge_count, g.vertex_count // 2, regular, -1)
+    if val is None and target is None:
+        raise GraphError(f"no optimum to enumerate: {NONE_FOUND!r}")
+    if target is not None and target != val:
+        return []
+    return [ThreeArray.of(*(facts.matchings[x] for x in t)) for t in optimal]
 
 
 # ---------------------------------------------------------------------------

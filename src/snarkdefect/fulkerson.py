@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .colouring import is_perfect_matching
+from .colouring import GraphFacts, is_perfect_matching
 from .defect_engine import NONE_FOUND, BudgetError, ThreeArray, core_of, coverage
 from .fano_flow import FlowCheck
 from .graph_core import CubicGraph, GraphError, SizeGateError, bridges, is_bridgeless
@@ -87,26 +87,22 @@ def find_cover(g: CubicGraph, max_matchings: int | None = None,
     """
     if not is_bridgeless(g):
         raise GraphError("Fulkerson covers are defined for bridgeless graphs")
-    from .colouring import enumerate_perfect_matchings
-
-    matchings = enumerate_perfect_matchings(
-        g, None if max_matchings is None else max_matchings + 1)
-    if max_matchings is not None and len(matchings) > max_matchings:
+    matchings, masks, complete = GraphFacts(g).prefix(max_matchings)
+    if not complete:
         raise BudgetError(f"more than {max_matchings} perfect matchings")
-    n_match = len(matchings)
     m = g.edge_count
     half = g.vertex_count // 2
     full = (1 << m) - 1
-    masks = [sum(1 << e for e in mm) for mm in matchings]
     by_edge: list[list[int]] = [[] for _ in range(m)]
-    for idx, mask in enumerate(masks):
-        for e in range(m):
-            if mask >> e & 1:
-                by_edge[e].append(idx)
+    for idx, mm in enumerate(matchings):
+        for e in mm:
+            by_edge[e].append(idx)
 
     nodes = 0
     chosen: list[int] = []
 
+    # dfs refers to itself, a cycle that only the cyclic collector frees, so
+    # what it captures outlives the call: keep the matching list out of it
     def dfs(start: int, m1: int, m2: int) -> tuple[int, ...] | None:
         nonlocal nodes
         rem = 6 - len(chosen)
@@ -122,7 +118,7 @@ def find_cover(g: CubicGraph, max_matchings: int | None = None,
             tight = ((full & ~(m1 | m2)) & -(full & ~(m1 | m2))).bit_length() - 1
         elif m1 and rem == 1:
             tight = (m1 & -m1).bit_length() - 1
-        candidates = by_edge[tight] if tight >= 0 else range(start, n_match)
+        candidates = by_edge[tight] if tight >= 0 else range(start, len(masks))
         for idx in candidates:
             if idx < start:
                 continue

@@ -99,17 +99,19 @@ class Multipole:
         eps = tuple((a, b) for a, b in endpoints)
         if vertex_count < 0:
             raise GraphError("negative vertex count")
-        ends_per_vertex = [0] * vertex_count
+        # sparse, so a huge stated vertex count fails without a huge list
+        ends_per_vertex: dict[int, int] = {}
         free: list[tuple[int, int]] = []
         for e, (a, b) in enumerate(eps):
             for end, slot in enumerate((a, b)):
                 if slot is None:
                     free.append((e, end))
                 elif 0 <= slot < vertex_count:
-                    ends_per_vertex[slot] += 1
+                    ends_per_vertex[slot] = ends_per_vertex.get(slot, 0) + 1
                 else:
                     raise GraphError(f"edge {e} end {end}: vertex {slot} out of range")
-        for v, k in enumerate(ends_per_vertex):
+        for v in range(vertex_count):
+            k = ends_per_vertex.get(v, 0)
             if k != 3:
                 raise NotCubicError(v, k)
 
@@ -282,7 +284,9 @@ def parse_graph6(text: str) -> CubicGraph:
         line = line[len(_G6_HEADER):]
     if not line:
         raise FormatError("empty graph6 line")
-    data = line.encode("ascii", errors="strict")
+    if not line.isascii():
+        raise FormatError("graph6 text must be ASCII")
+    data = line.encode("ascii")
     n, used = _g6_read_n(data)
     body = data[used:]
     nbits = n * (n - 1) // 2
@@ -367,7 +371,10 @@ def parse_edge_list(text: str) -> Multipole:
             parts = line.split()
             if len(parts) != 2:
                 raise FormatError(f"line {lineno}: malformed vertices line")
-            vertex_count = int(parts[1])
+            try:
+                vertex_count = int(parts[1])
+            except ValueError:
+                raise FormatError(f"line {lineno}: malformed vertices line") from None
             continue
         if line.startswith("connector"):
             m = re.match(r"^connector\s+(\S+)\s*:\s*(.*)$", line)
@@ -539,7 +546,7 @@ def is_two_connected(g: CubicGraph) -> bool:
     fewer there is no cut vertex and a bridge is the only obstruction.
     So this is the bridge test.
     """
-    return is_connected(g) and not bridges(g)
+    return is_bridgeless(g)
 
 
 def is_bipartite(g: CubicGraph) -> bool:

@@ -97,6 +97,25 @@ def test_bad_input_gives_error_certificate_and_exit_1(tmp_path):
     assert second["result"]["df"]["value"] == 3
 
 
+@pytest.mark.parametrize("flag, data", [
+    ("--graph6", b"IheA@GUAo\n\xff\n"),   # a non-ASCII byte in the file
+    ("--graph6", "\u00e9\n"),               # a non-ASCII line on stdin
+    ("--edge-list", b"vertices x\n0 1\n"),
+    ("--edge-list", None),                  # no such file
+])
+def test_unreadable_input_gives_error_certificate(monkeypatch, tmp_path, flag, data):
+    path = tmp_path / "input"
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    elif data is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(data))
+        path = "-"
+    code, out, _ = run(["analyze", flag, str(path), "--json", "--quiet"])
+    assert code == 1
+    [cert] = [json.loads(line) for line in out.splitlines()]
+    assert "error" in cert
+
+
 def test_bridge_graph_is_an_error(tmp_path):
     path = tmp_path / "dumbbell.txt"
     path.write_text("vertices 2\n0 0\n0 1\n1 1\n")
@@ -250,6 +269,32 @@ def test_fulkerson_budget_certificate():
     assert cert["exact"] is False
     assert cert["result"]["cover"] == "budget_exceeded"
     assert "exceeded 1 nodes" in cert["result"]["detail"]
+
+
+def test_budgeted_roundtrip_certificate_names_its_mode():
+    code, out, _ = run(["fulkerson", "--construct", "petersen", "--roundtrip", "--json",
+                        "--quiet", "--max-nodes", "1"])
+    assert code == 2
+    res = json.loads(out)["result"]
+    assert (res["mode"], res["cover"]) == ("roundtrip", "budget_exceeded")
+
+
+@pytest.mark.parametrize("case", ["bad-json", "edge-out-of-range", "edge-string",
+                                  "edge-negative"])
+def test_fulkerson_verify_malformed_cover_is_an_error(tmp_path, case):
+    members = [sorted(m) for m in sd.find_cover(sd.petersen()).matchings]
+    if case == "edge-out-of-range":
+        members[0][0] = 99
+    elif case == "edge-string":
+        members[0][0] = str(members[0][0])
+    elif case == "edge-negative":  # edge 14 written as -1 aliases the real edge
+        members = [[-1 if e == 14 else e for e in m] for m in members]
+    path = tmp_path / "cover.json"
+    path.write_text("{not json" if case == "bad-json" else json.dumps({"matchings": members}))
+    code, out, _ = run(["fulkerson", "--construct", "petersen", "--verify", str(path),
+                        "--json", "--quiet"])
+    assert code == 1
+    assert "error" in json.loads(out)
 
 
 # --------------------------------------------------------------------------

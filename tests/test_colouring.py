@@ -128,6 +128,12 @@ def test_is_perfect_matching(petersen):
 # two-factors and oddness
 # --------------------------------------------------------------------------
 
+def test_is_perfect_matching_rejects_ids_that_are_not_edges(petersen):
+    assert not sd.is_perfect_matching(petersen, [1, 4, 5, 11, -1])  # -1 would alias edge 14
+    assert not sd.is_perfect_matching(petersen, [0, 5, 9, 10, 99])
+    assert not sd.is_perfect_matching(petersen, [0, 5, 9, 10, "12"])
+
+
 def test_two_factor_circuits(petersen, k4, theta, dumbbell):
     for m in sd.enumerate_perfect_matchings(petersen):
         circuits = sd.two_factor_circuits(petersen, m)

@@ -1,5 +1,6 @@
 """Defect search: values, witnesses, cores, budgets, and the girth bound."""
 
+import itertools
 import random
 
 import pytest
@@ -199,9 +200,24 @@ def test_matching_cap_on_colourable_graph_enumerates_only_the_prefix(monkeypatch
 
     enumerate_all = colouring.enumerate_perfect_matchings
     monkeypatch.setattr(colouring, "enumerate_perfect_matchings", counted)
-    monkeypatch.setattr(defect_engine, "enumerate_perfect_matchings", counted)
     sd.defect(cube, budget=sd.SearchBudget(max_matchings=2))
     assert limits == [3]
+
+
+def test_matching_cap_holding_every_matching_enumerates_once(monkeypatch, petersen):
+    # the capped prefix is the whole list, so colourability reuses it
+    from snarkdefect import colouring
+    limits = []
+    enumerate_all = colouring.enumerate_perfect_matchings
+
+    def counted(g, limit=None):
+        limits.append(limit)
+        return enumerate_all(g, limit)
+
+    monkeypatch.setattr(colouring, "enumerate_perfect_matchings", counted)
+    res = sd.defect(petersen, budget=sd.SearchBudget(max_matchings=6))
+    assert limits == [7]
+    assert (res.value, res.exhaustive) == (3, True)
 
 
 def test_threads_do_not_change_results(petersen, j5):
@@ -253,6 +269,34 @@ def test_enumerate_optimal_arrays_explicit_target(petersen):
     # Petersen matchings pairwise share one edge: 4 uncovered is unreachable
     assert sd.enumerate_optimal_arrays(petersen, regular=True, target=4) == []
     assert sd.enumerate_optimal_arrays(petersen, regular=True, target=2) == []
+
+
+@pytest.mark.parametrize("regular", [False, True])
+def test_enumerate_optimal_arrays_matches_brute_force(theta, k4, k33, prism, cube, petersen,
+                                                      j3, regular):
+    suite = [theta, k4, k33, prism, cube, petersen, j3]
+    rng = random.Random(20260815)
+    suite += [g for g in (sd.CubicGraph(n, oracles.random_cubic_edges(rng, n))
+                          for n in [4, 6, 8, 10, 12] * 20) if sd.is_bridgeless(g)]
+    for g in suite:
+        pms = oracles.perfect_matchings(g.vertex_count, edge_pairs(g))
+        scored = []
+        for triple in itertools.combinations_with_replacement(pms, 3):
+            sets = [set(t) for t in triple]
+            if not (regular and sets[0] & sets[1] & sets[2]):
+                scored.append((g.edge_count - len(sets[0] | sets[1] | sets[2]), triple))
+        best = min(v for v, _ in scored)
+        want = [[list(t) for t in triple] for v, triple in scored if v == best]
+        got = sd.enumerate_optimal_arrays(g, regular=regular)
+        assert [[list(t) for t in a.sorted_lists()] for a in got] == want, g.edges
+
+
+def test_enumerate_optimal_arrays_target_is_a_claimed_optimum(k4, dumbbell):
+    assert len(sd.enumerate_optimal_arrays(k4, regular=False, target=0)) == 1
+    # arrays leaving two edges uncovered exist, but 2 is not the optimum
+    assert sd.enumerate_optimal_arrays(k4, regular=False, target=2) == []
+    with pytest.raises(sd.GraphError, match="bridge"):
+        sd.enumerate_optimal_arrays(dumbbell, regular=False, target=0)
 
 
 def test_enumerate_optimal_arrays_threads_agree(j5):

@@ -83,6 +83,12 @@ def test_find_cover_larger_snarks(j5, blanusa1):
         assert sd.verify_cover(g, cover).ok
 
 
+def test_find_cover_matching_cap_holds_exactly_that_many(petersen):
+    assert cover_lists(sd.find_cover(petersen, max_matchings=6)) == PETERSEN_COVER
+    with pytest.raises(sd.BudgetError, match="more than 5 perfect matchings"):
+        sd.find_cover(petersen, max_matchings=5)
+
+
 def test_find_cover_rejects_bridges(dumbbell):
     with pytest.raises(sd.GraphError, match="bridgeless"):
         sd.find_cover(dumbbell)

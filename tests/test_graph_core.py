@@ -1,6 +1,7 @@
 """Containers, text formats, and the structural predicates."""
 
 import random
+import string
 
 import networkx as nx
 import pytest
@@ -141,6 +142,34 @@ def test_edge_list_roundtrip_with_connectors():
     back = sd.parse_edge_list(sd.write_edge_list(z))
     assert back.edges == z.edges
     assert back.connectors == z.connectors
+
+
+def test_readers_fail_only_with_format_or_graph_errors(petersen, k33, theta):
+    """Seeded edits of valid graph6 and edge-list text parse or raise
+    GraphError (FormatError is one), never another exception."""
+    rng = random.Random(20260815)
+    alphabet = string.printable + "\u00e9\x00\xff"
+    texts = [(sd.parse_graph6, sd.write_graph6(g)) for g in (petersen, k33)]
+    texts += [(sd.parse_edge_list, sd.write_edge_list(g)) for g in (petersen, theta)]
+    texts += [(sd.parse_edge_list, sd.write_edge_list(sd.z_pole()))]
+    for parse, text in texts:
+        for _ in range(400):
+            chars = list(text)
+            for _ in range(rng.randint(1, 4)):
+                pos = rng.randrange(len(chars) + 1)
+                op = rng.randrange(3) if pos < len(chars) else 0
+                if op == 0:
+                    chars.insert(pos, rng.choice(alphabet))
+                elif op == 1:
+                    del chars[pos]
+                else:
+                    chars[pos] = rng.choice(alphabet)
+            try:
+                parse("".join(chars))
+            except sd.GraphError:
+                pass
+    with pytest.raises(sd.NotCubicError, match="vertex 0 "):  # no list of 10**12 counters
+        sd.parse_edge_list("vertices 1000000000000\n")
 
 
 def test_edge_list_comments_and_errors():
