@@ -307,9 +307,16 @@ def cmd_fulkerson(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    text = sys.stdin.read() if args.certificates == "-" else open(
-        args.certificates, encoding="utf-8").read()
     passed = failed = 0
+    try:
+        if args.certificates == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.certificates, encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"FAIL {args.certificates}: cannot read: {exc}")
+        failed, text = 1, ""
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:

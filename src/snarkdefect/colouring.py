@@ -36,44 +36,89 @@ def is_perfect_matching(g: CubicGraph, edges) -> bool:
 def enumerate_perfect_matchings(g: CubicGraph, limit: int | None = None) -> list[frozenset[int]]:
     """All perfect matchings, sorted lexicographically by sorted edge list.
 
-    Backtracking over the lowest uncovered vertex; with ``limit`` the
-    search stops after that many matchings (the truncated result is then
-    an arbitrary prefix of the search order, re-sorted).
+    Backtracking over the lowest uncovered vertex, trying its edges in
+    ``incident_ends`` order; with ``limit`` the search stops after that
+    many matchings (the truncated result is then a prefix of the search
+    order, re-sorted).
+
+    Forced moves prune the search.  After each choice, look at the
+    uncovered neighbours of the two newly covered vertices: one with no
+    uncovered partner ends the branch, and one whose only uncovered
+    partner is reached by a single edge is matched at once, and the
+    check repeats.  This never reorders the matchings: every matching
+    below the branch contains the forced edges, so the unpruned search
+    takes each of them too when its end becomes the lowest uncovered
+    vertex (every other edge there leads to no matching), and it
+    branches on the same vertices, with the same edges, in the same
+    order.  The pruned subtrees hold no matching, so ``limit`` prefixes
+    are unchanged as well.
     """
     n = g.vertex_count
     if n == 0:
         return [frozenset()]
     if n % 2:
         return []
-    covered = [False] * n
-    chosen: list[int] = []
+    # per vertex, in incident_ends order with loops skipped: the
+    # (edge, partner) choices, the partners as a bitmask, and the
+    # partners reached by exactly one edge (partner bit -> edge)
+    arcs: list[list[tuple[int, int]]] = []
+    nbr: list[int] = []
+    sole: list[dict[int, int]] = []
+    for v in range(n):
+        mine = [(e, w) for e, i in g.incident_ends(v) if (w := g.endpoints(e)[1 - i]) != v]
+        partners = [w for _, w in mine]
+        arcs.append(mine)
+        nbr.append(sum(1 << w for w in set(partners)))
+        sole.append({1 << w: e for e, w in mine if partners.count(w) == 1})
     out: list[tuple[int, ...]] = []
-
-    def extend() -> bool:
-        v = -1
-        for u in range(n):
-            if not covered[u]:
-                v = u
-                break
-        if v == -1:
-            out.append(tuple(sorted(chosen)))
-            return limit is not None and len(out) >= limit
-        for e, i in g.incident_ends(v):
-            w = g.endpoints(e)[1 - i]
-            if w == v or covered[w]:
-                continue  # loop, or partner already matched
-            covered[v] = covered[w] = True
-            chosen.append(e)
-            done = extend()
-            chosen.pop()
-            covered[v] = covered[w] = False
-            if done:
-                return True
-        return False
-
-    extend()
+    _match_lowest((1 << n) - 1, [], out, limit, arcs, nbr, sole)
     out.sort()
     return [frozenset(t) for t in out]
+
+
+def _match_lowest(free: int, chosen: list[int], out: list[tuple[int, ...]],
+                  limit: int | None, arcs, nbr, sole) -> bool:
+    """Extend ``chosen`` over the bitmask ``free`` of uncovered vertices,
+    appending each perfect matching to ``out``; True once ``limit`` is
+    reached.  A module-level function, not a closure, so no reference
+    cycle keeps ``out`` alive after the search."""
+    if not free:
+        out.append(tuple(sorted(chosen)))
+        return limit is not None and len(out) >= limit
+    v = (free & -free).bit_length() - 1
+    depth = len(chosen)
+    for e, w in arcs[v]:
+        if not free >> w & 1:
+            continue  # partner already matched
+        chosen.append(e)
+        rest = _force(free & ~(1 << v | 1 << w), [v, w], chosen, nbr, sole)
+        if rest is not None and _match_lowest(rest, chosen, out, limit, arcs, nbr, sole):
+            return True
+        del chosen[depth:]
+    return False
+
+
+def _force(free: int, touched: list[int], chosen: list[int], nbr, sole) -> int | None:
+    """Apply the forced moves around the ``touched`` vertices, appending
+    forced edges to ``chosen``: the new ``free`` mask, or None when an
+    uncovered vertex is left with no uncovered partner."""
+    while touched:
+        around = nbr[touched.pop()] & free
+        while around:
+            low = around & -around
+            around ^= low
+            if not free & low:
+                continue  # covered by a forced move since
+            u = low.bit_length() - 1
+            cand = nbr[u] & free
+            if not cand:
+                return None
+            e = sole[u].get(cand)  # None unless one partner, by one edge
+            if e is not None:
+                chosen.append(e)
+                free &= ~(low | cand)
+                touched += (u, cand.bit_length() - 1)
+    return free
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +131,8 @@ class _Colourer:
     Deterministic: the branching edge is always the lowest-id uncoloured
     edge, colours are tried in ascending order, and forced moves are
     applied eagerly; the first solution under this order is returned.
+    When colour 1 on the first edge leads to no colouring, colours 2 and
+    3 are not tried: by colour symmetry they cannot lead to one either.
     """
 
     def __init__(self, m: Multipole):
@@ -151,6 +198,11 @@ class _Colourer:
                 if ok and rec(e + 1):
                     return True
                 self._undo(trail)
+                if start == 0 and not out:
+                    # every permutation of {1, 2, 3} is an automorphism of
+                    # Z2 x Z2 and free ends are unconstrained, so colours 2
+                    # and 3 on the root edge fail when colour 1 does
+                    return False
             return False
 
         rec(0)
@@ -291,6 +343,7 @@ class GraphFacts:
 
     def __init__(self, g: CubicGraph):
         self.graph = g
+        self._prefixes: dict[int, tuple[list[frozenset[int]], list[int], bool]] = {}
 
     @cached_property
     def matchings(self) -> list[frozenset[int]]:
@@ -307,17 +360,21 @@ class GraphFacts:
         matchings: the search-order prefix, re-sorted, so capped results
         are reproducible.  A cap that holds every matching fills the full
         list; an all-even 2-factor in a partial prefix records oddness 0.
+        Each cap is searched once; later calls return the same result.
         """
         if cap is None:
             return self.matchings, self.masks, True
-        found = enumerate_perfect_matchings(self.graph, cap + 1)
-        if len(found) <= cap:
-            self.matchings = found
-            return found, self.masks, True
-        found = found[:cap]
-        if any(odd_circuit_count(self.graph, mm) == 0 for mm in found):
-            self.oddness = 0
-        return found, matching_masks(found), False
+        if cap not in self._prefixes:
+            found = enumerate_perfect_matchings(self.graph, cap + 1)
+            if len(found) <= cap:
+                self.matchings = found
+                self._prefixes[cap] = found, self.masks, True
+            else:
+                found = found[:cap]
+                if any(odd_circuit_count(self.graph, mm) == 0 for mm in found):
+                    self.oddness = 0
+                self._prefixes[cap] = found, matching_masks(found), False
+        return self._prefixes[cap]
 
     @cached_property
     def oddness(self) -> int:

@@ -101,8 +101,8 @@ def find_cover(g: CubicGraph, max_matchings: int | None = None,
     nodes = 0
     chosen: list[int] = []
 
-    # dfs refers to itself, a cycle that only the cyclic collector frees, so
-    # what it captures outlives the call: keep the matching list out of it
+    # dfs refers to itself through its closure cell; the del below empties
+    # the cell, so no reference cycle keeps masks and by_edge alive
     def dfs(start: int, m1: int, m2: int) -> tuple[int, ...] | None:
         nonlocal nodes
         rem = 6 - len(chosen)
@@ -137,7 +137,10 @@ def find_cover(g: CubicGraph, max_matchings: int | None = None,
                 return got
         return None
 
-    found = dfs(0, 0, 0)
+    try:
+        found = dfs(0, 0, 0)
+    finally:
+        del dfs
     if found is None:
         return NONE_FOUND
     return FulkersonCover.of(g, [matchings[i] for i in found])
@@ -460,5 +463,8 @@ def nz_4flow(g: CubicGraph, removed=(), max_dimension: int = 24) -> GroupFlow | 
             return True
         return rec(t - 1, mask ^ cycles[t])
 
-    rec(d - 1, 0)
+    try:
+        rec(d - 1, 0)
+    finally:
+        del rec  # rec refers to itself; empty the cell to break the cycle
     return result

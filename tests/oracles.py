@@ -32,6 +32,50 @@ def perfect_matchings(n, edges):
     return out
 
 
+def search_order_perfect_matchings(g, limit=None):
+    """Perfect matchings of a CubicGraph in the package's search order.
+
+    The unpruned backtracking the package used before its forced-move
+    kernel, kept without its final sort: branch on the lowest uncovered
+    vertex, try its edges in ``incident_ends`` order, and stop after
+    ``limit`` matchings.  The package must return exactly the sorted
+    ``limit`` prefix of this list.
+    """
+    n = g.vertex_count
+    if n == 0:
+        return [frozenset()]
+    if n % 2:
+        return []
+    covered = [False] * n
+    chosen: list[int] = []
+    out: list[tuple[int, ...]] = []
+
+    def extend() -> bool:
+        v = -1
+        for u in range(n):
+            if not covered[u]:
+                v = u
+                break
+        if v == -1:
+            out.append(tuple(sorted(chosen)))
+            return limit is not None and len(out) >= limit
+        for e, i in g.incident_ends(v):
+            w = g.endpoints(e)[1 - i]
+            if w == v or covered[w]:
+                continue  # loop, or partner already matched
+            covered[v] = covered[w] = True
+            chosen.append(e)
+            done = extend()
+            chosen.pop()
+            covered[v] = covered[w] = False
+            if done:
+                return True
+        return False
+
+    extend()
+    return [frozenset(t) for t in out]
+
+
 def count_perfect_matchings(n, edges):
     """Memoised count over vertex bitmasks (branch on the lowest vertex)."""
     if n % 2:
@@ -131,6 +175,36 @@ def all_colourings(ends):
         if all(len(cols) == len(set(cols)) for cols in slots.values()):
             out.append(dict(enumerate(assign)))
     return out
+
+
+def count_colourings(ends):
+    """Number of edge->colour maps with three distinct colours at each
+    vertex, by backtracking in edge order; `ends` as for all_colourings.
+    """
+    m = len(ends)
+    at = {}
+    for e, (a, b) in enumerate(ends):
+        for v in (a, b):
+            if v is not None:
+                at.setdefault(v, []).append(e)
+    colour = [0] * m
+
+    def distinct_at(v):
+        cols = [colour[f] for f in at[v] if colour[f]]
+        return len(cols) == len(set(cols))
+
+    def go(i):
+        if i == m:
+            return 1
+        total = 0
+        for c in (1, 2, 3):
+            colour[i] = c
+            if all(distinct_at(v) for v in ends[i] if v is not None):
+                total += go(i + 1)
+        colour[i] = 0
+        return total
+
+    return go(0)
 
 
 def fano_line_triples():

@@ -345,6 +345,21 @@ def test_verify_rejects_unparseable_line(tmp_path):
     assert code == 1 and "FAIL" in vout
 
 
+@pytest.mark.parametrize("case", ["missing", "byte-0xff", "directory"])
+def test_verify_unreadable_file_is_a_failure(tmp_path, case):
+    path = tmp_path / "certs.jsonl"
+    if case == "byte-0xff":
+        path.write_bytes(b"\xff\n")
+    elif case == "directory":
+        path.mkdir()
+    code, vout, _ = run(["verify", str(path)])
+    assert code == 1
+    lines = vout.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith(f"FAIL {path}: cannot read")
+    assert lines[1] == "verified 1 certificate(s): 0 pass, 1 fail"
+
+
 def _malform(cert, shape):
     if shape == "df-not-dict":
         cert["result"]["df"] = 3
@@ -401,6 +416,15 @@ def test_verified_fulkerson_roundtrip_certificate(tmp_path):
     _, out, _ = run(["fulkerson", "--construct", "petersen", "--roundtrip",
                      "--json", "--quiet"])
     path = tmp_path / "rt.jsonl"
+    path.write_text(out)
+    code, vout, _ = run(["verify", str(path)])
+    assert code == 0 and vout.startswith("PASS")
+
+
+def test_verified_flower11_roundtrip_certificate(tmp_path):
+    code, out, _ = run(["fulkerson", "--construct", "flower:11", "--roundtrip", "--json"])
+    assert code == 0
+    path = tmp_path / "j11.jsonl"
     path.write_text(out)
     code, vout, _ = run(["verify", str(path)])
     assert code == 0 and vout.startswith("PASS")

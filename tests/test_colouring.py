@@ -50,6 +50,22 @@ def test_enumerate_colourings_limit(k4):
     assert first_two == sd.enumerate_colourings(k4)[:2]
 
 
+def test_colour_symmetry_cut_keeps_every_colouring(theta, k4, k33, prism, cube):
+    """Stopping after colour 1 fails on the first edge loses nothing: the
+    full enumeration still agrees with a plain backtracking count."""
+    cases = [theta, k4, k33, prism, cube, sd.z_pole(), sd.Multipole(1, [(0, None)] * 3)]
+    rng = random.Random(20261018)
+    cases += [g for g in (sd.CubicGraph(n, oracles.random_cubic_edges(rng, n))
+                          for n in [4, 6, 8] * 8) if sd.three_edge_colour(g) is not None]
+    for m in cases:
+        ends = [tuple(m.endpoints(e)) for e in range(m.edge_count)]
+        got = sd.enumerate_colourings(m)
+        assert len(got) == oracles.count_colourings(ends) > 0, ends
+        assert all(sd.check_colouring(m, c) is None for c in got)
+        assert len(as_sorted_maps(got)) == len(set(as_sorted_maps(got)))
+        assert sd.three_edge_colour(m) == got[0]
+
+
 def test_three_edge_colour_on_colourables(theta, k4, k33, prism, cube):
     for g in (theta, k4, k33, prism, cube):
         col = sd.three_edge_colour(g)
@@ -111,6 +127,27 @@ def test_matching_counts_match_counting_oracle(k33, cube, j5, j7, blanusa1, blan
 def test_matching_enumeration_limit(petersen):
     got = sd.enumerate_perfect_matchings(petersen, limit=2)
     assert [tuple(sorted(m)) for m in got] == PETERSEN_MATCHINGS[:2]
+
+
+def test_enumeration_is_the_search_order_prefix_for_every_limit(
+        petersen, k4, k33, theta, dumbbell, prism, cube, j3, j5, j7, blanusa1, blanusa2):
+    """The pruned kernel finds the matchings in the unpruned search order,
+    so every ``limit`` gives the same re-sorted prefix."""
+    suite = [petersen, k4, k33, theta, dumbbell, prism, cube, j3, j5, j7, blanusa1, blanusa2]
+    rng = random.Random(20261018)
+    suite += [sd.CubicGraph(n, oracles.random_cubic_edges(rng, n))
+              for n in [2, 4, 6, 8, 10, 12, 14, 16] * 10]
+    loops = parallel = empty = 0
+    for g in suite:
+        order = oracles.search_order_perfect_matchings(g)
+        assert sd.enumerate_perfect_matchings(g) == sorted(order, key=sorted), g.edges
+        for limit in range(1, len(order) + 2):
+            assert sd.enumerate_perfect_matchings(g, limit) == \
+                sorted(order[:limit], key=sorted), (g.edges, limit)
+        loops += any(a == b for a, b in g.edges)
+        parallel += len(set(g.edges)) < g.edge_count
+        empty += not order
+    assert min(loops, parallel, empty) >= 3
 
 
 def test_odd_graphs_have_no_matching():
@@ -186,6 +223,14 @@ def test_graph_facts_reports_missing_matching():
     assert not facts.colourable
     with pytest.raises(sd.GraphError, match="no perfect matching"):
         facts.oddness
+
+
+def test_graph_facts_prefix_is_kept_per_cap(j5):
+    facts = sd.GraphFacts(j5)
+    three = facts.prefix(3)
+    assert facts.prefix(3) is three
+    assert facts.prefix(5) == sd.GraphFacts(j5).prefix(5)
+    assert len(three[0]) == 3 and not three[2]
 
 
 def test_graph_facts_for_another_graph_are_rejected(petersen, k33):

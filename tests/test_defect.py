@@ -220,6 +220,23 @@ def test_matching_cap_holding_every_matching_enumerates_once(monkeypatch, peters
     assert (res.value, res.exhaustive) == (3, True)
 
 
+def test_analyze_searches_each_matching_cap_once(monkeypatch):
+    # df and rdf read the same capped prefix; the full list is for oddness
+    from snarkdefect import cli, colouring
+    limits = []
+    enumerate_all = colouring.enumerate_perfect_matchings
+
+    def counted(g, limit=None):
+        limits.append(limit)
+        return enumerate_all(g, limit)
+
+    monkeypatch.setattr(colouring, "enumerate_perfect_matchings", counted)
+    code = cli.main(["analyze", "--construct", "flower:5", "--max-matchings", "10",
+                     "--json", "--quiet"])
+    assert code == 2
+    assert limits == [None, 11]
+
+
 def test_threads_do_not_change_results(petersen, j5):
     for g in (petersen, j5):
         base = sd.regular_defect(g)

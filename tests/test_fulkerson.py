@@ -1,5 +1,7 @@
 """Six-matching covers, complementary pairs, and the flow translations."""
 
+import gc
+
 import pytest
 
 import snarkdefect as sd
@@ -99,6 +101,26 @@ def test_find_cover_budgets(petersen):
         sd.find_cover(petersen, max_matchings=3)
     with pytest.raises(sd.BudgetError, match="nodes"):
         sd.find_cover(petersen, max_nodes=1)
+
+
+@pytest.mark.parametrize("search", [
+    lambda g: sd.find_cover(g),
+    lambda g: sd.find_cover(g, max_nodes=3),
+    lambda g: sd.nz_4flow(g),
+], ids=["find-cover", "find-cover-budget", "nz-4flow"])
+def test_searches_leave_no_reference_cycles(j5, search):
+    # the recursive closures refer to themselves; unless the search empties
+    # their cells, what they capture waits for the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            search(j5)
+        except sd.BudgetError:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --------------------------------------------------------------------------
