@@ -2,8 +2,10 @@
 
 A certificate carries the graph itself (edge list + digest), so `verify`
 can re-check every structural claim without touching the original input
-or re-running any search: witnesses are re-validated, counts recomputed,
-flows and covers re-verified.  Search-dependent claims (exhaustiveness,
+or re-running any search: witnesses and covers are re-validated, counts
+recomputed, and the sections they determine (core, characteristic flow,
+girth bound, the cover roundtrip) rebuilt by the functions that wrote
+them and compared key by key.  Search-dependent claims (exhaustiveness,
 snark status, oddness) are taken at face value but cross-checked for
 internal consistency.
 """
@@ -15,16 +17,14 @@ import json
 
 from .colouring import is_perfect_matching
 from .defect_engine import ThreeArray, core_of, coverage, check_girth_bound, DefectResult
-from .fano_flow import CharacteristicFlow, characteristic_flow, verify_flow
+from .fano_flow import characteristic_flow, verify_flow
 from .fulkerson import (
     FulkersonCover,
     GroupFlow,
-    check_complementary,
     complementary_to_flows,
     cover_to_complementary,
     flows_to_cover,
     verify_cover,
-    verify_group_flow,
 )
 from .graph_core import CubicGraph, GraphError, girth, write_edge_list
 
@@ -95,11 +95,47 @@ def flow_json(f: GroupFlow) -> dict:
     }
 
 
-def flow_from_json(g: CubicGraph, d: dict) -> GroupFlow:
-    vals = d["values"]
-    if len(vals) != g.edge_count:
-        raise GraphError("flow value table has the wrong length")
-    return GroupFlow(g, frozenset(d["removed"]), tuple(vals))
+def derived_json(g: CubicGraph, d: DefectResult, r: DefectResult) -> dict:
+    """The analyze fields the df and rdf results determine: the core of
+    the rdf witness (else the df witness), the characteristic flow of the
+    rdf witness and, for an exact rdf, the girth-bound check."""
+    if r.witness is not None:
+        core_w, arr = "rdf", r.witness
+    elif d.witness is not None:
+        core_w, arr = "df", d.witness
+    else:
+        core_w, arr = None, None
+    flow = None
+    if r.witness is not None:
+        flow = characteristic_flow(g, r.witness)
+        chk = verify_flow(g, flow)
+        if not chk:
+            raise GraphError(f"internal: characteristic flow failed: {chk.violation}")
+    exact_rdf = r.exhaustive and isinstance(r.value, int) and r.witness is not None
+    return {
+        "core_witness": core_w,
+        "core": core_json(core_of(g, arr)) if arr is not None else None,
+        "characteristic_flow": flow.serialize() if flow is not None else None,
+        "girth_bound": check_girth_bound(g, r) if exact_rdf else None,
+    }
+
+
+def roundtrip_json(g: CubicGraph, cover: FulkersonCover) -> dict:
+    """The ``fulkerson --roundtrip`` section: cover -> complementary pair
+    -> flows -> cover, and whether the rebuilt cover is the original."""
+    pair = cover_to_complementary(cover)
+    p1, p2, f1, f2 = complementary_to_flows(g, pair)
+    rebuilt = flows_to_cover(g, p1, p2, f1, f2)
+    return {
+        "mode": "roundtrip",
+        "cover": cover_json(cover),
+        "pair": [array_json(pair.first), array_json(pair.second)],
+        "p1": sorted(p1),
+        "p2": sorted(p2),
+        "flows": [flow_json(f1), flow_json(f2)],
+        "rebuilt": cover_json(rebuilt),
+        "pass": sorted(cover.matchings, key=sorted) == sorted(rebuilt.matchings, key=sorted),
+    }
 
 
 def make_certificate(command: str, source: str, g: CubicGraph, result: dict,
@@ -183,38 +219,9 @@ def _verify_analyze(g: CubicGraph, res: dict, problems: list[str]) -> None:
     if res.get("snark") is True and res.get("colourable") is True:
         problems.append("snark flagged colourable")
 
-    core = res.get("core")
-    core_w = res.get("core_witness")
-    arr = {"rdf": rdf_arr, "df": df_arr, None: None}.get(core_w)
-    if core is not None:
-        if arr is None:
-            problems.append("core stated without a usable witness")
-        else:
-            actual = core_json(core_of(g, arr))
-            if actual != core:
-                problems.append("core does not match the witness's recomputed core")
-
-    cf = res.get("characteristic_flow")
-    if cf is not None:
-        if rdf_arr is None:
-            problems.append("characteristic flow stated without a regular witness")
-        else:
-            flow = characteristic_flow(g, rdf_arr)
-            if flow.serialize() != cf:
-                problems.append("characteristic flow does not match the rdf witness")
-            else:
-                chk = verify_flow(g, CharacteristicFlow.deserialize(cf, g.edge_count))
-                if not chk:
-                    problems.append(f"characteristic flow invalid: {chk.violation}")
-
-    gb = res.get("girth_bound")
-    if gb is not None:
-        if not (rdf.get("exhaustive") and isinstance(rv, int) and rdf_arr is not None):
-            problems.append("girth bound stated without an exact rdf witness")
-        else:
-            r = DefectResult(rv, rdf_arr, True, True)
-            if check_girth_bound(g, r) != gb:
-                problems.append("girth bound flag does not match recomputation")
+    d = DefectResult(dv, df_arr, df.get("exhaustive"), False)
+    r = DefectResult(rv, rdf_arr, rdf.get("exhaustive"), True)
+    _compare(res, derived_json(g, d, r), "witnesses", problems)
 
 
 def _verify_fulkerson(g: CubicGraph, res: dict, problems: list[str]) -> None:
@@ -236,31 +243,17 @@ def _verify_fulkerson(g: CubicGraph, res: dict, problems: list[str]) -> None:
             return
 
     if res.get("mode") == "roundtrip" and cover is not None:
-        pair = cover_to_complementary(cover)
-        if [array_json(pair.first), array_json(pair.second)] != res.get("pair"):
-            problems.append("complementary pair does not match the cover split")
-            return
-        err = check_complementary(g, pair.first, pair.second)
-        if err:
-            problems.append(f"pair not complementary: {err}")
-            return
-        p1, p2, f1, f2 = complementary_to_flows(g, pair)
-        if [sorted(p1), sorted(p2)] != [res.get("p1"), res.get("p2")]:
-            problems.append("removed matchings do not match")
-        flows = res.get("flows") or []
-        if [flow_json(f1), flow_json(f2)] != flows:
-            problems.append("flows do not match the pair construction")
-        for i, fj in enumerate(flows):
-            chk = verify_group_flow(flow_from_json(g, fj))
-            if not chk:
-                problems.append(f"flow {i + 1} invalid: {chk.violation}")
-        rebuilt = flows_to_cover(g, p1, p2, f1, f2)
-        if cover_json(rebuilt) != res.get("rebuilt"):
-            problems.append("rebuilt cover does not match")
-        if sorted(map(sorted, res["rebuilt"])) != sorted(map(sorted, cover_lists)):
+        expected = roundtrip_json(g, cover)
+        _compare(res, expected, "cover", problems)
+        if not expected["pass"]:
             problems.append("roundtrip did not return the original cover")
-        if res.get("pass") is not True:
-            problems.append("roundtrip pass flag is not true despite consistent stages")
+
+
+def _compare(res: dict, expected: dict, source: str, problems: list[str]) -> None:
+    """Name each key of ``expected`` whose stated value differs from it."""
+    for key, value in expected.items():
+        if res.get(key) != value:
+            problems.append(f"{key}: does not match the value recomputed from the {source}")
 
 
 def _edge_lists_problem(x, m: int) -> str | None:

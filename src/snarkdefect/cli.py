@@ -21,23 +21,8 @@ import time
 from . import certificates as certs
 from .colouring import GraphFacts, is_snark, oddness
 from .constructions import flower_snark, inflate_pair_theorem_check, inflate_to_triangle, petersen
-from .defect_engine import (
-    BudgetError,
-    NONE_FOUND,
-    SearchBudget,
-    check_girth_bound,
-    core_of,
-    defect,
-    regular_defect,
-)
-from .fano_flow import characteristic_flow, verify_flow
-from .fulkerson import (
-    complementary_to_flows,
-    cover_to_complementary,
-    find_cover,
-    flows_to_cover,
-    verify_cover,
-)
+from .defect_engine import BudgetError, NONE_FOUND, SearchBudget, defect, regular_defect
+from .fulkerson import find_cover, verify_cover
 from .graph_core import (
     CubicGraph,
     FormatError,
@@ -79,7 +64,11 @@ def iter_inputs(args):
     if args.graph6:
         name = args.graph6
         try:
-            text = sys.stdin.read() if name == "-" else open(name, encoding="ascii").read()
+            if name == "-":
+                text = sys.stdin.read()
+            else:
+                with open(name, encoding="ascii") as fh:
+                    text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             yield name, GraphError(f"cannot read {name}: {exc}")
             text = ""
@@ -94,7 +83,8 @@ def iter_inputs(args):
                 yield src, GraphError(f"parse error: {exc}")
     if args.edge_list:
         try:
-            g = parse_edge_list(open(args.edge_list, encoding="ascii").read())
+            with open(args.edge_list, encoding="ascii") as fh:
+                g = parse_edge_list(fh.read())
             if not isinstance(g, CubicGraph):
                 g = g.to_graph()
             yield args.edge_list, g
@@ -110,17 +100,9 @@ def iter_inputs(args):
 
 
 def budget_from(args) -> SearchBudget | None:
-    def pick(flag_value, env_name):
-        if flag_value is not None:
-            return flag_value
-        raw = os.environ.get(env_name)
-        return int(raw) if raw else None
-
-    mm = pick(args.max_matchings, ENV_MAX_MATCHINGS)
-    mt = pick(args.max_triples, ENV_MAX_TRIPLES)
-    if mm is None and mt is None:
+    if args.max_matchings is None and args.max_triples is None:
         return None
-    return SearchBudget(mm, mt)
+    return SearchBudget(args.max_matchings, args.max_triples)
 
 
 def _defect_word(sec: dict) -> str:
@@ -139,28 +121,7 @@ def analyze_graph(g: CubicGraph, budget, threads=None) -> tuple[dict, bool]:
     r = regular_defect(g, budget=budget, facts=facts)
     res["df"] = certs.defect_json(d)
     res["rdf"] = certs.defect_json(r)
-
-    if r.witness is not None:
-        core_arr, res["core_witness"] = r.witness, "rdf"
-    elif d.witness is not None:
-        core_arr, res["core_witness"] = d.witness, "df"
-    else:
-        core_arr, res["core_witness"] = None, None
-    res["core"] = certs.core_json(core_of(g, core_arr)) if core_arr is not None else None
-
-    if r.witness is not None:
-        flow = characteristic_flow(g, r.witness)
-        chk = verify_flow(g, flow)
-        if not chk:
-            raise GraphError(f"internal: characteristic flow failed: {chk.violation}")
-        res["characteristic_flow"] = flow.serialize()
-    else:
-        res["characteristic_flow"] = None
-
-    if r.exhaustive and isinstance(r.value, int) and (r.witness is not None or r.value == 0):
-        res["girth_bound"] = check_girth_bound(g, r)
-    else:
-        res["girth_bound"] = None
+    res.update(certs.derived_json(g, d, r))
     return res, d.exhaustive and r.exhaustive
 
 
@@ -236,7 +197,8 @@ def cmd_analyze(args) -> int:
 
 def _load_cover_members(path: str):
     try:
-        data = json.loads((open(path, encoding="utf-8").read().splitlines() or [""])[0])
+        with open(path, encoding="utf-8") as fh:
+            data = json.loads((fh.read().splitlines() or [""])[0])
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise GraphError(f"{path}: cannot read a cover: {exc}") from None
     if isinstance(data, dict) and "matchings" in data:
@@ -265,8 +227,6 @@ def _human_fulkerson(src: str, res: dict, cert: dict) -> str:
 
 
 def cmd_fulkerson(args) -> int:
-    budget = budget_from(args)
-    max_matchings = budget.max_matchings if budget else None
     mode = "roundtrip" if args.roundtrip else "find"
 
     def one(g: CubicGraph):
@@ -281,27 +241,15 @@ def cmd_fulkerson(args) -> int:
                 "multiplicities": list(chk.multiplicities),
             }, True, bool(chk)
         try:
-            cover = find_cover(g, max_matchings, args.max_nodes)
+            cover = find_cover(g, args.max_matchings, args.max_nodes)
         except BudgetError as exc:
             return {"mode": mode, "cover": "budget_exceeded", "detail": str(exc)}, False, True
         if cover is NONE_FOUND:
             return {"mode": mode, "cover": "none_found"}, True, True
         if mode == "find":
             return {"mode": "find", "cover": certs.cover_json(cover), "ok": True}, True, True
-        pair = cover_to_complementary(cover)
-        p1, p2, f1, f2 = complementary_to_flows(g, pair)
-        rebuilt = flows_to_cover(g, p1, p2, f1, f2)
-        ok = sorted(cover.matchings, key=sorted) == sorted(rebuilt.matchings, key=sorted)
-        return {
-            "mode": "roundtrip",
-            "cover": certs.cover_json(cover),
-            "pair": [certs.array_json(pair.first), certs.array_json(pair.second)],
-            "p1": sorted(p1),
-            "p2": sorted(p2),
-            "flows": [certs.flow_json(f1), certs.flow_json(f2)],
-            "rebuilt": certs.cover_json(rebuilt),
-            "pass": ok,
-        }, True, ok
+        res = certs.roundtrip_json(g, cover)
+        return res, True, res["pass"]
 
     return _run_batch(args, "fulkerson", one, _human_fulkerson)
 
@@ -355,9 +303,11 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
                    help="accepted for compatibility; has no effect")
     p.add_argument("--timing", action="store_true",
                    help="record wall time (certificates stop being reproducible)")
-    p.add_argument("--max-matchings", type=int, default=None,
+    # argparse converts a string default with type=int, so a bad variable
+    # is a usage error, as a bad flag is
+    p.add_argument("--max-matchings", type=int, default=os.environ.get(ENV_MAX_MATCHINGS) or None,
                    help=f"matching enumeration cap (default ${ENV_MAX_MATCHINGS})")
-    p.add_argument("--max-triples", type=int, default=None,
+    p.add_argument("--max-triples", type=int, default=os.environ.get(ENV_MAX_TRIPLES) or None,
                    help=f"triple inspection cap (default ${ENV_MAX_TRIPLES})")
 
 

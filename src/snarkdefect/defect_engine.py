@@ -25,21 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .colouring import GraphFacts, _facts_for, is_perfect_matching
-from .graph_core import CubicGraph, GraphError, bridges, girth, is_bridgeless
+from .graph_core import CubicGraph, GraphError, _Sentinel, bridges, girth, is_bridgeless
 
 
 class BudgetError(GraphError):
     """An exact search ran out of its configured budget."""
-
-
-class _Sentinel:
-    __slots__ = ("_name",)
-
-    def __init__(self, name: str):
-        self._name = name
-
-    def __repr__(self) -> str:
-        return self._name
 
 
 #: No admissible 3-array was inspected before the budget ran out.

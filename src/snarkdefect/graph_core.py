@@ -70,16 +70,21 @@ class SizeGateError(GraphError):
     """Input exceeds a documented exact-search size gate."""
 
 
-class _ExceedsLimit:
-    __slots__ = ()
+class _Sentinel:
+    """A named marker result, compared by identity; prints its name."""
+
+    __slots__ = ("_name",)
+
+    def __init__(self, name: str):
+        self._name = name
 
     def __repr__(self) -> str:
-        return "EXCEEDS_LIMIT"
+        return self._name
 
 
 #: Returned by :func:`cyclic_edge_connectivity` when no cycle-separating
 #: cut of size <= limit exists (including graphs with no such cut at all).
-EXCEEDS_LIMIT = _ExceedsLimit()
+EXCEEDS_LIMIT = _Sentinel("EXCEEDS_LIMIT")
 
 
 class Multipole:

@@ -12,6 +12,7 @@ import json
 import math
 import random
 import time
+from pathlib import Path
 
 import snarkdefect as sd
 from snarkdefect import cli
@@ -43,7 +44,7 @@ def _circuit_walk(g, comp):
 
 def _suite():
     here = __file__.rsplit("/", 1)[0]
-    read = lambda f: sd.parse_graph6(open(f"{here}/data/{f}").read())
+    read = lambda f: sd.parse_graph6(Path(f"{here}/data/{f}").read_text())
     return {
         "theta": sd.CubicGraph(2, [(0, 1), (0, 1), (0, 1)]),
         "k4": sd.CubicGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
@@ -98,8 +99,8 @@ def test_a2_defect3_iff_regular_defect3():
         "petersen": sd.petersen(),
         "j5": sd.flower_snark(5),
         "j7": sd.flower_snark(7),
-        "blanusa1": sd.parse_graph6(open(f"{here}/data/blanusa1.g6").read()),
-        "blanusa2": sd.parse_graph6(open(f"{here}/data/blanusa2.g6").read()),
+        "blanusa1": sd.parse_graph6(Path(f"{here}/data/blanusa1.g6").read_text()),
+        "blanusa2": sd.parse_graph6(Path(f"{here}/data/blanusa2.g6").read_text()),
     }
     t0 = time.monotonic()
     for name, g in graphs.items():
@@ -270,8 +271,8 @@ def test_a7_property_suites():
 def test_a8_deterministic_certificates(tmp_path):
     here = __file__.rsplit("/", 1)[0]
     g6 = tmp_path / "suite.g6"
-    g6.write_text(open(f"{here}/data/blanusa1.g6").read().strip() + "\n"
-                  + open(f"{here}/data/blanusa2.g6").read().strip() + "\n")
+    g6.write_text(Path(f"{here}/data/blanusa1.g6").read_text().strip() + "\n"
+                  + Path(f"{here}/data/blanusa2.g6").read_text().strip() + "\n")
     analyze = ["analyze", "--graph6", str(g6),
                "--construct", "petersen", "--construct", "flower:3",
                "--construct", "flower:5", "--construct", "inflate:petersen:0",

@@ -188,6 +188,14 @@ def test_budget_env_var(monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("var", ["SNARKDEFECT_MAX_MATCHINGS", "SNARKDEFECT_MAX_TRIPLES"])
+def test_bad_budget_env_var_is_a_usage_error(monkeypatch, var):
+    monkeypatch.setenv(var, "ten")
+    code, out, err = run(["analyze", "--construct", "petersen"])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith("invalid int value: 'ten'")
+
+
 def test_output_file_mirrors_stdout(tmp_path):
     sink = tmp_path / "certs.jsonl"
     code, out, _ = run(["analyze", "--construct", "petersen", "--json",
@@ -389,9 +397,36 @@ def _malform(cert, shape):
         member = cert["result"]["cover"][0]
         member[-1] -= len(cert["graph"]["edges"])
         member.sort()
+    elif shape == "roundtrip-no-rebuilt":
+        del cert["result"]["rebuilt"]
+    elif shape == "rebuilt-int":
+        cert["result"]["rebuilt"] = 5
+    elif shape == "flows-ints":
+        cert["result"]["flows"] = [1, 2]
+    elif shape == "flows-removed-int":
+        for flow in cert["result"]["flows"]:
+            flow["removed"] = 3
+    elif shape == "flows-dict":  # the two flows keyed by position
+        cert["result"]["flows"] = {str(i): f for i, f in enumerate(cert["result"]["flows"])}
+    elif shape == "core-witness-list":
+        cert["result"]["core_witness"] = ["rdf"]
+    elif shape == "core-witness-object":
+        cert["result"]["core_witness"] = {"rdf": 1}
+    elif shape == "core-witness-df":  # petersen has an rdf witness
+        cert["result"]["core_witness"] = "df"
+    elif shape == "core-null":
+        cert["result"]["core"] = None
+    elif shape == "flow-null":
+        cert["result"]["characteristic_flow"] = None
+    elif shape == "girth-bound-null":
+        cert["result"]["girth_bound"] = None
     else:
         cert = [cert]
     return cert
+
+
+ROUNDTRIP_SHAPES = ["roundtrip-no-rebuilt", "rebuilt-int", "flows-ints", "flows-removed-int",
+                    "flows-dict"]
 
 
 @pytest.mark.parametrize("shape", ["df-not-dict", "witness-not-list", "edge-one-endpoint",
@@ -399,10 +434,16 @@ def _malform(cert, shape):
                                    "witness-edge-out-of-range", "witness-edge-negative",
                                    "flow-not-dict", "flow-bad-point",
                                    "cover-member-not-list", "cover-edge-out-of-range",
-                                   "cover-edge-negative"])
+                                   "cover-edge-negative", *ROUNDTRIP_SHAPES,
+                                   "core-witness-list", "core-witness-object",
+                                   "core-witness-df", "core-null", "flow-null",
+                                   "girth-bound-null"])
 def test_verify_fails_malformed_certificate(tmp_path, shape):
-    command = "fulkerson" if shape.startswith("cover") else "analyze"
-    _, out, _ = run([command, "--construct", "petersen", "--json", "--quiet"])
+    if shape in ROUNDTRIP_SHAPES:
+        command = ["fulkerson", "--roundtrip"]
+    else:
+        command = ["fulkerson" if shape.startswith("cover") else "analyze"]
+    _, out, _ = run([*command, "--construct", "petersen", "--json", "--quiet"])
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps(_malform(json.loads(out), shape)) + "\n")
     code, vout, _ = run(["verify", str(path)])
