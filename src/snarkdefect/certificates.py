@@ -1,13 +1,16 @@
-"""Certificate records: JSON-serializable claims plus cheap re-checks.
+"""Certificate records: the result format, written and re-checked by
+the same code.
 
-A certificate carries the graph itself (edge list + digest), so `verify`
-can re-check every structural claim without touching the original input
-or re-running any search: witnesses and covers are re-validated, counts
-recomputed, and the sections they determine (core, characteristic flow,
-girth bound, the cover roundtrip) rebuilt by the functions that wrote
-them and compared key by key.  Search-dependent claims (exhaustiveness,
-snark status, oddness) are taken at face value but cross-checked for
-internal consistency.
+``analyze_json`` and ``fulkerson_json`` build every result the CLI
+writes, and ``result_exact`` says whether one is exact.  A certificate
+carries the graph itself (edge list + digest), so `verify` re-checks it
+without the original input and without any search: it validates the
+witnesses or the cover, passes them to the same builder together with
+the claims only a search could check (colourability, oddness, each
+``exhaustive``, none_found, the budget detail), and names every result
+key, and ``exact``, that differs from the rebuilt result.  Those claims
+are taken at face value, after their JSON types and their consistency
+with each other are checked.
 """
 
 from __future__ import annotations
@@ -16,7 +19,16 @@ import hashlib
 import json
 
 from .colouring import is_perfect_matching
-from .defect_engine import ThreeArray, core_of, coverage, check_girth_bound, DefectResult
+from .defect_engine import (
+    NONE_FOUND,
+    UNKNOWN,
+    BudgetError,
+    DefectResult,
+    ThreeArray,
+    check_girth_bound,
+    core_of,
+    coverage,
+)
 from .fano_flow import characteristic_flow, verify_flow
 from .fulkerson import (
     FulkersonCover,
@@ -26,9 +38,10 @@ from .fulkerson import (
     flows_to_cover,
     verify_cover,
 )
-from .graph_core import CubicGraph, GraphError, girth, write_edge_list
+from .graph_core import CubicGraph, GraphError, girth, is_two_connected, write_edge_list
 
 SCHEMA = "snarkdefect.certificate/1"
+_FULKERSON_MODES = ("find", "verify", "roundtrip")
 
 
 def graph_digest(g: CubicGraph) -> str:
@@ -95,10 +108,13 @@ def flow_json(f: GroupFlow) -> dict:
     }
 
 
-def derived_json(g: CubicGraph, d: DefectResult, r: DefectResult) -> dict:
-    """The analyze fields the df and rdf results determine: the core of
-    the rdf witness (else the df witness), the characteristic flow of the
-    rdf witness and, for an exact rdf, the girth-bound check."""
+def analyze_json(g: CubicGraph, colourable: bool, oddness: int,
+                 d: DefectResult, r: DefectResult) -> dict:
+    """The whole ``analyze`` result from the search outcomes: girth and
+    snark status, the df and rdf results, the core of the rdf witness
+    (else the df witness), the characteristic flow of the rdf witness
+    and, for an exact rdf, the girth-bound check."""
+    gi = girth(g)  # before the rest: the empty graph's error is its girth's
     if r.witness is not None:
         core_w, arr = "rdf", r.witness
     elif d.witness is not None:
@@ -113,6 +129,12 @@ def derived_json(g: CubicGraph, d: DefectResult, r: DefectResult) -> dict:
             raise GraphError(f"internal: characteristic flow failed: {chk.violation}")
     exact_rdf = r.exhaustive and isinstance(r.value, int) and r.witness is not None
     return {
+        "girth": gi,
+        "colourable": colourable,
+        "snark": not colourable and is_two_connected(g),
+        "oddness": oddness,
+        "df": defect_json(d),
+        "rdf": defect_json(r),
         "core_witness": core_w,
         "core": core_json(core_of(g, arr)) if arr is not None else None,
         "characteristic_flow": flow.serialize() if flow is not None else None,
@@ -120,22 +142,52 @@ def derived_json(g: CubicGraph, d: DefectResult, r: DefectResult) -> dict:
     }
 
 
-def roundtrip_json(g: CubicGraph, cover: FulkersonCover) -> dict:
-    """The ``fulkerson --roundtrip`` section: cover -> complementary pair
-    -> flows -> cover, and whether the rebuilt cover is the original."""
-    pair = cover_to_complementary(cover)
+def fulkerson_json(g: CubicGraph, mode: str, found) -> dict:
+    """The whole ``fulkerson`` result in ``mode`` (find, verify or
+    roundtrip).  ``found`` is what the cover search gave (a cover,
+    NONE_FOUND or the BudgetError it raised) or, in verify mode, the
+    members of the cover to check, in the order they were read."""
+    if isinstance(found, BudgetError):
+        return {"mode": mode, "cover": "budget_exceeded", "detail": str(found)}
+    if found is NONE_FOUND:
+        return {"mode": mode, "cover": "none_found"}
+    if mode == "verify":
+        chk = verify_cover(g, found)
+        return {
+            "mode": mode,
+            "cover": [sorted(mm) for mm in found],
+            "ok": chk.ok,
+            "violation": chk.violation,
+            "multiplicities": list(chk.multiplicities),
+        }
+    if mode == "find":
+        return {"mode": mode, "cover": cover_json(found), "ok": True}
+    # roundtrip: cover -> complementary pair -> flows -> cover
+    pair = cover_to_complementary(found)
     p1, p2, f1, f2 = complementary_to_flows(g, pair)
     rebuilt = flows_to_cover(g, p1, p2, f1, f2)
     return {
-        "mode": "roundtrip",
-        "cover": cover_json(cover),
+        "mode": mode,
+        "cover": cover_json(found),
         "pair": [array_json(pair.first), array_json(pair.second)],
         "p1": sorted(p1),
         "p2": sorted(p2),
         "flows": [flow_json(f1), flow_json(f2)],
         "rebuilt": cover_json(rebuilt),
-        "pass": sorted(cover.matchings, key=sorted) == sorted(rebuilt.matchings, key=sorted),
+        "pass": sorted(found.matchings, key=sorted) == sorted(rebuilt.matchings, key=sorted),
     }
+
+
+def result_exact(command: str, res: dict) -> bool:
+    """Whether a result is exact: no search behind it stopped at a budget."""
+    if command == "analyze":
+        return res["df"]["exhaustive"] and res["rdf"]["exhaustive"]
+    return res["cover"] != "budget_exceeded"
+
+
+def result_passes(res: dict) -> bool:
+    """Whether the check a result states (a given cover, a roundtrip) passed."""
+    return res.get("ok", True) and res.get("pass", True)
 
 
 def make_certificate(command: str, source: str, g: CubicGraph, result: dict,
@@ -163,97 +215,122 @@ def dump_certificate(cert: dict) -> str:
 # re-verification
 # ---------------------------------------------------------------------------
 
-def _check_defect_section(g: CubicGraph, sec: dict, regular: bool, label: str,
-                          problems: list[str]) -> ThreeArray | None:
+def _defect_claim(g: CubicGraph, sec: dict, regular: bool, label: str,
+                  problems: list[str]) -> DefectResult | None:
+    """The df or rdf result a section states, rebuilt from its witness
+    with the stated exhaustiveness; without a witness, the stated
+    none_found (exhaustive) or else unknown (not exhaustive).  None when
+    the witness cannot carry a result; problems go to ``problems``."""
     value = sec.get("value")
     witness = sec.get("witness")
-    arr = None
-    if witness is not None:
-        try:
-            arr = array_from_json(witness)
-        except GraphError as exc:
-            problems.append(f"{label}: bad witness: {exc}")
-            return None
-        for mm in arr.matchings:
-            if not is_perfect_matching(g, mm):
-                problems.append(f"{label}: witness member {sorted(mm)} is not a perfect matching")
-                return None
-        prof = coverage(g, arr)
-        if regular and prof.triply:
-            problems.append(f"{label}: witness is not regular "
-                            f"(edges {sorted(prof.triply)} triply covered)")
-        if isinstance(value, int):
-            if len(prof.uncovered) != value:
-                problems.append(
-                    f"{label}: value {value} does not match witness "
-                    f"({len(prof.uncovered)} uncovered edges)")
-        else:
-            problems.append(f"{label}: witness present but value is {value!r}")
-    else:
+    if witness is None:
         if isinstance(value, int):
             problems.append(f"{label}: value {value} claimed without witness")
         elif value == "none_found" and not regular:
             problems.append(f"{label}: none_found is only meaningful for regular search")
-    return arr
+        if value == "none_found":
+            return DefectResult(NONE_FOUND, None, True, regular)
+        return DefectResult(UNKNOWN, None, False, regular)
+    try:
+        arr = array_from_json(witness)
+    except GraphError as exc:
+        problems.append(f"{label}: bad witness: {exc}")
+        return None
+    for mm in arr.matchings:
+        if not is_perfect_matching(g, mm):
+            problems.append(f"{label}: witness member {sorted(mm)} is not a perfect matching")
+            return None
+    prof = coverage(g, arr)
+    if regular and prof.triply:
+        problems.append(f"{label}: witness is not regular "
+                        f"(edges {sorted(prof.triply)} triply covered)")
+        return None
+    if not isinstance(value, int):
+        problems.append(f"{label}: witness present but value is {value!r}")
+    elif len(prof.uncovered) != value:
+        problems.append(f"{label}: value {value} does not match witness "
+                        f"({len(prof.uncovered)} uncovered edges)")
+    return DefectResult(len(prof.uncovered), arr, sec["exhaustive"], regular)
 
 
-def _verify_analyze(g: CubicGraph, res: dict, problems: list[str]) -> None:
-    if "girth" in res and res["girth"] != girth(g):
-        problems.append(f"girth: stated {res['girth']}, recomputed {girth(g)}")
-    df = res.get("df") or {}
-    rdf = res.get("rdf") or {}
-    df_arr = _check_defect_section(g, df, False, "df", problems)
-    rdf_arr = _check_defect_section(g, rdf, True, "rdf", problems)
-
+def _cross_check(res: dict, problems: list[str]) -> None:
+    """Consistency of the claims only a search could prove."""
+    df, rdf = res["df"], res["rdf"]
     dv, rv = df.get("value"), rdf.get("value")
-    if df.get("exhaustive") and rdf.get("exhaustive"):
+    if df["exhaustive"] and rdf["exhaustive"]:
         if isinstance(dv, int) and isinstance(rv, int) and dv > rv:
             problems.append(f"df {dv} exceeds rdf {rv}")
-    if df.get("exhaustive") and isinstance(dv, int):
-        if res.get("colourable") is True and dv != 0:
+    if df["exhaustive"] and isinstance(dv, int):
+        if res["colourable"] and dv != 0:
             problems.append("colourable graph with nonzero exact df")
-        if res.get("colourable") is False and dv == 0:
+        if not res["colourable"] and dv == 0:
             problems.append("uncolourable graph with zero df")
         if res.get("snark") is True and dv < 3:
             problems.append(f"snark with exact df {dv} < 3")
-    if res.get("snark") is True and res.get("colourable") is True:
+    if res.get("snark") is True and res["colourable"]:
         problems.append("snark flagged colourable")
+    # a 2-factor of a cubic graph has an even number of odd circuits
+    odd = res["oddness"]
+    if odd < 0 or odd % 2:
+        problems.append(f"oddness {odd} is not a non-negative even number")
+    elif (odd == 0) != res["colourable"]:
+        problems.append(f"oddness {odd} contradicts colourable={res['colourable']}")
 
-    d = DefectResult(dv, df_arr, df.get("exhaustive"), False)
-    r = DefectResult(rv, rdf_arr, rdf.get("exhaustive"), True)
-    _compare(res, derived_json(g, d, r), "witnesses", problems)
+
+def _rebuild_analyze(g: CubicGraph, res: dict, problems: list[str]) -> dict | None:
+    d = _defect_claim(g, res["df"], False, "df", problems)
+    r = _defect_claim(g, res["rdf"], True, "rdf", problems)
+    _cross_check(res, problems)
+    if d is None or r is None:
+        return None
+    return analyze_json(g, res["colourable"], res["oddness"], d, r)
 
 
-def _verify_fulkerson(g: CubicGraph, res: dict, problems: list[str]) -> None:
-    cover_lists = res.get("cover")
-    cover = None
-    if isinstance(cover_lists, list):
+def _rebuild_fulkerson(g: CubicGraph, res: dict, problems: list[str]) -> dict | None:
+    mode, cover = res.get("mode", "find"), res["cover"]
+    if cover == "budget_exceeded":
+        found = BudgetError(res["detail"])
+    elif cover == "none_found":
+        found = NONE_FOUND
+    else:
+        members = [frozenset(x) for x in cover]
         try:
-            cover = FulkersonCover.of(g, [frozenset(x) for x in cover_lists])
-            chk = verify_cover(g, cover)
+            chk = verify_cover(g, members)
         except GraphError as exc:
             problems.append(f"cover: {exc}")
-            return
-        stated_ok = res.get("ok", True)
-        if bool(chk) != bool(stated_ok):
-            problems.append(f"cover check mismatch: stated ok={stated_ok}, got {chk.violation or 'ok'}")
-        if not chk and res.get("violation") not in (None, chk.violation):
-            problems.append("stated violation does not match recomputation")
-        if not chk:
-            return
+            return None
+        if mode == "verify":
+            found = members
+        elif not chk:
+            problems.append(f"cover: not a Fulkerson cover: {chk.violation}")
+            return None
+        else:
+            found = FulkersonCover.of(g, members)
+    rebuilt = fulkerson_json(g, mode, found)
+    if "mode" not in res:
+        del rebuilt["mode"]  # the mode-less find form
+    if rebuilt.get("pass") is False:
+        problems.append("roundtrip did not return the original cover")
+    return rebuilt
 
-    if res.get("mode") == "roundtrip" and cover is not None:
-        expected = roundtrip_json(g, cover)
-        _compare(res, expected, "cover", problems)
-        if not expected["pass"]:
-            problems.append("roundtrip did not return the original cover")
+
+_canonical = json.JSONEncoder(sort_keys=True).encode
 
 
-def _compare(res: dict, expected: dict, source: str, problems: list[str]) -> None:
-    """Name each key of ``expected`` whose stated value differs from it."""
-    for key, value in expected.items():
-        if res.get(key) != value:
-            problems.append(f"{key}: does not match the value recomputed from the {source}")
+def _differences(stated: dict, rebuilt: dict) -> list[str]:
+    """Each key whose stated value is missing, extra or, as JSON, not the
+    rebuilt one (so 1 and true differ)."""
+    if _canonical(stated) == _canonical(rebuilt):
+        return []
+    out = []
+    for key in sorted(stated.keys() | rebuilt.keys()):
+        if key not in stated:
+            out.append(f"{key}: missing")
+        elif key not in rebuilt:
+            out.append(f"{key}: not part of the result")
+        elif _canonical(stated[key]) != _canonical(rebuilt[key]):
+            out.append(f"{key}: does not match the rebuilt result")
+    return out
 
 
 def _edge_lists_problem(x, m: int) -> str | None:
@@ -266,33 +343,59 @@ def _edge_lists_problem(x, m: int) -> str | None:
     return None
 
 
-def _shape_problems(res: object, m: int) -> list[str]:
-    """Parts of a result whose JSON type or edge ids (m edges) are not
-    the ones the checks read; such a certificate is reported, not checked."""
-    if not isinstance(res, (dict, type(None))):
+_TYPE_NAMES = {bool: "a bool", int: "an int", str: "a string", dict: "an object"}
+
+
+def _type_problems(obj: dict, types: dict, prefix: str = "") -> list[str]:
+    """Each key of ``types`` that ``obj`` lacks or holds with another type."""
+    out = []
+    for key, kind in types.items():
+        if key not in obj:
+            out.append(f"{prefix}{key}: missing")
+        elif type(obj[key]) is not kind:
+            out.append(f"{prefix}{key}: expected {_TYPE_NAMES[kind]}, "
+                       f"got {type(obj[key]).__name__}")
+    return out
+
+
+def _shape_problems(command: str, cert: dict, m: int) -> list[str]:
+    """Parts of a certificate whose JSON type or edge ids (m edges) are
+    not the ones the checks read, including each claim taken at face
+    value; such a certificate is reported, not checked."""
+    res = cert.get("result")
+    if not isinstance(res, dict):
         return [f"result: expected an object, got {type(res).__name__}"]
-    res = res or {}
-    problems = []
-    for key in ("df", "rdf"):
-        sec = res.get(key)
-        if sec is None:
-            continue
-        if not isinstance(sec, dict):
-            problems.append(f"{key}: expected an object, got {type(sec).__name__}")
-        elif sec.get("witness") is not None:
-            bad = _edge_lists_problem(sec["witness"], m)
+    problems = _type_problems(cert, {"exact": bool})
+    if command == "analyze":
+        problems += _type_problems(res, {"colourable": bool, "oddness": int,
+                                         "df": dict, "rdf": dict})
+        for key in ("df", "rdf"):
+            sec = res.get(key)
+            if type(sec) is not dict:
+                continue
+            problems += _type_problems(sec, {"exhaustive": bool}, f"{key}.")
+            if sec.get("witness") is not None:
+                bad = _edge_lists_problem(sec["witness"], m)
+                if bad:
+                    problems.append(f"{key}: witness {bad}")
+    else:
+        mode = res.get("mode", "find")
+        if mode not in _FULKERSON_MODES:
+            problems.append(f"mode: expected one of {', '.join(_FULKERSON_MODES)}, got {mode!r}")
+        cover = res.get("cover")
+        if cover == "budget_exceeded":
+            problems += _type_problems(res, {"detail": str})
+        elif cover != "none_found":
+            bad = _edge_lists_problem(cover, m)
             if bad:
-                problems.append(f"{key}: witness {bad}")
-    if isinstance(res.get("cover"), list):
-        bad = _edge_lists_problem(res["cover"], m)
-        if bad:
-            problems.append(f"cover {bad}")
+                problems.append(f"cover {bad}")
     return problems
 
 
 def verify_certificate(cert: object) -> list[str]:
-    """Re-check a certificate's claims; empty list means PASS."""
-    problems: list[str] = []
+    """Re-check a certificate: rebuild its result from the validated
+    witnesses or cover and the face-value claims, with the code that
+    wrote it.  An empty list means PASS."""
     if not isinstance(cert, dict):
         return [f"certificate: expected an object, got {type(cert).__name__}"]
     if cert.get("schema") != SCHEMA:
@@ -303,17 +406,23 @@ def verify_certificate(cert: object) -> list[str]:
         g = graph_from_payload(cert["graph"])
     except (GraphError, KeyError, TypeError, ValueError) as exc:  # malformed payload
         return [f"graph payload: {exc}"]
-    shape = _shape_problems(cert.get("result"), g.edge_count)
-    if shape:
-        return shape
-    res = cert.get("result") or {}
+    command = cert.get("command")
+    if command == "analyze":
+        rebuild = _rebuild_analyze
+    elif command == "fulkerson":
+        rebuild = _rebuild_fulkerson
+    else:
+        return [f"unknown command {command!r}"]
+    problems = _shape_problems(command, cert, g.edge_count)
+    if problems:
+        return problems
+    res = cert["result"]
     try:
-        if cert.get("command") == "analyze":
-            _verify_analyze(g, res, problems)
-        elif cert.get("command") == "fulkerson":
-            _verify_fulkerson(g, res, problems)
-        else:
-            problems.append(f"unknown command {cert.get('command')!r}")
+        rebuilt = rebuild(g, res, problems)
     except GraphError as exc:
-        problems.append(f"verification error: {exc}")
+        return problems + [f"verification error: {exc}"]
+    if rebuilt is not None:
+        problems += _differences(res, rebuilt)
+        if cert["exact"] != result_exact(command, rebuilt):
+            problems.append("exact: does not match the rebuilt result")
     return problems

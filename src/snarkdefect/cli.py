@@ -19,16 +19,15 @@ import sys
 import time
 
 from . import certificates as certs
-from .colouring import GraphFacts, is_snark, oddness
+from .colouring import GraphFacts, oddness
 from .constructions import flower_snark, inflate_pair_theorem_check, inflate_to_triangle, petersen
-from .defect_engine import BudgetError, NONE_FOUND, SearchBudget, defect, regular_defect
-from .fulkerson import find_cover, verify_cover
+from .defect_engine import BudgetError, SearchBudget, defect, regular_defect
+from .fulkerson import find_cover
 from .graph_core import (
     CubicGraph,
     FormatError,
     GraphError,
     bipartite_double,
-    girth,
     parse_edge_list,
     parse_graph6,
 )
@@ -111,18 +110,14 @@ def _defect_word(sec: dict) -> str:
 
 
 def analyze_graph(g: CubicGraph, budget, threads=None) -> tuple[dict, bool]:
-    """The analyze result section and whether it is exact; ``threads`` is ignored."""
+    """The analyze result and whether it is exact; ``threads`` is ignored."""
     facts = GraphFacts(g)
-    res: dict = {"girth": girth(g)}
-    res["colourable"] = facts.colourable
-    res["snark"] = is_snark(g, facts=facts)
-    res["oddness"] = oddness(g, facts=facts)
+    colourable = facts.colourable
+    odd = oddness(g, facts=facts)
     d = defect(g, budget=budget, facts=facts)
     r = regular_defect(g, budget=budget, facts=facts)
-    res["df"] = certs.defect_json(d)
-    res["rdf"] = certs.defect_json(r)
-    res.update(certs.derived_json(g, d, r))
-    return res, d.exhaustive and r.exhaustive
+    res = certs.analyze_json(g, colourable, odd, d, r)
+    return res, certs.result_exact("analyze", res)
 
 
 def _human_analyze(src: str, res: dict, cert: dict) -> str:
@@ -151,11 +146,16 @@ def _human_analyze(src: str, res: dict, cert: dict) -> str:
 
 
 def _run_batch(args, command: str, per_graph, human) -> int:
-    """Emit ``per_graph(g) -> (result, exact, passed)`` as one certificate
-    and one ``human(src, result, cert)`` line per input; bad inputs and
-    GraphErrors become error certificates.  Exit code 1 on any error or
-    failed check, else 2 if any result was budget-limited, else 0."""
-    sink = open(args.output, "w", encoding="utf-8") if args.output else None
+    """Emit ``per_graph(g) -> result`` as one certificate and one
+    ``human(src, result, cert)`` line per input; bad inputs and
+    GraphErrors become error certificates.  Exit code 1 on an unwritable
+    --output file, any error or failed check, else 2 if any result was
+    budget-limited, else 0."""
+    try:
+        sink = open(args.output, "w", encoding="utf-8") if args.output else None
+    except OSError as exc:
+        print(f"snarkdefect: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+        return 1
     any_error = any_bounded = any_fail = False
 
     def emit(cert: dict, line: str) -> None:
@@ -173,16 +173,17 @@ def _run_batch(args, command: str, per_graph, human) -> int:
             try:
                 if isinstance(item, GraphError):
                     raise item
-                res, exact, passed = per_graph(item)
+                res = per_graph(item)
             except GraphError as exc:
                 emit(certs.error_certificate(command, src, str(exc)), f"{src}: ERROR {exc}")
                 any_error = True
                 continue
             dt = time.perf_counter() - t0 if args.timing else None
+            exact = certs.result_exact(command, res)
             cert = certs.make_certificate(command, src, item, res, exact, dt)
             emit(cert, human(src, res, cert))
             any_bounded |= not exact
-            any_fail |= not passed
+            any_fail |= not certs.result_passes(res)
     finally:
         if sink:
             sink.close()
@@ -191,8 +192,7 @@ def _run_batch(args, command: str, per_graph, human) -> int:
 
 def cmd_analyze(args) -> int:
     budget = budget_from(args)
-    return _run_batch(args, "analyze", lambda g: (*analyze_graph(g, budget), True),
-                      _human_analyze)
+    return _run_batch(args, "analyze", lambda g: analyze_graph(g, budget)[0], _human_analyze)
 
 
 def _load_cover_members(path: str):
@@ -227,29 +227,17 @@ def _human_fulkerson(src: str, res: dict, cert: dict) -> str:
 
 
 def cmd_fulkerson(args) -> int:
-    mode = "roundtrip" if args.roundtrip else "find"
+    mode = "verify" if args.verify else "roundtrip" if args.roundtrip else "find"
 
-    def one(g: CubicGraph):
+    def one(g: CubicGraph) -> dict:
         if args.verify:
-            members = _load_cover_members(args.verify)
-            chk = verify_cover(g, members)
-            return {
-                "mode": "verify",
-                "cover": [sorted(mm) for mm in members],
-                "ok": bool(chk),
-                "violation": chk.violation,
-                "multiplicities": list(chk.multiplicities),
-            }, True, bool(chk)
-        try:
-            cover = find_cover(g, args.max_matchings, args.max_nodes)
-        except BudgetError as exc:
-            return {"mode": mode, "cover": "budget_exceeded", "detail": str(exc)}, False, True
-        if cover is NONE_FOUND:
-            return {"mode": mode, "cover": "none_found"}, True, True
-        if mode == "find":
-            return {"mode": "find", "cover": certs.cover_json(cover), "ok": True}, True, True
-        res = certs.roundtrip_json(g, cover)
-        return res, True, res["pass"]
+            found = _load_cover_members(args.verify)
+        else:
+            try:
+                found = find_cover(g, args.max_matchings, args.max_nodes)
+            except BudgetError as exc:
+                found = exc
+        return certs.fulkerson_json(g, mode, found)
 
     return _run_batch(args, "fulkerson", one, _human_fulkerson)
 

@@ -21,16 +21,14 @@ COLOURS = (1, 2, 3)
 def is_perfect_matching(g: CubicGraph, edges) -> bool:
     """Every vertex covered exactly once by edges of g; loops never
     qualify, nor do ids that are not edges of g."""
-    ends, seen = g.edges, [0] * g.vertex_count
+    ends = g.edges
+    covered: list[int] = []
     for e in edges:
         if not (isinstance(e, int) and 0 <= e < len(ends)):
             return False
-        a, b = ends[e]
-        if a == b:
-            return False
-        seen[a] += 1
-        seen[b] += 1
-    return all(k == 1 for k in seen)
+        covered += ends[e]
+    # n endpoints, all distinct: each vertex once, and no loop
+    return len(covered) == g.vertex_count == len(set(covered))
 
 
 def enumerate_perfect_matchings(g: CubicGraph, limit: int | None = None) -> list[frozenset[int]]:
@@ -205,7 +203,12 @@ class _Colourer:
                     return False
             return False
 
-        rec(0)
+        # rec refers to itself through its closure cell; emptying the cell
+        # leaves no reference cycle holding this colourer
+        try:
+            rec(0)
+        finally:
+            del rec
 
 
 def three_edge_colour(m: Multipole) -> dict[int, int] | None:

@@ -109,8 +109,13 @@ def five_circuits(g: CubicGraph) -> list[tuple[int, ...]]:
                 extend(path)
                 path.pop()
 
-    for v0 in range(n):
-        extend([v0])
+    # extend refers to itself through its closure cell; emptying the cell
+    # leaves no reference cycle holding nbrs and out
+    try:
+        for v0 in range(n):
+            extend([v0])
+    finally:
+        del extend
     return sorted(out)
 
 

@@ -12,6 +12,7 @@ only four of the seven lines can occur: the line of weight-2 points
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from .defect_engine import ThreeArray
@@ -59,8 +60,10 @@ _POINTS = tuple(FanoPoint(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 
                 if (a, b, c) != (0, 0, 0))
 
 
+@cache
 def fano_lines() -> frozenset[frozenset[FanoPoint]]:
-    """All seven lines of PG(2,2): triples of points summing to zero."""
+    """All seven lines of PG(2,2): triples of points summing to zero.
+    Built on first use, then shared."""
     out = set()
     for p, q in combinations(_POINTS, 2):
         r = p + q
@@ -69,10 +72,12 @@ def fano_lines() -> frozenset[frozenset[FanoPoint]]:
     return frozenset(out)
 
 
+@cache
 def four_line_catalogue() -> frozenset[frozenset[FanoPoint]]:
     """The lines realizable around a vertex of a regular 3-array.
 
     Exactly the all-weight-2 line plus the three lines through (1,1,1).
+    Built on first use, then shared.
     """
     ones = FanoPoint(1, 1, 1)
     cat = frozenset(line for line in fano_lines()

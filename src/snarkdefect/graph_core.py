@@ -956,7 +956,12 @@ def canonical_form(g: CubicGraph, max_vertices: int = 64) -> tuple:
             nxt = tuple((c if u != v else -1) for u, c in enumerate(colour))
             search(refine(nxt))
 
-    search(refine(tuple([0] * n)))
+    # search refers to itself through its closure cell; emptying the cell
+    # leaves no reference cycle holding nbrs and best
+    try:
+        search(refine(tuple([0] * n)))
+    finally:
+        del search
     return (n, best[0])
 
 

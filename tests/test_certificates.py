@@ -1,12 +1,14 @@
 """Certificate payloads: serialisation, verification, tamper detection."""
 
+import contextlib
+import io
 import json
 
 import pytest
 
 import snarkdefect as sd
 from snarkdefect import certificates as ce
-from snarkdefect.cli import analyze_graph
+from snarkdefect.cli import analyze_graph, main
 
 
 def fresh_cert(g, source="petersen"):
@@ -124,3 +126,76 @@ def test_fulkerson_certificates(petersen):
     bad = reparse(cert)
     bad["result"]["cover"][0][0] = 7
     assert ce.verify_certificate(bad)
+
+
+# --------------------------------------------------------------------------
+# single-key forgeries
+# --------------------------------------------------------------------------
+
+SWEEP_RUNS = {
+    "analyze petersen": ["analyze", "--construct", "petersen"],
+    "analyze double": ["analyze", "--construct", "double:petersen"],
+    "analyze flower5 budgeted": ["analyze", "--construct", "flower:5", "--max-matchings", "3"],
+    "fulkerson find": ["fulkerson", "--construct", "petersen"],
+    "fulkerson roundtrip": ["fulkerson", "--construct", "petersen", "--roundtrip"],
+    "fulkerson budgeted": ["fulkerson", "--construct", "petersen", "--max-nodes", "1"],
+    "fulkerson verify pass": ["fulkerson", "--construct", "petersen", "--verify", "pass.json"],
+    "fulkerson verify fail": ["fulkerson", "--construct", "petersen", "--verify", "fail.json"],
+}
+
+DELETED = object()
+OTHER_TYPES = (None, False, 0, "x", [], {})
+
+
+def _mutations(cert):
+    """(key, new value or DELETED, forged certificate) for every
+    single-key change: each result key and ``exact`` deleted, given each
+    other JSON type, a bool flipped, an int bumped by 1 and by 2; and the
+    command relabelled."""
+    targets = [("result", k) for k in cert["result"]] + [(None, "exact")]
+    for where, key in targets:
+        old = (cert[where] if where else cert)[key]
+        values = [DELETED] + [v for v in OTHER_TYPES if type(v) is not type(old)]
+        if isinstance(old, bool):
+            values.append(not old)
+        elif isinstance(old, int):
+            values += [old + 1, old + 2]
+        for value in values:
+            forged = reparse(cert)
+            sec = forged[where] if where else forged
+            if value is DELETED:
+                del sec[key]
+            else:
+                sec[key] = value
+            yield key, value, forged
+    other = {"analyze": "fulkerson", "fulkerson": "analyze"}[cert["command"]]
+    yield "command", other, dict(reparse(cert), command=other)
+
+
+def _refutable(cert, key, value) -> bool:
+    """False for the two forgeries only a search could refute: another
+    even oddness that is still 0 exactly when the graph is colourable,
+    and ``mode`` dropped from a find result (the mode-less find form)."""
+    res = cert["result"]
+    if key == "oddness" and type(value) is int and value % 2 == 0 \
+            and (value == 0) == res["colourable"]:
+        return False
+    return not (key == "mode" and value is DELETED and res["mode"] == "find")
+
+
+def test_single_key_forgeries_fail(tmp_path, monkeypatch, petersen):
+    cover = ce.cover_json(sd.find_cover(petersen))
+    (tmp_path / "pass.json").write_text(json.dumps({"matchings": cover[::-1]}))
+    (tmp_path / "fail.json").write_text(json.dumps({"matchings": cover[:5] + cover[:1]}))
+    monkeypatch.chdir(tmp_path)
+    survivors = []
+    for name, argv in SWEEP_RUNS.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main([*argv, "--json", "--quiet"])
+        cert = json.loads(out.getvalue())
+        assert ce.verify_certificate(cert) == [], name
+        for key, value, forged in _mutations(cert):
+            if not ce.verify_certificate(forged) and _refutable(cert, key, value):
+                survivors.append((name, key, "deleted" if value is DELETED else value))
+    assert survivors == []

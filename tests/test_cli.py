@@ -204,6 +204,16 @@ def test_output_file_mirrors_stdout(tmp_path):
     assert sink.read_text() == out
 
 
+@pytest.mark.parametrize("command", ["analyze", "fulkerson"])
+@pytest.mark.parametrize("case, reason", [("missing-dir", "No such file or directory"),
+                                          ("directory", "Is a directory")])
+def test_unwritable_output_is_one_error_line(tmp_path, command, case, reason):
+    sink = tmp_path / "missing" / "x.jsonl" if case == "missing-dir" else tmp_path
+    code, out, err = run([command, "--construct", "petersen", "--json", "--output", str(sink)])
+    assert (code, out) == (1, "")
+    assert err == f"snarkdefect: cannot write {sink}: {reason}\n"
+
+
 def test_timing_flag_records_seconds():
     _, out, _ = run(["analyze", "--construct", "petersen", "--json", "--quiet", "--timing"])
     timing = json.loads(out)["timing"]
@@ -420,6 +430,28 @@ def _malform(cert, shape):
         cert["result"]["characteristic_flow"] = None
     elif shape == "girth-bound-null":
         cert["result"]["girth_bound"] = None
+    elif shape == "girth-missing":
+        del cert["result"]["girth"]
+    elif shape == "snark-false":
+        cert["result"]["snark"] = False
+    elif shape == "oddness-odd":  # 2-factors of cubic graphs have evenly many odd circuits
+        cert["result"]["oddness"] = 3
+    elif shape == "oddness-missing":
+        del cert["result"]["oddness"]
+    elif shape == "colourable-string":
+        cert["result"]["colourable"] = "no"
+    elif shape == "exhaustive-int":
+        cert["result"]["rdf"]["exhaustive"] = 1
+    elif shape == "exact-false":
+        cert["exact"] = False
+    elif shape == "relabelled-fulkerson":
+        cert["command"] = "fulkerson"
+    elif shape == "witness-reordered":  # the writer lists members in canonical order
+        cert["result"]["df"]["witness"].reverse()
+    elif shape == "cover-reordered":
+        cert["result"]["cover"].reverse()
+    elif shape == "cover-extra-key":
+        cert["result"]["note"] = "x"
     else:
         cert = [cert]
     return cert
@@ -437,7 +469,10 @@ ROUNDTRIP_SHAPES = ["roundtrip-no-rebuilt", "rebuilt-int", "flows-ints", "flows-
                                    "cover-edge-negative", *ROUNDTRIP_SHAPES,
                                    "core-witness-list", "core-witness-object",
                                    "core-witness-df", "core-null", "flow-null",
-                                   "girth-bound-null"])
+                                   "girth-bound-null", "girth-missing", "snark-false",
+                                   "oddness-odd", "oddness-missing", "colourable-string",
+                                   "exhaustive-int", "exact-false", "relabelled-fulkerson",
+                                   "witness-reordered", "cover-reordered", "cover-extra-key"])
 def test_verify_fails_malformed_certificate(tmp_path, shape):
     if shape in ROUNDTRIP_SHAPES:
         command = ["fulkerson", "--roundtrip"]

@@ -107,7 +107,12 @@ def test_find_cover_budgets(petersen):
     lambda g: sd.find_cover(g),
     lambda g: sd.find_cover(g, max_nodes=3),
     lambda g: sd.nz_4flow(g),
-], ids=["find-cover", "find-cover-budget", "nz-4flow"])
+    lambda g: sd.three_edge_colour(g),
+    lambda g: sd.enumerate_colourings(g),
+    lambda g: sd.five_circuits(g),
+    lambda g: sd.canonical_form(g),
+], ids=["find-cover", "find-cover-budget", "nz-4flow", "three-edge-colour",
+        "enumerate-colourings", "five-circuits", "canonical-form"])
 def test_searches_leave_no_reference_cycles(j5, search):
     # the recursive closures refer to themselves; unless the search empties
     # their cells, what they capture waits for the cyclic collector
