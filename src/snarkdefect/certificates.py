@@ -6,8 +6,8 @@ writes, and ``result_exact`` says whether one is exact.  A certificate
 carries the graph itself (edge list + digest), so `verify` re-checks it
 without the original input and without any search: it validates the
 witnesses or the cover, passes them to the same builder together with
-the claims only a search could check (colourability, oddness, each
-``exhaustive``, none_found, the budget detail), and names every result
+the claims only a search could check (oddness, each ``exhaustive``,
+none_found, the budget detail), and names every result
 key, and ``exact``, that differs from the rebuilt result.  Those claims
 are taken at face value, after their JSON types and their consistency
 with each other are checked.
@@ -18,16 +18,15 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .colouring import is_perfect_matching
 from .defect_engine import (
     NONE_FOUND,
     UNKNOWN,
     BudgetError,
     DefectResult,
     ThreeArray,
-    check_girth_bound,
     core_of,
     coverage,
+    girth_bound_holds,
 )
 from .fano_flow import characteristic_flow, verify_flow
 from .fulkerson import (
@@ -41,6 +40,7 @@ from .fulkerson import (
 from .graph_core import CubicGraph, GraphError, girth, is_two_connected, write_edge_list
 
 SCHEMA = "snarkdefect.certificate/1"
+_ERROR_KEYS = {"schema", "command", "source", "error"}
 _FULKERSON_MODES = ("find", "verify", "roundtrip")
 
 
@@ -108,19 +108,19 @@ def flow_json(f: GroupFlow) -> dict:
     }
 
 
-def analyze_json(g: CubicGraph, colourable: bool, oddness: int,
-                 d: DefectResult, r: DefectResult) -> dict:
-    """The whole ``analyze`` result from the search outcomes: girth and
-    snark status, the df and rdf results, the core of the rdf witness
-    (else the df witness), the characteristic flow of the rdf witness
-    and, for an exact rdf, the girth-bound check."""
+def analyze_json(g: CubicGraph, oddness: int, d: DefectResult, r: DefectResult) -> dict:
+    """The whole ``analyze`` result from the search outcomes: girth,
+    colourability (oddness 0) and snark status, the df and rdf results,
+    the core of the rdf witness (else the df witness), the
+    characteristic flow of the rdf witness and, for an exact rdf, the
+    girth-bound check on that girth and core."""
     gi = girth(g)  # before the rest: the empty graph's error is its girth's
     if r.witness is not None:
-        core_w, arr = "rdf", r.witness
+        core_w, core = "rdf", core_of(g, r.witness)
     elif d.witness is not None:
-        core_w, arr = "df", d.witness
+        core_w, core = "df", core_of(g, d.witness)
     else:
-        core_w, arr = None, None
+        core_w, core = None, None
     flow = None
     if r.witness is not None:
         flow = characteristic_flow(g, r.witness)
@@ -130,15 +130,15 @@ def analyze_json(g: CubicGraph, colourable: bool, oddness: int,
     exact_rdf = r.exhaustive and isinstance(r.value, int) and r.witness is not None
     return {
         "girth": gi,
-        "colourable": colourable,
-        "snark": not colourable and is_two_connected(g),
+        "colourable": oddness == 0,
+        "snark": oddness != 0 and is_two_connected(g),
         "oddness": oddness,
         "df": defect_json(d),
         "rdf": defect_json(r),
         "core_witness": core_w,
-        "core": core_json(core_of(g, arr)) if arr is not None else None,
+        "core": core_json(core) if core is not None else None,
         "characteristic_flow": flow.serialize() if flow is not None else None,
-        "girth_bound": check_girth_bound(g, r) if exact_rdf else None,
+        "girth_bound": girth_bound_holds(gi, r.value, core) if exact_rdf else None,
     }
 
 
@@ -233,14 +233,10 @@ def _defect_claim(g: CubicGraph, sec: dict, regular: bool, label: str,
         return DefectResult(UNKNOWN, None, False, regular)
     try:
         arr = array_from_json(witness)
+        prof = coverage(g, arr)
     except GraphError as exc:
         problems.append(f"{label}: bad witness: {exc}")
         return None
-    for mm in arr.matchings:
-        if not is_perfect_matching(g, mm):
-            problems.append(f"{label}: witness member {sorted(mm)} is not a perfect matching")
-            return None
-    prof = coverage(g, arr)
     if regular and prof.triply:
         problems.append(f"{label}: witness is not regular "
                         f"(edges {sorted(prof.triply)} triply covered)")
@@ -267,14 +263,10 @@ def _cross_check(res: dict, problems: list[str]) -> None:
             problems.append("uncolourable graph with zero df")
         if res.get("snark") is True and dv < 3:
             problems.append(f"snark with exact df {dv} < 3")
-    if res.get("snark") is True and res["colourable"]:
-        problems.append("snark flagged colourable")
     # a 2-factor of a cubic graph has an even number of odd circuits
     odd = res["oddness"]
     if odd < 0 or odd % 2:
         problems.append(f"oddness {odd} is not a non-negative even number")
-    elif (odd == 0) != res["colourable"]:
-        problems.append(f"oddness {odd} contradicts colourable={res['colourable']}")
 
 
 def _rebuild_analyze(g: CubicGraph, res: dict, problems: list[str]) -> dict | None:
@@ -283,30 +275,30 @@ def _rebuild_analyze(g: CubicGraph, res: dict, problems: list[str]) -> dict | No
     _cross_check(res, problems)
     if d is None or r is None:
         return None
-    return analyze_json(g, res["colourable"], res["oddness"], d, r)
+    return analyze_json(g, res["oddness"], d, r)
 
 
 def _rebuild_fulkerson(g: CubicGraph, res: dict, problems: list[str]) -> dict | None:
+    """The stated cover is checked once: here for a find result, by
+    ``fulkerson_json`` for a verify or roundtrip result."""
     mode, cover = res.get("mode", "find"), res["cover"]
-    if cover == "budget_exceeded":
-        found = BudgetError(res["detail"])
-    elif cover == "none_found":
-        found = NONE_FOUND
-    else:
-        members = [frozenset(x) for x in cover]
-        try:
-            chk = verify_cover(g, members)
-        except GraphError as exc:
-            problems.append(f"cover: {exc}")
-            return None
-        if mode == "verify":
-            found = members
-        elif not chk:
-            problems.append(f"cover: not a Fulkerson cover: {chk.violation}")
-            return None
+    try:
+        if cover == "budget_exceeded":
+            found = BudgetError(res["detail"])
+        elif cover == "none_found":
+            found = NONE_FOUND
+        elif mode == "verify":
+            found = [frozenset(x) for x in cover]
         else:
-            found = FulkersonCover.of(g, members)
-    rebuilt = fulkerson_json(g, mode, found)
+            found = FulkersonCover.of(g, cover)
+            if mode == "find":
+                chk = verify_cover(g, found)
+                if not chk:
+                    raise GraphError(f"invalid cover: {chk.violation}")
+        rebuilt = fulkerson_json(g, mode, found)
+    except GraphError as exc:
+        problems.append(f"cover: {exc}")
+        return None
     if "mode" not in res:
         del rebuilt["mode"]  # the mode-less find form
     if rebuilt.get("pass") is False:
@@ -400,8 +392,10 @@ def verify_certificate(cert: object) -> list[str]:
         return [f"certificate: expected an object, got {type(cert).__name__}"]
     if cert.get("schema") != SCHEMA:
         return [f"unsupported schema {cert.get('schema')!r}"]
-    if "error" in cert:
-        return []  # an error record makes no checkable claims
+    if "error" in cert:  # an error record makes no checkable claims, so holds nothing else
+        if cert.keys() != _ERROR_KEYS:
+            return [f"error record: expected the keys {sorted(_ERROR_KEYS)}, got {sorted(cert)}"]
+        return _type_problems(cert, {"error": str})
     try:
         g = graph_from_payload(cert["graph"])
     except (GraphError, KeyError, TypeError, ValueError) as exc:  # malformed payload

@@ -112,11 +112,10 @@ def _defect_word(sec: dict) -> str:
 def analyze_graph(g: CubicGraph, budget, threads=None) -> tuple[dict, bool]:
     """The analyze result and whether it is exact; ``threads`` is ignored."""
     facts = GraphFacts(g)
-    colourable = facts.colourable
     odd = oddness(g, facts=facts)
     d = defect(g, budget=budget, facts=facts)
     r = regular_defect(g, budget=budget, facts=facts)
-    res = certs.analyze_json(g, colourable, odd, d, r)
+    res = certs.analyze_json(g, odd, d, r)
     return res, certs.result_exact("analyze", res)
 
 
@@ -228,10 +227,16 @@ def _human_fulkerson(src: str, res: dict, cert: dict) -> str:
 
 def cmd_fulkerson(args) -> int:
     mode = "verify" if args.verify else "roundtrip" if args.roundtrip else "find"
+    try:  # read once: every input gets the same cover, or the same error
+        cover = _load_cover_members(args.verify) if args.verify else None
+    except GraphError as exc:
+        cover = exc
 
     def one(g: CubicGraph) -> dict:
+        if isinstance(cover, GraphError):
+            raise GraphError(str(cover))  # a new error, so no traceback piles up
         if args.verify:
-            found = _load_cover_members(args.verify)
+            found = cover
         else:
             try:
                 found = find_cover(g, args.max_matchings, args.max_nodes)

@@ -314,26 +314,32 @@ def enumerate_optimal_arrays(g: CubicGraph, regular: bool, target: int | None = 
 # structural checks built on defect results
 # ---------------------------------------------------------------------------
 
-def check_girth_bound(g: CubicGraph, r: DefectResult) -> bool:
-    """Verify rdf >= girth/2 and the core circuits are even of length >= girth.
+def girth_bound_holds(gi: int, value: int, core: Core) -> bool:
+    """rdf >= girth/2 and the core circuits are even of length >= girth,
+    for the girth ``gi``, an exact rdf ``value`` and its witness's core.
 
-    Vacuously true for an empty core (colourable case).  A False return
-    signals a hard bug somewhere: the bound is a theorem.
+    Vacuously true for rdf 0 (colourable case, empty core).  A False
+    return signals a hard bug somewhere: the bound is a theorem.
     """
-    if not r.regular_required or r.witness is None or not isinstance(r.value, int):
-        raise GraphError("check_girth_bound needs a regular-defect result with a witness")
-    if r.value == 0:
+    if value == 0:
         return True
-    gi = girth(g)
-    if 2 * r.value < gi:
+    if 2 * value < gi:
         return False
-    core = core_of(g, r.witness)
     for comp in core.components:
         if comp.kind != EVEN_ALTERNATING_CIRCUIT:
             raise GraphError("regular witness produced a non-circuit core component")
         if len(comp.edges) % 2 or len(comp.edges) < gi:
             return False
     return True
+
+
+def check_girth_bound(g: CubicGraph, r: DefectResult) -> bool:
+    """``girth_bound_holds`` for an rdf result with a witness."""
+    if not r.regular_required or r.witness is None or not isinstance(r.value, int):
+        raise GraphError("check_girth_bound needs a regular-defect result with a witness")
+    if r.value == 0:  # the empty graph has no girth to compute
+        return True
+    return girth_bound_holds(girth(g), r.value, core_of(g, r.witness))
 
 
 def verify_corollary_rdf3(g: CubicGraph) -> bool:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .colouring import GraphFacts, is_perfect_matching
-from .defect_engine import NONE_FOUND, BudgetError, ThreeArray, core_of, coverage
+from .defect_engine import NONE_FOUND, BudgetError, ThreeArray, coverage
 from .fano_flow import FlowCheck
 from .graph_core import CubicGraph, GraphError, SizeGateError, bridges, is_bridgeless
 
@@ -160,16 +160,17 @@ class ComplementaryPair:
 
 
 def check_complementary(g: CubicGraph, a: ThreeArray, b: ThreeArray) -> str | None:
-    """None when complementary, else a message for the first failure."""
+    """None when complementary, else a message for the first failure;
+    the core of a regular array is its edges not covered exactly once."""
     if not a.is_regular:
         return "first array is not regular"
     if not b.is_regular:
         return "second array is not regular"
-    ca, cb = core_of(g, a), core_of(g, b)
-    if ca.edges != cb.edges:
+    pa, pb = coverage(g, a), coverage(g, b)
+    if pa.uncovered | pa.doubly != pb.uncovered | pb.doubly:
         return "cores differ"
-    if ca.uncovered & cb.uncovered:
-        return f"uncovered sets intersect in {sorted(ca.uncovered & cb.uncovered)}"
+    if pa.uncovered & pb.uncovered:
+        return f"uncovered sets intersect in {sorted(pa.uncovered & pb.uncovered)}"
     return None
 
 
@@ -177,7 +178,9 @@ def cover_to_complementary(cover: FulkersonCover) -> ComplementaryPair:
     """Split a verified cover into two complementary regular 3-arrays.
 
     Any split works; this takes the first and last three members under
-    the cover's canonical order.
+    the cover's canonical order.  An edge in k of the first three is in
+    2 - k of the last three, so both are regular, share the core (k != 1)
+    and have disjoint uncovered sets (k = 0 and k = 2): no check needed.
     """
     g = cover.graph
     chk = verify_cover(g, cover)
@@ -185,8 +188,6 @@ def cover_to_complementary(cover: FulkersonCover) -> ComplementaryPair:
         raise GraphError(f"invalid cover: {chk.violation}")
     a = ThreeArray.of(*cover.matchings[:3])
     b = ThreeArray.of(*cover.matchings[3:])
-    err = check_complementary(g, a, b)
-    assert err is None, f"cover split is not complementary: {err}"
     return ComplementaryPair(g, a, b)
 
 
@@ -236,7 +237,10 @@ def complementary_to_flows(g: CubicGraph, pair: ComplementaryPair):
 
     P_i is array i's uncovered set; phi_i lives on g - P_i and assigns a
     simply covered edge the index of its member, a doubly covered edge
-    the index of the member avoiding it.
+    the index of the member avoiding it: the image of array i's
+    characteristic flow under the linear map e_j -> j from Z2^3 onto
+    Z2 x Z2, whose kernel {000, 111} holds no value off P_i (the array
+    is regular), so phi_i is a nowhere-zero flow without a check.
     """
     err = check_complementary(g, pair.first, pair.second)
     if err:
@@ -244,23 +248,14 @@ def complementary_to_flows(g: CubicGraph, pair: ComplementaryPair):
     removals = []
     flows = []
     for arr in (pair.first, pair.second):
-        prof = coverage(g, arr)
-        p = prof.uncovered
-        vals: list[int | None] = []
-        for e in range(g.edge_count):
-            if e in p:
-                vals.append(None)
-                continue
-            members = [i for i in (1, 2, 3) if e in arr.matchings[i - 1]]
-            if len(members) == 1:
-                vals.append(members[0])
-            else:  # doubly covered: the member it avoids
-                vals.append(6 - members[0] - members[1])
-        flow = GroupFlow(g, p, tuple(vals))
-        chk = verify_group_flow(flow)
-        assert chk, f"constructed flow invalid: {chk.violation}"
+        vals = [0] * g.edge_count  # XOR of the indices of the members avoiding e
+        for i, mm in enumerate(arr.matchings, start=1):
+            for e in range(g.edge_count):
+                if e not in mm:
+                    vals[e] ^= i
+        p = frozenset(e for e, v in enumerate(vals) if v == 0)
         removals.append(p)
-        flows.append(flow)
+        flows.append(GroupFlow(g, p, tuple(v or None for v in vals)))
     return removals[0], removals[1], flows[0], flows[1]
 
 
@@ -270,7 +265,8 @@ def flows_to_cover(g: CubicGraph, p1: frozenset[int], p2: frozenset[int],
 
     xi maps each edge to a 2-subset of {1..6}; at every vertex the three
     subsets must partition {1..6} (checked; a failure means the inputs
-    violate the preconditions or there is a construction bug).
+    violate the preconditions or there is a construction bug).  It also
+    makes each M_i a perfect matching and puts each edge in two members.
     """
     p1, p2 = frozenset(p1), frozenset(p2)
     if p1 & p2:
@@ -312,10 +308,7 @@ def flows_to_cover(g: CubicGraph, p1: frozenset[int], p2: frozenset[int],
             raise GraphError(
                 f"vertex partition failure at {v}: {sorted(map(sorted, labels))}")
     members = [frozenset(e for e in range(g.edge_count) if i in xi[e]) for i in range(1, 7)]
-    cover = FulkersonCover.of(g, members)
-    chk = verify_cover(g, cover)
-    assert chk, f"reconstructed cover invalid: {chk.violation}"
-    return cover
+    return FulkersonCover.of(g, members)
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,27 @@ def test_analyze_enumerates_once_and_never_backtracks(monkeypatch):
     assert len(enumerations) == len(graphs) + 2 and colourings == []
 
 
+def test_each_value_is_checked_once(monkeypatch, tmp_path):
+    """analyze, fulkerson --roundtrip and verify of its certificate each
+    derive the girth and the core, and check the cover and the pair, once."""
+    from snarkdefect import defect_engine, fulkerson, graph_core
+    girths = _count_calls(monkeypatch, graph_core.girth)
+    cores = _count_calls(monkeypatch, defect_engine.core_of)
+    covers = _count_calls(monkeypatch, fulkerson.verify_cover)
+    pairs = _count_calls(monkeypatch, fulkerson.check_complementary)
+    assert run(["analyze", "--construct", "petersen"])[0] == 0
+    assert (len(girths), len(cores)) == (1, 1)
+    cores.clear()
+    code, out, _ = run(["fulkerson", "--construct", "petersen", "--roundtrip", "--json", "--quiet"])
+    assert code == 0
+    assert (len(covers), len(pairs), len(cores)) == (1, 1, 0)
+    path = tmp_path / "rt.jsonl"
+    path.write_text(out)
+    covers.clear()
+    assert run(["verify", str(path)])[0] == 0
+    assert len(covers) == 1
+
+
 def test_analyze_flower7_passes_verify(tmp_path):
     code, out, _ = run(["analyze", "--construct", "flower:7", "--json", "--quiet"])
     assert code == 0
@@ -295,6 +316,23 @@ def test_budgeted_roundtrip_certificate_names_its_mode():
     assert code == 2
     res = json.loads(out)["result"]
     assert (res["mode"], res["cover"]) == ("roundtrip", "budget_exceeded")
+
+
+def test_fulkerson_verify_reads_the_cover_file_once(monkeypatch, tmp_path):
+    path = tmp_path / "cover.json"
+    cover = sd.find_cover(sd.petersen())
+    path.write_text(json.dumps({"matchings": [sorted(m) for m in cover.matchings]}))
+    loads = _count_calls(monkeypatch, cli._load_cover_members)
+    three = ["--construct", "petersen"] * 3
+    code, out, _ = run(["fulkerson", "--verify", str(path), "--json", "--quiet", *three])
+    assert code == 0 and len(out.splitlines()) == 3
+    assert len(loads) == 1
+    # an unreadable file gives each input the same error certificate
+    missing = str(tmp_path / "missing.json")
+    code, out, _ = run(["fulkerson", "--verify", missing, "--json", "--quiet", *three])
+    certs = [json.loads(line) for line in out.splitlines()]
+    assert code == 1 and len(certs) == 3 and len(loads) == 2
+    assert all(cert == certs[0] and "cannot read a cover" in cert["error"] for cert in certs)
 
 
 @pytest.mark.parametrize("case", ["bad-json", "edge-out-of-range", "edge-string",
@@ -452,6 +490,12 @@ def _malform(cert, shape):
         cert["result"]["cover"].reverse()
     elif shape == "cover-extra-key":
         cert["result"]["note"] = "x"
+    elif shape == "error-beside-result":  # a forged result next to an empty error
+        cert["result"]["df"]["value"] = 0
+        cert["result"]["snark"] = False
+        cert["error"] = ""
+    elif shape == "error-not-string":
+        cert = {key: cert[key] for key in ("schema", "command", "source")} | {"error": 5}
     else:
         cert = [cert]
     return cert
@@ -472,7 +516,8 @@ ROUNDTRIP_SHAPES = ["roundtrip-no-rebuilt", "rebuilt-int", "flows-ints", "flows-
                                    "girth-bound-null", "girth-missing", "snark-false",
                                    "oddness-odd", "oddness-missing", "colourable-string",
                                    "exhaustive-int", "exact-false", "relabelled-fulkerson",
-                                   "witness-reordered", "cover-reordered", "cover-extra-key"])
+                                   "witness-reordered", "cover-reordered", "cover-extra-key",
+                                   "error-beside-result", "error-not-string"])
 def test_verify_fails_malformed_certificate(tmp_path, shape):
     if shape in ROUNDTRIP_SHAPES:
         command = ["fulkerson", "--roundtrip"]
