@@ -10,7 +10,9 @@ the claims only a search could check (oddness, each ``exhaustive``,
 none_found, the budget detail), and names every result
 key, and ``exact``, that differs from the rebuilt result.  Those claims
 are taken at face value, after their JSON types and their consistency
-with each other are checked.
+with each other are checked.  A result the writers refuse to write
+fails before any rebuild: an ``analyze``, ``find`` or ``roundtrip``
+result on a graph that is not bridgeless.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .defect_engine import (
     coverage,
     girth_bound_holds,
 )
-from .fano_flow import characteristic_flow, verify_flow
+from .fano_flow import characteristic_flow
 from .fulkerson import (
     FulkersonCover,
     GroupFlow,
@@ -37,7 +39,7 @@ from .fulkerson import (
     flows_to_cover,
     verify_cover,
 )
-from .graph_core import CubicGraph, GraphError, girth, is_two_connected, write_edge_list
+from .graph_core import CubicGraph, GraphError, girth, is_bridgeless, write_edge_list
 
 SCHEMA = "snarkdefect.certificate/1"
 _ERROR_KEYS = {"schema", "command", "source", "error"}
@@ -113,7 +115,17 @@ def analyze_json(g: CubicGraph, oddness: int, d: DefectResult, r: DefectResult) 
     colourability (oddness 0) and snark status, the df and rdf results,
     the core of the rdf witness (else the df witness), the
     characteristic flow of the rdf witness and, for an exact rdf, the
-    girth-bound check on that girth and core."""
+    girth-bound check on that girth and core.
+
+    g must be bridgeless: ``defect`` refuses any other graph, and
+    ``verify_certificate`` fails such a certificate before it rebuilds
+    the result.  A bridgeless cubic graph is 2-connected, so it is a
+    snark exactly when it is not colourable.  The characteristic flow
+    of a regular array of perfect matchings needs no check: around each
+    vertex each member takes one edge and none takes all three, so the
+    edges are simply covered by distinct members, or one is uncovered,
+    one doubly and one simply covered; their values form the weight-2
+    line or a line through 111, both in the four-line catalogue."""
     gi = girth(g)  # before the rest: the empty graph's error is its girth's
     if r.witness is not None:
         core_w, core = "rdf", core_of(g, r.witness)
@@ -121,17 +133,12 @@ def analyze_json(g: CubicGraph, oddness: int, d: DefectResult, r: DefectResult) 
         core_w, core = "df", core_of(g, d.witness)
     else:
         core_w, core = None, None
-    flow = None
-    if r.witness is not None:
-        flow = characteristic_flow(g, r.witness)
-        chk = verify_flow(g, flow)
-        if not chk:
-            raise GraphError(f"internal: characteristic flow failed: {chk.violation}")
+    flow = characteristic_flow(g, r.witness) if r.witness is not None else None
     exact_rdf = r.exhaustive and isinstance(r.value, int) and r.witness is not None
     return {
         "girth": gi,
         "colourable": oddness == 0,
-        "snark": oddness != 0 and is_two_connected(g),
+        "snark": oddness != 0,
         "oddness": oddness,
         "df": defect_json(d),
         "rdf": defect_json(r),
@@ -411,6 +418,11 @@ def verify_certificate(cert: object) -> list[str]:
     if problems:
         return problems
     res = cert["result"]
+    # analyze, find and roundtrip refuse a graph with a bridge; checking
+    # a given cover on one is a legitimate verify result
+    writer = command if command == "analyze" else f"fulkerson {res.get('mode', 'find')}"
+    if writer != "fulkerson verify" and not is_bridgeless(g):
+        return [f"graph: has a bridge or is disconnected; {writer} writes no result for it"]
     try:
         rebuilt = rebuild(g, res, problems)
     except GraphError as exc:

@@ -334,7 +334,14 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    parser = make_parser()
+    args = parser.parse_args(argv)
+    # a value from a SNARKDEFECT_MAX_* variable is checked, and reported,
+    # as the flag it stands in for
+    for key, least in (("max_matchings", 1), ("max_triples", 0), ("max_nodes", 0)):
+        value = getattr(args, key, None)
+        if value is not None and value < least:
+            parser.error(f"--{key.replace('_', '-')} must be at least {least}, got {value}")
     return args.fn(args)
 
 

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph_core import CubicGraph, GraphError, Multipole, is_two_connected
+from .graph_core import CubicGraph, GraphError, Multipole, is_bridgeless
 
 COLOURS = (1, 2, 3)
 
@@ -289,8 +289,10 @@ def verify_parity(m: Multipole, colouring: dict[int, int]) -> ParityReport:
 
 
 def is_snark(g: CubicGraph, *, facts: GraphFacts | None = None) -> bool:
-    """2-connected and not 3-edge-colourable."""
-    return is_two_connected(g) and not _facts_for(g, facts).colourable
+    """Bridgeless (for a cubic graph the same as 2-connected) and not
+    3-edge-colourable."""
+    facts = _facts_for(g, facts)
+    return facts.bridgeless and not facts.colourable
 
 
 def two_factor_circuits(g: CubicGraph, matching: frozenset[int]) -> list[list[int]]:
@@ -337,8 +339,9 @@ def matching_masks(matchings: list[frozenset[int]]) -> list[int]:
 
 
 class GraphFacts:
-    """Facts about one cubic graph, all derived from one perfect-matching
-    enumeration and each computed at most once, on first use.
+    """Facts about one cubic graph, each computed at most once, on first
+    use: bridgelessness, and the rest from one perfect-matching
+    enumeration.
 
     Create one per graph and hand it to the functions that accept
     ``facts=``; nothing is cached beyond the object's own lifetime.
@@ -347,6 +350,12 @@ class GraphFacts:
     def __init__(self, g: CubicGraph):
         self.graph = g
         self._prefixes: dict[int, tuple[list[frozenset[int]], list[int], bool]] = {}
+
+    @cached_property
+    def bridgeless(self) -> bool:
+        """Connected with no cut edge: the graphs df, rdf and Fulkerson
+        covers are defined for."""
+        return is_bridgeless(self.graph)
 
     @cached_property
     def matchings(self) -> list[frozenset[int]]:
@@ -364,9 +373,12 @@ class GraphFacts:
         are reproducible.  A cap that holds every matching fills the full
         list; an all-even 2-factor in a partial prefix records oddness 0.
         Each cap is searched once; later calls return the same result.
+        A cap below 1 is an error.
         """
         if cap is None:
             return self.matchings, self.masks, True
+        if cap < 1:
+            raise GraphError("max_matchings must be at least 1")
         if cap not in self._prefixes:
             found = enumerate_perfect_matchings(self.graph, cap + 1)
             if len(found) <= cap:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .colouring import GraphFacts, _facts_for, is_perfect_matching
-from .graph_core import CubicGraph, GraphError, _Sentinel, bridges, girth, is_bridgeless
+from .graph_core import CubicGraph, GraphError, _Sentinel, bridges, girth
 
 
 class BudgetError(GraphError):
@@ -123,7 +123,12 @@ class DefectResult:
 
 
 def coverage(g: CubicGraph, a: ThreeArray) -> CoverageProfile:
-    """Per-edge multiplicities of a 3-array plus the counts n0..n3."""
+    """Per-edge multiplicities of a 3-array plus the counts n0..n3.
+
+    Each member is checked to be a perfect matching, so it has n/2 edges:
+    every multiplicity is 0..3, the counts sum to the edge count, and
+    n1 + 2*n2 + 3*n3 = 3n/2.
+    """
     for idx, mm in enumerate(a.matchings):
         if not is_perfect_matching(g, mm):
             raise GraphError(f"array member {idx} is not a perfect matching of the graph")
@@ -132,8 +137,6 @@ def coverage(g: CubicGraph, a: ThreeArray) -> CoverageProfile:
         for e in mm:
             mult[e] += 1
     counts = tuple(mult.count(k) for k in range(4))
-    assert sum(counts) == g.edge_count
-    assert counts[1] + 2 * counts[2] + 3 * counts[3] == 3 * g.vertex_count // 2
     return CoverageProfile(tuple(mult), counts)
 
 
@@ -244,20 +247,17 @@ def _scan(masks: list[int], m: int, half: int, regular: bool, lower: int,
     return (best_val if best else None), best, True
 
 
-def _require_bridgeless(g: CubicGraph) -> None:
-    if not is_bridgeless(g):
+def _require_bridgeless(facts: GraphFacts) -> None:
+    if not facts.bridgeless:
         raise GraphError("defect is undefined for graphs with bridges "
-                         f"(found {bridges(g) or 'disconnected'})")
+                         f"(found {bridges(facts.graph) or 'disconnected'})")
 
 
 def _defect_impl(g: CubicGraph, regular: bool, budget: SearchBudget | None,
                  facts: GraphFacts | None) -> DefectResult:
-    _require_bridgeless(g)
-    cap = budget.max_matchings if budget else None
-    if cap is not None and cap < 1:
-        raise GraphError("max_matchings must be at least 1")
     facts = _facts_for(g, facts)
-    matchings, masks, complete = facts.prefix(cap)
+    _require_bridgeless(facts)
+    matchings, masks, complete = facts.prefix(budget.max_matchings if budget else None)
     lower = 0 if facts.colourable else 3  # snark lower bound; bridgeless + uncolourable = snark
 
     mt = budget.max_triples if budget else None
@@ -300,8 +300,8 @@ def enumerate_optimal_arrays(g: CubicGraph, regular: bool, target: int | None = 
     is empty, even when it is above it and arrays attain it.  Graphs with
     bridges are rejected, as by ``defect``.  ``threads`` is ignored.
     """
-    _require_bridgeless(g)
     facts = GraphFacts(g)
+    _require_bridgeless(facts)
     val, optimal, _ = _scan(facts.masks, g.edge_count, g.vertex_count // 2, regular, -1)
     if val is None and target is None:
         raise GraphError(f"no optimum to enumerate: {NONE_FOUND!r}")

@@ -120,9 +120,7 @@ def characteristic_flow(g: CubicGraph, a: ThreeArray) -> CharacteristicFlow:
         if bits == (0, 0, 0):
             raise IrregularArrayError(f"edge {e} is triply covered; its value would be 000")
         vals.append(FanoPoint(*bits))
-    flow = CharacteristicFlow(tuple(vals))
-    assert not any(p.is_zero for p in flow.values)
-    return flow
+    return CharacteristicFlow(tuple(vals))
 
 
 @dataclass(frozen=True)

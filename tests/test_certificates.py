@@ -128,6 +128,59 @@ def test_fulkerson_certificates(petersen):
     assert ce.verify_certificate(bad)
 
 
+def bridged():
+    """Two copies of K4, each with edge 0-1 subdivided, the two new
+    vertices joined by a bridge: cubic, 10 vertices, girth 3."""
+    half = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)]
+    return sd.CubicGraph(10, half + [(a + 5, b + 5) for a, b in half] + [(4, 9)])
+
+
+# results the writers refuse to write on a graph with a bridge, each
+# consistent with itself: (command, result, exact)
+BRIDGED_FORGERIES = {
+    "analyze unknown/none_found": ("analyze", {
+        "girth": 3, "colourable": False, "snark": False, "oddness": 2,
+        "df": {"value": "unknown", "exhaustive": False, "witness": None},
+        "rdf": {"value": "none_found", "exhaustive": True, "witness": None},
+        "core_witness": None, "core": None, "characteristic_flow": None,
+        "girth_bound": None}, False),
+    "find none_found": ("fulkerson", {"mode": "find", "cover": "none_found"}, True),
+    "roundtrip none_found": ("fulkerson", {"mode": "roundtrip", "cover": "none_found"}, True),
+    "find budget_exceeded": ("fulkerson", {"mode": "find", "cover": "budget_exceeded",
+                                           "detail": "cover search exceeded 1 nodes"}, False),
+}
+
+
+def _cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def test_bridged_graph_results_fail_except_verify_mode(tmp_path, monkeypatch):
+    """A result analyze, find or roundtrip refuse to write FAILs on its
+    graph; a fulkerson --verify result on the same graph PASSes."""
+    g = bridged()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text(sd.write_edge_list(g))
+    for argv in (["analyze"], ["fulkerson"], ["fulkerson", "--roundtrip"]):
+        code, out = _cli([*argv, "--edge-list", "g.txt", "--json", "--quiet"])
+        assert code == 1 and "error" in json.loads(out), argv
+    for name, (command, result, exact) in BRIDGED_FORGERIES.items():
+        cert = reparse(ce.make_certificate(command, "g.txt", g, result, exact))
+        problems = ce.verify_certificate(cert)
+        assert problems and problems[0].startswith("graph:"), name
+    # the bridge lies in all four perfect matchings, so the cover check fails
+    pms = [sorted(mm) for mm in sd.enumerate_perfect_matchings(g)]
+    (tmp_path / "cover.json").write_text(json.dumps({"matchings": pms + pms[:2]}))
+    code, out = _cli(["fulkerson", "--edge-list", "g.txt", "--verify", "cover.json",
+                      "--json", "--quiet"])
+    cert = json.loads(out)
+    assert code == 1 and cert["result"]["ok"] is False
+    assert ce.verify_certificate(cert) == []
+
+
 # --------------------------------------------------------------------------
 # single-key forgeries
 # --------------------------------------------------------------------------

@@ -184,6 +184,22 @@ def test_each_value_is_checked_once(monkeypatch, tmp_path):
     assert len(covers) == 1
 
 
+def test_bridgelessness_is_tested_once_and_no_flow_is_rechecked(monkeypatch, tmp_path):
+    """analyze tests for bridges once and does not re-check the
+    characteristic flow it builds; verify of its certificate tests for
+    bridges once and does not check the flow either."""
+    from snarkdefect import fano_flow, graph_core
+    bridge_tests = _count_calls(monkeypatch, graph_core.is_bridgeless)
+    flow_checks = _count_calls(monkeypatch, fano_flow.verify_flow)
+    code, out, _ = run(["analyze", "--construct", "petersen", "--json", "--quiet"])
+    assert code == 0
+    assert (len(bridge_tests), len(flow_checks)) == (1, 0)
+    path = tmp_path / "p.jsonl"
+    path.write_text(out)
+    assert run(["verify", str(path)])[0] == 0
+    assert (len(bridge_tests), len(flow_checks)) == (2, 0)
+
+
 def test_analyze_flower7_passes_verify(tmp_path):
     code, out, _ = run(["analyze", "--construct", "flower:7", "--json", "--quiet"])
     assert code == 0
@@ -215,6 +231,35 @@ def test_bad_budget_env_var_is_a_usage_error(monkeypatch, var):
     code, out, err = run(["analyze", "--construct", "petersen"])
     assert (code, out) == (2, "")
     assert err.splitlines()[-1].endswith("invalid int value: 'ten'")
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["analyze", "--max-matchings", "0"], {}),
+    (["fulkerson", "--max-matchings", "0"], {}),
+    (["analyze", "--max-matchings", "-3"], {}),
+    (["analyze", "--max-triples", "-5"], {}),
+    (["fulkerson", "--max-nodes", "-1"], {}),
+    (["analyze"], {"SNARKDEFECT_MAX_MATCHINGS": "0"}),
+    (["fulkerson"], {"SNARKDEFECT_MAX_TRIPLES": "-1"}),
+])
+def test_budget_value_out_of_range_is_a_usage_error(monkeypatch, argv, env):
+    """Every command reads a matching cap below 1, or a negative triple
+    or node cap, as a usage error and runs nothing."""
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    code, out, err = run([*argv, "--construct", "petersen"])
+    assert (code, out) == (2, "")
+    assert "must be at least" in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--max-matchings", "1"],
+    ["analyze", "--max-triples", "0"],
+    ["fulkerson", "--max-nodes", "0"],
+])
+def test_least_budget_values_run(argv):
+    code, out, _ = run([*argv, "--construct", "petersen"])
+    assert code == 2 and out.startswith("petersen:")
 
 
 def test_output_file_mirrors_stdout(tmp_path):

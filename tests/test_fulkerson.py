@@ -91,6 +91,17 @@ def test_find_cover_matching_cap_holds_exactly_that_many(petersen):
         sd.find_cover(petersen, max_matchings=5)
 
 
+@pytest.mark.parametrize("search", [
+    lambda g: sd.find_cover(g, max_matchings=0),
+    lambda g: sd.defect(g, budget=sd.SearchBudget(max_matchings=0)),
+    lambda g: sd.regular_defect(g, budget=sd.SearchBudget(max_matchings=-1)),
+])
+def test_matching_cap_below_one_is_an_input_error(petersen, search):
+    with pytest.raises(sd.GraphError, match="max_matchings must be at least 1") as info:
+        search(petersen)
+    assert not isinstance(info.value, sd.BudgetError)
+
+
 def test_find_cover_rejects_bridges(dumbbell):
     with pytest.raises(sd.GraphError, match="bridgeless"):
         sd.find_cover(dumbbell)
