@@ -112,6 +112,11 @@ def _defect_word(sec: dict) -> str:
 def analyze_graph(g: CubicGraph, budget, threads=None) -> tuple[dict, bool]:
     """The analyze result and whether it is exact; ``threads`` is ignored."""
     facts = GraphFacts(g)
+    if not facts.bridgeless and facts.prefix(1)[0]:
+        # defect refuses a graph with a bridge: ask it after one matching,
+        # not a full enumeration; with no matching, oddness reports that
+        # from the cached empty list
+        defect(g, facts=facts)
     odd = oddness(g, facts=facts)
     d = defect(g, budget=budget, facts=facts)
     r = regular_defect(g, budget=budget, facts=facts)
@@ -203,7 +208,8 @@ def _load_cover_members(path: str):
     if isinstance(data, dict) and "matchings" in data:
         lists = data["matchings"]
     elif isinstance(data, dict) and data.get("schema") == certs.SCHEMA:
-        lists = (data.get("result") or {}).get("cover")
+        result = data.get("result")
+        lists = result.get("cover") if isinstance(result, dict) else None
     else:
         lists = None
     if not (isinstance(lists, list) and all(

@@ -14,10 +14,13 @@ reported witness is the first triple attaining the minimum, i.e. the
 lexicographically least optimal 3-array.  Sound pruning (a pair bound on
 the uncovered count, and early stop once a proven global lower bound is
 attained: 0 for colourable graphs, 3 for snarks) never changes the
-value or the witness.  The scan runs on one thread, so a triple
-budget's cutoff point is reproducible.  The ``threads`` keywords are
-accepted for compatibility and have no effect: the scan is pure Python,
-which threads cannot overlap under the interpreter lock.
+value or the witness.  The scan keeps nothing: it yields each triple at
+or below the running minimum, df and rdf keep one witness, and
+``enumerate_optimal_arrays`` keeps the ties at the final minimum.  The
+scan runs on one thread, so a triple budget's cutoff point is
+reproducible; a negative budget is an input error.  The ``threads``
+keywords are accepted for compatibility and have no effect: the scan is
+pure Python, which threads cannot overlap under the interpreter lock.
 """
 
 from __future__ import annotations
@@ -208,19 +211,17 @@ def is_induced_circuit(g: CubicGraph, comp: CoreComponent) -> bool:
 # triple scan
 # ---------------------------------------------------------------------------
 
-def _scan(masks: list[int], m: int, half: int, regular: bool, lower: int,
+def _scan(masks: list[int], m: int, half: int, regular: bool,
           max_triples: int | None = None):
-    """Scan triples i <= j <= k; returns (value, optimal, completed).
+    """Scan triples i <= j <= k in lexicographic order, keeping nothing.
 
-    ``optimal`` is every inspected triple attaining the minimum, in scan
-    order, so its first entry is the witness; value is None when it is
-    empty.  The scan stops once `lower` is attained (the bound must be
-    globally valid; -1 never stops it), and with `completed` False once
-    `max_triples` triples were inspected.
+    Yields ``(value, (i, j, k))`` for each triple whose value is at most
+    the running minimum: the first triple at each new minimum, then its
+    ties.  Yields None and stops once ``max_triples`` triples were
+    inspected.  Each caller keeps what it needs of what it is given.
     """
     n = len(masks)
     best_val = m + 1
-    best: list[tuple[int, int, int]] = []
     left = max_triples
     for i in range(n):
         mi = masks[i]
@@ -233,18 +234,15 @@ def _scan(masks: list[int], m: int, half: int, regular: bool, lower: int,
             for k in range(j, n):
                 if left is not None:
                     if left <= 0:
-                        return (best_val if best else None), best, False
+                        yield None
+                        return
                     left -= 1
                 if regular and (mij & masks[k]):
                     continue
                 val = m - (u | masks[k]).bit_count()
                 if val <= best_val:
-                    if val < best_val:
-                        best_val, best = val, []
-                    best.append((i, j, k))
-                    if val <= lower:
-                        return best_val, best, True
-    return (best_val if best else None), best, True
+                    best_val = val
+                    yield val, (i, j, k)
 
 
 def _require_bridgeless(facts: GraphFacts) -> None:
@@ -261,16 +259,28 @@ def _defect_impl(g: CubicGraph, regular: bool, budget: SearchBudget | None,
     lower = 0 if facts.colourable else 3  # snark lower bound; bridgeless + uncolourable = snark
 
     mt = budget.max_triples if budget else None
-    val, optimal, scanned_all = _scan(masks, g.edge_count, g.vertex_count // 2, regular, lower, mt)
+    if mt is not None and mt < 0:
+        raise GraphError("max_triples must be at least 0")
+    best = None  # (value, triple): the first triple at the least value
+    scanned_all = True
+    for hit in _scan(masks, g.edge_count, g.vertex_count // 2, regular, mt):
+        if hit is None:
+            scanned_all = False
+            break
+        if best is None or hit[0] < best[0]:
+            best = hit
+        if best[0] <= lower:
+            break
 
-    # a witness attaining the proven lower bound is exact even if the
-    # matching list was truncated
-    exhaustive = (complete and scanned_all) or val == lower
-    if not optimal:
+    if best is None:
         if regular and complete and scanned_all:
             return DefectResult(NONE_FOUND, None, True, True)
         return DefectResult(UNKNOWN, None, False, regular)
-    witness = ThreeArray.of(*(matchings[x] for x in optimal[0]))
+    val, triple = best
+    # a witness attaining the proven lower bound is exact even if the
+    # matching list was truncated
+    exhaustive = (complete and scanned_all) or val == lower
+    witness = ThreeArray.of(*(matchings[x] for x in triple))
     return DefectResult(val, witness, exhaustive, regular)
 
 
@@ -302,7 +312,11 @@ def enumerate_optimal_arrays(g: CubicGraph, regular: bool, target: int | None = 
     """
     facts = GraphFacts(g)
     _require_bridgeless(facts)
-    val, optimal, _ = _scan(facts.masks, g.edge_count, g.vertex_count // 2, regular, -1)
+    val, optimal = None, []  # the ties at the running minimum, in scan order
+    for value, triple in _scan(facts.masks, g.edge_count, g.vertex_count // 2, regular):
+        if value != val:
+            val, optimal = value, []
+        optimal.append(triple)
     if val is None and target is None:
         raise GraphError(f"no optimum to enumerate: {NONE_FOUND!r}")
     if target is not None and target != val:

@@ -83,10 +83,12 @@ def find_cover(g: CubicGraph, max_matchings: int | None = None,
     lexicographically least matching of the cover.  NONE_FOUND means the
     space was exhausted; running out of ``max_nodes`` (or the matching
     cap) raises BudgetError instead, because a truncated search cannot
-    certify absence.
+    certify absence.  A negative ``max_nodes`` is an input error.
     """
     if not is_bridgeless(g):
         raise GraphError("Fulkerson covers are defined for bridgeless graphs")
+    if max_nodes is not None and max_nodes < 0:
+        raise GraphError("max_nodes must be at least 0")
     matchings, masks, complete = GraphFacts(g).prefix(max_matchings)
     if not complete:
         raise BudgetError(f"more than {max_matchings} perfect matchings")

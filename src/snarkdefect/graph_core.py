@@ -797,67 +797,33 @@ def junction(parts: Sequence[Multipole], wiring: WiringSpec) -> Multipole:
         link[ga] = gb
         link[gb] = ga
 
-    # walk chains of welded fragments; each chain becomes one edge
-    chain_of: dict[int, int] = {}
-    merged: list[tuple[int | None, int | None, tuple[tuple[int, int], tuple[int, int]]]] = []
+    # walk each chain of welded fragments from an unwelded end; each chain
+    # becomes one edge, ordered by its least fragment id.  A fragment with
+    # both ends welded is mid-chain, reached from an end later, or on a
+    # closed circle, which no walk reaches.
+    chains: list[tuple[int, tuple[int, int], tuple[int, int]]] = []
     visited: set[int] = set()
     for e in range(total_e):
-        if e in visited:
+        first = next(((e, i) for i in (0, 1) if (e, i) not in link), None)
+        if e in visited or first is None:
             continue
-        # find an extreme end of the chain containing e
-        extreme = None
-        for i in (0, 1):
-            if (e, i) not in link:
-                extreme = (e, i)
-                break
-        if extreme is None:
-            # both ends welded: either mid-chain (skip; reached later) or a cycle
-            probe, seen = (e, 0), {e}
-            closed = False
-            while True:
-                other = (probe[0], 1 - probe[1])
-                if other not in link:
-                    break
-                probe = link[other]
-                if probe[0] in seen:
-                    closed = True
-                    break
-                seen.add(probe[0])
-            if closed:
-                raise WiringError("directives close a vertex-free circle of edges")
-            continue
-        # traverse from the extreme
-        first = extreme
-        cur = extreme
-        members = []
+        cur, members = first, []
         while True:
             members.append(cur[0])
-            other = (cur[0], 1 - cur[1])
-            if other not in link:
-                last = other
+            last = (cur[0], 1 - cur[1])
+            if last not in link:
                 break
-            cur = link[other]
-        if any(x in visited for x in members):
-            continue
+            cur = link[last]
         visited.update(members)
-        key = min(members)
-        idx = len(merged)
-        for x in members:
-            chain_of[x] = idx
-        ends_sorted = sorted((first, last))
-        merged.append((slots[ends_sorted[0][0]][ends_sorted[0][1]],
-                       slots[ends_sorted[1][0]][ends_sorted[1][1]],
-                       (ends_sorted[0], ends_sorted[1])))
+        chains.append((min(members), *sorted((first, last))))
     if len(visited) != total_e:
         raise WiringError("directives close a vertex-free circle of edges")
+    chains.sort()
 
-    order = sorted(range(len(merged)), key=lambda i: min(e for e, c in chain_of.items() if c == i))
-    new_id = {old: new for new, old in enumerate(order)}
-    eps = [None] * len(merged)
+    eps = []
     extreme_map: dict[tuple[int, int], tuple[int, int]] = {}
-    for ci, (a, b, (end_a, end_b)) in enumerate(merged):
-        e = new_id[ci]
-        eps[e] = (a, b)
+    for e, (_, end_a, end_b) in enumerate(chains):
+        eps.append((slots[end_a[0]][end_a[1]], slots[end_b[0]][end_b[1]]))
         extreme_map[end_a] = (e, 0)
         extreme_map[end_b] = (e, 1)
 
@@ -872,7 +838,7 @@ def junction(parts: Sequence[Multipole], wiring: WiringSpec) -> Multipole:
                 remaining.append(extreme_map[gref])
             if remaining:
                 conns.append((f"p{pi}.{name}", remaining))
-    return Multipole(total_v, [tuple(x) for x in eps], conns if conns else None)
+    return Multipole(total_v, eps, conns if conns else None)
 
 
 def remove_vertices(g: CubicGraph, vs: Iterable[int], connector_name: str = "cut"):

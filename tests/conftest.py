@@ -73,3 +73,22 @@ def blanusa1():
 @pytest.fixture(scope="session")
 def blanusa2():
     return sd.parse_graph6((DATA / "blanusa2.g6").read_text())
+
+
+def petersen_ring(k):
+    """k copies of Petersen minus edge 0, joined in a ring: the copy
+    ends of edge 0 = (0, 1) become 10c and 10c + 1, and 10c + 1 is
+    joined to 10(c + 1) of the next copy.
+
+    Each copy minus its edge has 10 vertices, an even number, so a
+    perfect matching covers them with an even number of edges leaving
+    the copy: it takes both ring edges of a copy or neither.  Rings cut
+    every 3-array along these 2-edge cuts, so the scan cannot stop at
+    the snark bound 3: df = rdf = 3k.
+    """
+    p = sd.petersen()
+    edges = []
+    for c in range(k):
+        edges += [(a + 10 * c, b + 10 * c) for a, b in p.edges[1:]]
+        edges.append((10 * c + 1, 10 * ((c + 1) % k)))
+    return sd.CubicGraph(10 * k, tuple(edges))

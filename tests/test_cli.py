@@ -163,6 +163,23 @@ def test_analyze_enumerates_once_and_never_backtracks(monkeypatch):
     assert len(enumerations) == len(graphs) + 2 and colourings == []
 
 
+def test_analyze_refuses_a_bridge_after_one_matching(monkeypatch):
+    """A graph with a bridge and a perfect matching is refused before
+    the full enumeration that oddness would run."""
+    from snarkdefect import colouring
+    from test_certificates import bridged
+    limits = []
+    enumerate_all = colouring.enumerate_perfect_matchings
+
+    def counted(g, limit=None):
+        limits.append(limit)
+        return enumerate_all(g, limit)
+
+    monkeypatch.setattr(colouring, "enumerate_perfect_matchings", counted)
+    with pytest.raises(sd.GraphError, match="undefined for graphs with bridges"):
+        cli.analyze_graph(bridged(), None)
+    assert limits == [2]
+
 def test_each_value_is_checked_once(monkeypatch, tmp_path):
     """analyze, fulkerson --roundtrip and verify of its certificate each
     derive the girth and the core, and check the cover and the pair, once."""
@@ -397,6 +414,16 @@ def test_fulkerson_verify_malformed_cover_is_an_error(tmp_path, case):
     assert code == 1
     assert "error" in json.loads(out)
 
+
+
+@pytest.mark.parametrize("result", [[1, 2, 3], "cover"])
+def test_fulkerson_verify_certificate_without_a_result_object_is_an_error(tmp_path, result):
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"schema": "snarkdefect.certificate/1", "result": result}))
+    code, out, _ = run(["fulkerson", "--construct", "petersen", "--verify", str(path),
+                        "--json", "--quiet"])
+    assert code == 1
+    assert "expected a 'matchings' list or a fulkerson certificate" in json.loads(out)["error"]
 
 # --------------------------------------------------------------------------
 # verify

@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 import snarkdefect as sd
 import oracles
+from conftest import petersen_ring
 from oracles import edge_pairs
 
 
@@ -165,6 +167,25 @@ def test_is_induced_circuit(k4):
                             vertices=(0, 1, 2, 3), edges=(0, 2, 3, 5))
     assert not sd.is_induced_circuit(k4, quad)
 
+
+def test_df_and_rdf_keep_one_witness_not_every_optimum():
+    # the ring of three Petersen copies has 9,472 optimal arrays of each
+    # kind and the scan cannot stop early; df and rdf keep one of them
+    g = petersen_ring(3)
+    facts = sd.GraphFacts(g)
+    assert (len(facts.masks), facts.colourable) == (72, False)  # warm: measure the scans
+    tracemalloc.start()
+    try:
+        results = sd.defect(g, facts=facts), sd.regular_defect(g, facts=facts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    for res, regular in zip(results, (False, True)):
+        assert (res.value, res.exhaustive) == (9, True)
+        optimal = sd.enumerate_optimal_arrays(g, regular)
+        assert len(optimal) == 9472
+        assert res.witness == optimal[0]
 
 # --------------------------------------------------------------------------
 # budgets, threads, determinism

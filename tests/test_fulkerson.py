@@ -102,6 +102,19 @@ def test_matching_cap_below_one_is_an_input_error(petersen, search):
     assert not isinstance(info.value, sd.BudgetError)
 
 
+
+@pytest.mark.parametrize("search, message", [
+    (lambda g: sd.defect(g, budget=sd.SearchBudget(max_triples=-5)),
+     "max_triples must be at least 0"),
+    (lambda g: sd.regular_defect(g, budget=sd.SearchBudget(max_triples=-1)),
+     "max_triples must be at least 0"),
+    (lambda g: sd.find_cover(g, max_nodes=-1), "max_nodes must be at least 0"),
+])
+def test_negative_search_budget_is_an_input_error(petersen, search, message):
+    with pytest.raises(sd.GraphError, match=message) as info:
+        search(petersen)
+    assert not isinstance(info.value, sd.BudgetError)
+
 def test_find_cover_rejects_bridges(dumbbell):
     with pytest.raises(sd.GraphError, match="bridgeless"):
         sd.find_cover(dumbbell)
