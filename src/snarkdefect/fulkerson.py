@@ -78,12 +78,26 @@ def find_cover(g: CubicGraph, max_matchings: int | None = None,
                max_nodes: int | None = None):
     """First Fulkerson cover in canonical order, or NONE_FOUND.
 
-    Exact multiset search over the lexicographic matching list with
-    running-multiplicity pruning; the first member of the result is the
-    lexicographically least matching of the cover.  NONE_FOUND means the
-    space was exhausted; running out of ``max_nodes`` (or the matching
-    cap) raises BudgetError instead, because a truncated search cannot
-    certify absence.  A negative ``max_nodes`` is an input error.
+    Exact multiset search over the lexicographic matching list: the
+    result is the least non-decreasing 6-tuple of matching indices that
+    covers every edge twice, so its first member is the lexicographically
+    least matching of the cover.  The first four members are searched on
+    bitsets of candidate indices (those at or after the last pick that
+    avoid every doubly covered edge), and a candidate ends its level once
+    some edge still short of two covers lies in no matching at or after
+    it.  The last two members are found, not searched: with ``m0`` the
+    uncovered edges and ``need`` the edges not yet covered twice, they
+    are a pair ``a <= b`` with ``a & b == m0`` and ``a | b == need``, so
+    each candidate ``a`` fixes ``b = (need ^ a) | m0`` and one lookup
+    settles it.
+
+    One node of ``max_nodes`` is one member placed: each of the first
+    four picks, each closing candidate ``a`` and each ``b`` found for it.
+    A node costs polynomial work (bitset updates and one lookup).
+    NONE_FOUND means the space was exhausted; running out of
+    ``max_nodes`` (or the matching cap) raises BudgetError instead,
+    because a truncated search cannot certify absence.  A negative
+    ``max_nodes`` is an input error.
     """
     if not is_bridgeless(g):
         raise GraphError("Fulkerson covers are defined for bridgeless graphs")
@@ -92,57 +106,76 @@ def find_cover(g: CubicGraph, max_matchings: int | None = None,
     matchings, masks, complete = GraphFacts(g).prefix(max_matchings)
     if not complete:
         raise BudgetError(f"more than {max_matchings} perfect matchings")
-    m = g.edge_count
-    half = g.vertex_count // 2
-    full = (1 << m) - 1
-    by_edge: list[list[int]] = [[] for _ in range(m)]
+    full = (1 << g.edge_count) - 1
+    has = [0] * g.edge_count  # has[e]: bitset of the matchings holding e
     for idx, mm in enumerate(matchings):
         for e in mm:
-            by_edge[e].append(idx)
+            has[e] |= 1 << idx
+    suffix = [0] * (len(masks) + 1)  # suffix[i]: union of masks[i:]
+    for idx in range(len(masks) - 1, -1, -1):
+        suffix[idx] = suffix[idx + 1] | masks[idx]
+    index = {mask: idx for idx, mask in enumerate(masks)}
 
     nodes = 0
     chosen: list[int] = []
 
-    # dfs refers to itself through its closure cell; the del below empties
-    # the cell, so no reference cycle keeps masks and by_edge alive
-    def dfs(start: int, m1: int, m2: int) -> tuple[int, ...] | None:
+    def place() -> None:
         nonlocal nodes
-        rem = 6 - len(chosen)
-        if rem == 0:
-            return tuple(chosen) if m2 == full else None
-        m0_bits = m - (m1.bit_count() + m2.bit_count())
-        if m1.bit_count() + 2 * m0_bits > rem * half:
+        if max_nodes is not None and nodes >= max_nodes:
+            raise BudgetError(f"cover search exceeded {max_nodes} nodes")
+        nodes += 1
+
+    # dfs refers to itself through its closure cell; the del below empties
+    # the cell, so no reference cycle keeps has, suffix and index alive
+    def dfs(allowed: int, m1: int, m2: int) -> tuple[int, ...] | None:
+        need = full & ~m2
+        if len(chosen) == 4:
+            m0 = need & ~m1
+            rest = m0
+            while rest:  # a holds every uncovered edge
+                low = rest & -rest
+                allowed &= has[low.bit_length() - 1]
+                rest ^= low
+            while allowed:
+                low = allowed & -allowed
+                a = low.bit_length() - 1
+                place()
+                # b >= a whenever b exists: a lower b at or after the last
+                # pick was tried first and found a as its partner, and one
+                # before it would complete a lexicographically smaller
+                # cover, which the search would have returned already
+                b = index.get((need ^ masks[a]) | m0)
+                if b is not None:
+                    place()
+                    return (*chosen, a, b)
+                allowed ^= low
             return None
-        # an edge whose remaining need equals the remaining picks pins
-        # every later member; branch on the lowest such edge if any
-        tight = -1
-        if m0_bits and rem == 2:
-            tight = ((full & ~(m1 | m2)) & -(full & ~(m1 | m2))).bit_length() - 1
-        elif m1 and rem == 1:
-            tight = (m1 & -m1).bit_length() - 1
-        candidates = by_edge[tight] if tight >= 0 else range(start, len(masks))
-        for idx in candidates:
-            if idx < start:
-                continue
+        while allowed:
+            low = allowed & -allowed
+            idx = low.bit_length() - 1
+            if need & ~suffix[idx]:
+                break  # no member from idx on covers some needed edge
+            place()
             mask = masks[idx]
-            if mask & m2:
-                continue
-            if max_nodes is not None and nodes >= max_nodes:
-                raise BudgetError(f"cover search exceeded {max_nodes} nodes")
-            nodes += 1
+            doubled = mask & m1
+            child = allowed
+            rest = doubled
+            while rest:
+                bit = rest & -rest
+                child &= ~has[bit.bit_length() - 1]
+                rest ^= bit
             chosen.append(idx)
-            new_m2 = m2 | (mask & m1)
-            new_m1 = (m1 | mask) & ~new_m2
-            got = dfs(idx, new_m1, new_m2)
+            got = dfs(child, (m1 | mask) & ~doubled, m2 | doubled)
             chosen.pop()
             if got is not None:
                 return got
+            allowed ^= low
         return None
 
     try:
-        found = dfs(0, 0, 0)
+        found = dfs((1 << len(masks)) - 1, 0, 0)
     finally:
-        del dfs
+        del dfs, place
     if found is None:
         return NONE_FOUND
     return FulkersonCover.of(g, [matchings[i] for i in found])

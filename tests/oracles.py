@@ -76,6 +76,60 @@ def search_order_perfect_matchings(g, limit=None):
     return [frozenset(t) for t in out]
 
 
+def fulkerson_cover(n, edges, matchings=None):
+    """The first Fulkerson cover, or None when there is none.
+
+    A cover is six perfect matchings covering every edge exactly twice;
+    the first is the least non-decreasing 6-tuple of indices into the
+    lex matching list, returned as six sorted edge tuples.  This is the
+    package's earlier running-multiplicity search: pick members in index
+    order, skip any that meets a doubly covered edge, and when every
+    remaining member must hold one edge (an uncovered edge with two
+    picks left, a once-covered edge with one) try only the matchings
+    holding it.  ``matchings`` is that lex list; it defaults to
+    ``perfect_matchings(n, edges)``, which is too slow beyond n = 12, so
+    larger graphs pass ``sorted`` tuples from
+    ``search_order_perfect_matchings`` instead.
+    """
+    pms = perfect_matchings(n, edges) if matchings is None else matchings
+    m = len(edges)
+    full = (1 << m) - 1
+    masks = [sum(1 << e for e in pm) for pm in pms]
+    by_edge = [[] for _ in range(m)]
+    for idx, pm in enumerate(pms):
+        for e in pm:
+            by_edge[e].append(idx)
+    chosen = []
+
+    def dfs(start, m1, m2):
+        rem = 6 - len(chosen)
+        if rem == 0:
+            return tuple(chosen) if m2 == full else None
+        m0 = full & ~(m1 | m2)
+        if m0 and rem == 2:
+            candidates = by_edge[(m0 & -m0).bit_length() - 1]
+        elif m1 and rem == 1:
+            candidates = by_edge[(m1 & -m1).bit_length() - 1]
+        else:
+            candidates = range(start, len(masks))
+        for idx in candidates:
+            if idx < start or masks[idx] & m2:
+                continue
+            chosen.append(idx)
+            new_m2 = m2 | (masks[idx] & m1)
+            got = dfs(idx, (m1 | masks[idx]) & ~new_m2, new_m2)
+            chosen.pop()
+            if got is not None:
+                return got
+        return None
+
+    try:
+        found = dfs(0, 0, 0)
+    finally:
+        del dfs
+    return None if found is None else [tuple(pms[i]) for i in found]
+
+
 def count_perfect_matchings(n, edges):
     """Memoised count over vertex bitmasks (branch on the lowest vertex)."""
     if n % 2:

@@ -1,10 +1,13 @@
 """Six-matching covers, complementary pairs, and the flow translations."""
 
 import gc
+import random
 
 import pytest
 
 import snarkdefect as sd
+import oracles
+from conftest import SEED
 
 PETERSEN_COVER = [
     [0, 5, 9, 10, 12], [0, 6, 7, 11, 13], [1, 3, 8, 10, 13],
@@ -83,6 +86,41 @@ def test_find_cover_larger_snarks(j5, blanusa1):
     for g in (j5, blanusa1):
         cover = sd.find_cover(g)
         assert sd.verify_cover(g, cover).ok
+
+
+def reference_cover(g):
+    """The oracle's cover, over the brute-force matching list where that is
+    quick, else over the unpruned search-order enumeration, sorted."""
+    n, edges = g.vertex_count, oracles.edge_pairs(g)
+    if n <= 12:
+        return oracles.fulkerson_cover(n, edges)
+    pms = sorted(tuple(sorted(m)) for m in oracles.search_order_perfect_matchings(g))
+    return oracles.fulkerson_cover(n, edges, pms)
+
+
+def test_find_cover_matches_the_reference_search(petersen, k4, theta, j3, j5, j7,
+                                                  blanusa1, blanusa2):
+    suite = [petersen, k4, theta, j3, j5, j7, sd.flower_snark(9), blanusa1, blanusa2,
+             sd.bipartite_double(petersen)]
+    rng = random.Random(SEED)
+    randoms = []
+    while len(randoms) < 200:
+        n = rng.randrange(4, 26, 2)
+        g = sd.CubicGraph(n, oracles.random_cubic_edges(rng, n))
+        if sd.is_bridgeless(g):
+            randoms.append(g)
+    for g in suite + randoms:
+        assert cover_lists(sd.find_cover(g)) == [list(t) for t in reference_cover(g)], g.edges
+
+
+@pytest.mark.parametrize("name, nodes", [("j5", 36), ("j7", 70)])
+def test_find_cover_node_count(request, name, nodes):
+    """One node is one member placed; the closing pair is looked up, so
+    the search places few members that lead nowhere."""
+    g = request.getfixturevalue(name)
+    assert sd.verify_cover(g, sd.find_cover(g, max_nodes=nodes)).ok
+    with pytest.raises(sd.BudgetError, match=f"exceeded {nodes - 1} nodes"):
+        sd.find_cover(g, max_nodes=nodes - 1)
 
 
 def test_find_cover_matching_cap_holds_exactly_that_many(petersen):
