@@ -18,6 +18,13 @@ from .graph_core import CubicGraph, GraphError, Multipole, is_bridgeless
 COLOURS = (1, 2, 3)
 
 
+def _no_room(limit: int | None) -> bool:
+    """True when ``limit`` asks for nothing; a negative limit is an error."""
+    if limit is not None and limit < 0:
+        raise GraphError(f"limit must not be negative, got {limit}")
+    return limit == 0
+
+
 def is_perfect_matching(g: CubicGraph, edges) -> bool:
     """Every vertex covered exactly once by edges of g; loops never
     qualify, nor do ids that are not edges of g."""
@@ -52,6 +59,8 @@ def enumerate_perfect_matchings(g: CubicGraph, limit: int | None = None) -> list
     are unchanged as well.
     """
     n = g.vertex_count
+    if _no_room(limit):
+        return []
     if n == 0:
         return [frozenset()]
     if n % 2:
@@ -120,109 +129,82 @@ def _force(free: int, touched: list[int], chosen: list[int], nbr, sole) -> int |
 
 
 # ---------------------------------------------------------------------------
-# 3-edge-colouring as constraint propagation on Z2 x Z2 sums
+# 3-edge-colouring as a lexicographic search
 # ---------------------------------------------------------------------------
 
-class _Colourer:
-    """Backtracking with unit propagation over dart-level incidences.
+def enumerate_colourings(m: Multipole, limit: int | None = None) -> list[dict[int, int]]:
+    """All valid colourings (or the first ``limit``) in lexicographic
+    order of the colour vector, edge 0 first.
 
-    Deterministic: the branching edge is always the lowest-id uncoloured
-    edge, colours are tried in ascending order, and forced moves are
-    applied eagerly; the first solution under this order is returned.
-    When colour 1 on the first edge leads to no colouring, colours 2 and
-    3 are not tried: by colour symmetry they cannot lead to one either.
+    Edges are coloured in id order, colours tried in ascending order, and
+    no colour is put on a vertex twice: for three nonzero elements of
+    Z2 x Z2 that is the same as XORing to zero.  Each free end gets a
+    spare vertex of its own, which no other end shares.  After each
+    colour, every higher-id edge that shares a vertex with the edge must
+    still have a colour left; this cuts dead branches early and never
+    changes the order, since it only skips subtrees without colourings.
     """
-
-    def __init__(self, m: Multipole):
-        self.pole = m
-        self.m = m.edge_count
-        self.colour = [0] * self.m
-        # per-vertex tally of coloured ends and XOR of their colours
-        self.cnt = [0] * m.vertex_count
-        self.acc = [0] * m.vertex_count
-
-    def _assign(self, e0: int, c0: int, trail: list[int]) -> bool:
-        queue = [(e0, c0)]
-        while queue:
-            e, c = queue.pop()
-            if self.colour[e]:
-                if self.colour[e] != c:
-                    return False
-                continue
-            self.colour[e] = c
-            trail.append(e)
-            # book-keep both endpoints before any constraint check can
-            # fail, so _undo's reversal stays symmetric
-            for slot in self.pole.endpoints(e):
-                if slot is not None:
-                    self.cnt[slot] += 1
-                    self.acc[slot] ^= c
-            for slot in self.pole.endpoints(e):
-                if slot is None:
-                    continue
-                if self.cnt[slot] == 3:
-                    if self.acc[slot] != 0:
-                        return False
-                elif self.cnt[slot] == 2:
-                    forced = self.acc[slot]
-                    if forced == 0:
-                        return False  # two equal colours meet at slot
-                    for f, _ in self.pole.incident_ends(slot):
-                        if not self.colour[f]:
-                            queue.append((f, forced))
-                            break
-        return True
-
-    def _undo(self, trail: list[int]) -> None:
-        for e in reversed(trail):
-            c = self.colour[e]
-            self.colour[e] = 0
-            for slot in self.pole.endpoints(e):
-                if slot is not None:
-                    self.cnt[slot] -= 1
-                    self.acc[slot] ^= c
-
-    def solve(self, limit: int | None, out: list[dict[int, int]]) -> None:
-        def rec(start: int) -> bool:
-            e = start
-            while e < self.m and self.colour[e]:
+    if _no_room(limit):
+        return []
+    n = m.vertex_count
+    ends = []
+    spare = n
+    for e in range(m.edge_count):
+        a, b = m.endpoints(e)
+        if a is None:
+            a, spare = spare, spare + 1
+        if b is None:
+            b, spare = spare, spare + 1
+        if a == b:
+            return []  # a loop puts its colour on its vertex twice
+        ends.append((a, b))
+    k = len(ends)
+    # per edge, the ends of the higher-id edges that share a vertex with it
+    later = [{ends[f] for v in (a, b) if v < n for f, _ in m.incident_ends(v) if f > e}
+             for e, (a, b) in enumerate(ends)]
+    used = [0] * spare  # per vertex, a bitmask of the colours on its ends
+    colour = [0] * k
+    out: list[dict[int, int]] = []
+    e = 0
+    while e >= 0:
+        if e == k:
+            out.append(dict(enumerate(colour)))
+            if len(out) == limit:
+                break
+            e -= 1
+            continue
+        if e == 0 and colour[0] and not out:
+            # every permutation of {1, 2, 3} is an automorphism of
+            # Z2 x Z2 and free ends are unconstrained, so colours 2 and 3
+            # on edge 0 fail when colour 1 does
+            break
+        a, b = ends[e]
+        c = colour[e]
+        if c:
+            used[a] ^= 1 << c
+            used[b] ^= 1 << c
+        # colours above c that neither end carries yet (bits 1-3)
+        free = 14 & -(2 << c) & ~(used[a] | used[b])
+        if free:
+            c = (free & -free).bit_length() - 1
+            colour[e] = c
+            used[a] |= 1 << c
+            used[b] |= 1 << c
+            for x, y in later[e]:
+                if not 14 & ~(used[x] | used[y]):
+                    break  # a later edge has no colour left: try the next c
+            else:
                 e += 1
-            if e == self.m:
-                out.append({i: self.colour[i] for i in range(self.m)})
-                return limit is not None and len(out) >= limit
-            for c in COLOURS:
-                trail: list[int] = []
-                ok = self._assign(e, c, trail)
-                if ok and rec(e + 1):
-                    return True
-                self._undo(trail)
-                if start == 0 and not out:
-                    # every permutation of {1, 2, 3} is an automorphism of
-                    # Z2 x Z2 and free ends are unconstrained, so colours 2
-                    # and 3 on the root edge fail when colour 1 does
-                    return False
-            return False
-
-        # rec refers to itself through its closure cell; emptying the cell
-        # leaves no reference cycle holding this colourer
-        try:
-            rec(0)
-        finally:
-            del rec
+        else:
+            colour[e] = 0
+            e -= 1
+    return out
 
 
 def three_edge_colour(m: Multipole) -> dict[int, int] | None:
-    """First valid colouring in the documented search order, or None."""
-    out: list[dict[int, int]] = []
-    _Colourer(m).solve(1, out)
+    """The lexicographically least valid colouring, or None."""
+    out = enumerate_colourings(m, 1)
     return out[0] if out else None
-
-
-def enumerate_colourings(m: Multipole, limit: int | None = None) -> list[dict[int, int]]:
-    """All valid colourings (or the first ``limit`` in search order)."""
-    out: list[dict[int, int]] = []
-    _Colourer(m).solve(limit, out)
-    return out
 
 
 def check_colouring(m: Multipole, colouring: dict[int, int]) -> str | None:
@@ -318,10 +300,9 @@ def two_factor_circuits(g: CubicGraph, matching: frozenset[int]) -> list[list[in
             circuit.append(e)
             v = g.endpoints(e)[1 - i]  # walk out of the far end
             nxt = [(f, j) for f, j in at[v] if f != e]
-            if len(nxt) == 1:
-                e, i = nxt[0]
-            else:  # parallel 2-factor edges or a fresh loop
-                e, i = next((f, j) for f, j in at[v] if f not in used or f == e0)
+            if not nxt:
+                break  # e is a loop, a circuit of its own
+            e, i = nxt[0]
             if e == e0:
                 break
         circuits.append(circuit)

@@ -603,13 +603,9 @@ def cyclic_edge_connectivity(g: CubicGraph, limit: int, max_vertices: int = 40):
             adj_mask[a] |= 1 << b
             adj_mask[b] |= 1 << a
 
-    loops = [e for e, (a, b) in enumerate(g.edges) if a == b]
-
     def has_circuit(mask: int) -> bool:
         # a circuit exists iff some component of the induced subgraph has
         # at least as many induced edges as vertices
-        if any(edge_masks[e] & mask and (edge_masks[e] & mask) == edge_masks[e] for e in loops):
-            return True
         rest = mask
         while rest:
             v = (rest & -rest).bit_length() - 1
@@ -628,7 +624,7 @@ def cyclic_edge_connectivity(g: CubicGraph, limit: int, max_vertices: int = 40):
             for em in edge_masks:
                 if em & comp == em:
                     ec += 1
-            if ec >= bin(comp).count("1"):
+            if ec >= comp.bit_count():
                 return True
             rest &= ~comp
         return False

@@ -6,6 +6,8 @@ genuinely independent to disagree with.  All of it is slow on purpose —
 keep inputs small.
 """
 
+from __future__ import annotations
+
 import itertools
 
 
@@ -228,6 +230,109 @@ def all_colourings(ends):
                     slots.setdefault(v, []).append(assign[e])
         if all(len(cols) == len(set(cols)) for cols in slots.values()):
             out.append(dict(enumerate(assign)))
+    return out
+
+
+COLOURS = (1, 2, 3)
+
+
+class _Colourer:
+    """Backtracking with unit propagation over dart-level incidences.
+
+    Deterministic: the branching edge is always the lowest-id uncoloured
+    edge, colours are tried in ascending order, and forced moves are
+    applied eagerly; the first solution under this order is returned.
+    When colour 1 on the first edge leads to no colouring, colours 2 and
+    3 are not tried: by colour symmetry they cannot lead to one either.
+    """
+
+    def __init__(self, m: Multipole):
+        self.pole = m
+        self.m = m.edge_count
+        self.colour = [0] * self.m
+        # per-vertex tally of coloured ends and XOR of their colours
+        self.cnt = [0] * m.vertex_count
+        self.acc = [0] * m.vertex_count
+
+    def _assign(self, e0: int, c0: int, trail: list[int]) -> bool:
+        queue = [(e0, c0)]
+        while queue:
+            e, c = queue.pop()
+            if self.colour[e]:
+                if self.colour[e] != c:
+                    return False
+                continue
+            self.colour[e] = c
+            trail.append(e)
+            # book-keep both endpoints before any constraint check can
+            # fail, so _undo's reversal stays symmetric
+            for slot in self.pole.endpoints(e):
+                if slot is not None:
+                    self.cnt[slot] += 1
+                    self.acc[slot] ^= c
+            for slot in self.pole.endpoints(e):
+                if slot is None:
+                    continue
+                if self.cnt[slot] == 3:
+                    if self.acc[slot] != 0:
+                        return False
+                elif self.cnt[slot] == 2:
+                    forced = self.acc[slot]
+                    if forced == 0:
+                        return False  # two equal colours meet at slot
+                    for f, _ in self.pole.incident_ends(slot):
+                        if not self.colour[f]:
+                            queue.append((f, forced))
+                            break
+        return True
+
+    def _undo(self, trail: list[int]) -> None:
+        for e in reversed(trail):
+            c = self.colour[e]
+            self.colour[e] = 0
+            for slot in self.pole.endpoints(e):
+                if slot is not None:
+                    self.cnt[slot] -= 1
+                    self.acc[slot] ^= c
+
+    def solve(self, limit: int | None, out: list[dict[int, int]]) -> None:
+        def rec(start: int) -> bool:
+            e = start
+            while e < self.m and self.colour[e]:
+                e += 1
+            if e == self.m:
+                out.append({i: self.colour[i] for i in range(self.m)})
+                return limit is not None and len(out) >= limit
+            for c in COLOURS:
+                trail: list[int] = []
+                ok = self._assign(e, c, trail)
+                if ok and rec(e + 1):
+                    return True
+                self._undo(trail)
+                if start == 0 and not out:
+                    # every permutation of {1, 2, 3} is an automorphism of
+                    # Z2 x Z2 and free ends are unconstrained, so colours 2
+                    # and 3 on the root edge fail when colour 1 does
+                    return False
+            return False
+
+        # rec refers to itself through its closure cell; emptying the cell
+        # leaves no reference cycle holding this colourer
+        try:
+            rec(0)
+        finally:
+            del rec
+
+
+def search_order_colourings(m, limit=None):
+    """Colourings of a Multipole from the package's earlier propagating
+    colourer, kept as it was: branch on the lowest uncoloured edge, try
+    colours in ascending order, apply forced colours eagerly, and stop
+    after ``limit`` colourings.  Its output is in lexicographic order of
+    the colour vector, edge 0 first, which the package must reproduce
+    exactly, ``limit`` prefixes included."""
+    out = []
+    _Colourer(m).solve(limit, out)
     return out
 
 

@@ -66,6 +66,54 @@ def test_colour_symmetry_cut_keeps_every_colouring(theta, k4, k33, prism, cube):
         assert sd.three_edge_colour(m) == got[0]
 
 
+def test_colourings_come_in_lexicographic_order(theta, k4, k33):
+    """The list is the 3^m product scan's, in its order, edge 0 first,
+    and ``limit`` takes a prefix of it."""
+    cases = [
+        theta, k4, k33,
+        sd.Multipole(1, [(0, None)] * 3),          # one tripole
+        sd.Multipole(1, [(0, 0), (0, None)]),      # loop plus a semiedge
+        sd.z_pole(),
+    ]
+    for m in cases:
+        want = oracles.all_colourings([tuple(m.endpoints(e)) for e in range(m.edge_count)])
+        assert sd.enumerate_colourings(m) == want
+        for limit in (1, 2, 5):
+            assert sd.enumerate_colourings(m, limit) == want[:limit]
+
+
+def test_colourings_match_the_propagating_search(k33, prism, cube, petersen, j5):
+    """The same lists, limit prefixes included, as the propagating
+    colourer the package used before.  Full lists up to 10 vertices; on
+    J5 poles the reference's dead search takes seconds for a full list and
+    up to 0.3 s for ten colourings, so those run at limit 10 alone."""
+    rng = random.Random(20261018)
+    bases = [k33, prism, cube, petersen, j5]
+    poles = [sd.remove_vertices(g, rng.sample(range(g.vertex_count), rng.randint(1, 3)))[0]
+             for g in (rng.choice(bases) for _ in range(30))]
+    poles += [sd.CubicGraph(n, oracles.random_cubic_edges(rng, n)) for n in [2, 4, 6, 8, 10] * 6]
+    for m in poles:
+        for limit in (None, 1, 10) if m.vertex_count <= 10 else (10,):
+            assert sd.enumerate_colourings(m, limit) == oracles.search_order_colourings(m, limit)
+
+
+def test_colouring_limits(k4):
+    assert sd.enumerate_colourings(k4, limit=0) == []
+    assert sd.enumerate_perfect_matchings(k4, limit=0) == []
+    for search in (sd.enumerate_colourings, sd.enumerate_perfect_matchings):
+        with pytest.raises(sd.GraphError, match="negative"):
+            search(k4, limit=-1)
+
+
+def test_three_edge_colour_on_a_long_prism():
+    """3,000 edges, deeper than the default recursion limit."""
+    rungs = 1000
+    edges = [(2 * i, 2 * i + 1) for i in range(rungs)]
+    edges += [(2 * i + s, (2 * i + 2) % (2 * rungs) + s) for i in range(rungs) for s in (0, 1)]
+    g = sd.CubicGraph(2 * rungs, edges)
+    assert sd.check_colouring(g, sd.three_edge_colour(g)) is None
+
+
 def test_three_edge_colour_on_colourables(theta, k4, k33, prism, cube):
     for g in (theta, k4, k33, prism, cube):
         col = sd.three_edge_colour(g)

@@ -239,8 +239,10 @@ def test_bipartite(petersen, k4, k33, cube, theta, prism):
     assert not sd.is_bipartite(prism)
 
 
-def test_cyclic_edge_connectivity(petersen, k4, theta, j5, blanusa1, j7):
+def test_cyclic_edge_connectivity(petersen, k4, theta, j5, blanusa1, j7, dumbbell):
     assert sd.cyclic_edge_connectivity(petersen, 6) == 5
+    # the bridge separates the two loops
+    assert sd.cyclic_edge_connectivity(dumbbell, 6) == 1
     assert sd.cyclic_edge_connectivity(j5, 6) == 5
     assert sd.cyclic_edge_connectivity(blanusa1, 6) == 4
     # below any cycle-separating cut, the probe caps out
