@@ -65,26 +65,22 @@ def enumerate_perfect_matchings(g: CubicGraph, limit: int | None = None) -> list
         return [frozenset()]
     if n % 2:
         return []
-    # per vertex, in incident_ends order with loops skipped: the
-    # (edge, partner) choices, the partners as a bitmask, and the
+    # per vertex, with loops skipped: the partners as a bitmask, and the
     # partners reached by exactly one edge (partner bit -> edge)
-    arcs: list[list[tuple[int, int]]] = []
     nbr: list[int] = []
     sole: list[dict[int, int]] = []
     for v in range(n):
-        mine = [(e, w) for e, i in g.incident_ends(v) if (w := g.endpoints(e)[1 - i]) != v]
-        partners = [w for _, w in mine]
-        arcs.append(mine)
+        partners = [w for w, _ in g.arcs(v) if w != v]
         nbr.append(sum(1 << w for w in set(partners)))
-        sole.append({1 << w: e for e, w in mine if partners.count(w) == 1})
+        sole.append({1 << w: e for w, e in g.arcs(v) if w != v and partners.count(w) == 1})
     out: list[tuple[int, ...]] = []
-    _match_lowest((1 << n) - 1, [], out, limit, arcs, nbr, sole)
+    _match_lowest((1 << n) - 1, [], out, limit, g, nbr, sole)
     out.sort()
     return [frozenset(t) for t in out]
 
 
 def _match_lowest(free: int, chosen: list[int], out: list[tuple[int, ...]],
-                  limit: int | None, arcs, nbr, sole) -> bool:
+                  limit: int | None, g, nbr, sole) -> bool:
     """Extend ``chosen`` over the bitmask ``free`` of uncovered vertices,
     appending each perfect matching to ``out``; True once ``limit`` is
     reached.  A module-level function, not a closure, so no reference
@@ -93,13 +89,14 @@ def _match_lowest(free: int, chosen: list[int], out: list[tuple[int, ...]],
         out.append(tuple(sorted(chosen)))
         return limit is not None and len(out) >= limit
     v = (free & -free).bit_length() - 1
+    others = free ^ 1 << v
     depth = len(chosen)
-    for e, w in arcs[v]:
-        if not free >> w & 1:
-            continue  # partner already matched
+    for w, e in g.arcs(v):
+        if not others >> w & 1:
+            continue  # a loop, or the partner is already matched
         chosen.append(e)
-        rest = _force(free & ~(1 << v | 1 << w), [v, w], chosen, nbr, sole)
-        if rest is not None and _match_lowest(rest, chosen, out, limit, arcs, nbr, sole):
+        rest = _force(others ^ 1 << w, [v, w], chosen, nbr, sole)
+        if rest is not None and _match_lowest(rest, chosen, out, limit, g, nbr, sole):
             return True
         del chosen[depth:]
     return False
@@ -281,28 +278,21 @@ def two_factor_circuits(g: CubicGraph, matching: frozenset[int]) -> list[list[in
     """Circuits (as edge-id lists) of the 2-factor complementary to a PM."""
     if not is_perfect_matching(g, matching):
         raise GraphError("not a perfect matching")
-    rest = [e for e in range(g.edge_count) if e not in matching]
     # each vertex has exactly two 2-factor ends; walk them
-    at: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
-    for e in rest:
-        a, b = g.endpoints(e)
-        at[a].append((e, 0))
-        at[b].append((e, 1))
     used = set()
     circuits = []
-    for e0 in rest:
-        if e0 in used:
+    for e0 in range(g.edge_count):
+        if e0 in matching or e0 in used:
             continue
         circuit = []
-        e, i = e0, 0
+        e, v = e0, g.endpoints(e0)[1]
         while True:
             used.add(e)
             circuit.append(e)
-            v = g.endpoints(e)[1 - i]  # walk out of the far end
-            nxt = [(f, j) for f, j in at[v] if f != e]
+            nxt = [(f, w) for w, f in g.arcs(v) if f != e and f not in matching]
             if not nxt:
                 break  # e is a loop, a circuit of its own
-            e, i = nxt[0]
+            e, v = nxt[0]  # step to the far end of the next edge
             if e == e0:
                 break
         circuits.append(circuit)

@@ -90,11 +90,7 @@ def five_circuits(g: CubicGraph) -> list[tuple[int, ...]]:
     """All 5-circuits as vertex tuples, least vertex first, lesser
     neighbour second; sorted."""
     n = g.vertex_count
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    for a, b in g.edges:
-        if a != b:
-            nbrs[a].add(b)
-            nbrs[b].add(a)
+    nbrs = [{w for w, _ in g.arcs(v)} - {v} for v in range(n)]
     out = []
 
     def extend(path: list[int]) -> None:

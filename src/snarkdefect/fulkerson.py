@@ -359,6 +359,15 @@ def nz_4flow(g: CubicGraph, removed=(), max_dimension: int = 24) -> GroupFlow | 
     (V, S1) contains an even number of odd-degree vertices.  The first
     hit is returned, so results are deterministic.  Bridges in the
     subgraph are rejected up front (no nowhere-zero flow can exist).
+
+    The flow built for a hit is valid without a re-check.  S1 is even,
+    as a sum of circuits.  Each component of (V, S1) holds an even
+    number of odd vertices, so the fix-up along its spanning tree, leaves
+    inward, leaves the root even and gives a set y of S1 edges with odd
+    degree exactly at the odd vertices.  Then S2 = y + (present - S1) is
+    even, and every present edge lies in S1 or S2, so its value
+    2*[e in S1] + [e in S2] is nonzero and both coordinates XOR to zero
+    at every vertex.
     """
     removed = frozenset(removed)
     for e in removed:
@@ -377,11 +386,6 @@ def nz_4flow(g: CubicGraph, removed=(), max_dimension: int = 24) -> GroupFlow | 
     depth = [0] * n
     visited = [False] * n
     tree: set[int] = set()
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for e in present:
-        a, b = g.endpoints(e)
-        adj[a].append((b, e))
-        adj[b].append((a, e))
     for root in range(n):
         if visited[root]:
             continue
@@ -391,8 +395,8 @@ def nz_4flow(g: CubicGraph, removed=(), max_dimension: int = 24) -> GroupFlow | 
         while qi < len(queue):
             u = queue[qi]
             qi += 1
-            for w, e in adj[u]:
-                if not visited[w]:
+            for w, e in g.arcs(u):
+                if e not in removed and not visited[w]:
                     visited[w] = True
                     parent_edge[w] = e
                     parent_vtx[w] = u
@@ -423,16 +427,8 @@ def nz_4flow(g: CubicGraph, removed=(), max_dimension: int = 24) -> GroupFlow | 
             odd[a] = not odd[a]
             odd[b] = not odd[b]
 
-    ends = g.endpoints
-
     def try_s1(s1: int) -> GroupFlow | None:
         # components of (V, S1) must each hold an even number of odd vertices
-        nbr: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for e in present:
-            if s1 >> e & 1:
-                a, b = ends(e)
-                nbr[a].append((b, e))
-                nbr[b].append((a, e))
         comp = [-1] * n
         order: list[int] = []
         pe = [-1] * n
@@ -446,8 +442,8 @@ def nz_4flow(g: CubicGraph, removed=(), max_dimension: int = 24) -> GroupFlow | 
             members = [root]
             while stack:
                 u = stack.pop()
-                for w, e in nbr[u]:
-                    if comp[w] == -1:
+                for w, e in g.arcs(u):
+                    if s1 >> e & 1 and comp[w] == -1:
                         comp[w] = root
                         pe[w] = e
                         pv[w] = u
@@ -463,9 +459,7 @@ def nz_4flow(g: CubicGraph, removed=(), max_dimension: int = 24) -> GroupFlow | 
         for u in reversed(order):
             if pe[u] != -1 and need[u]:
                 y_mask ^= 1 << pe[u]
-                need[u] = False
                 need[pv[u]] = not need[pv[u]]
-        assert not any(need), "parity fix-up left an odd root"
         s2 = y_mask
         for e in present:
             if not (s1 >> e & 1):
@@ -475,24 +469,16 @@ def nz_4flow(g: CubicGraph, removed=(), max_dimension: int = 24) -> GroupFlow | 
             a = s1 >> e & 1
             b = s2 >> e & 1
             vals[e] = 2 * a + b
-        flow = GroupFlow(g, removed, tuple(vals))
-        chk = verify_group_flow(flow)
-        assert chk, f"cycle-space construction failed: {chk.violation}"
-        return flow
+        return GroupFlow(g, removed, tuple(vals))
 
-    result: GroupFlow | None = None
-
-    def rec(t: int, mask: int) -> bool:
-        nonlocal result
-        if t < 0:
-            result = try_s1(mask)
-            return result is not None
-        if rec(t - 1, mask):
-            return True
-        return rec(t - 1, mask ^ cycles[t])
-
-    try:
-        rec(d - 1, 0)
-    finally:
-        del rec  # rec refers to itself; empty the cell to break the cycle
-    return result
+    # bit t of coeffs selects cycles[t], so S1 runs in ascending order of
+    # its coefficient vector read with cycles[d - 1] as the top bit
+    for coeffs in range(1 << d):
+        s1 = 0
+        for t in range(d):
+            if coeffs >> t & 1:
+                s1 ^= cycles[t]
+        flow = try_s1(s1)
+        if flow is not None:
+            return flow
+    return None

@@ -31,7 +31,8 @@ Each edge line gives the two endpoint slots in end order (end 0 first);
 ``-`` marks a free end.  ``connector NAME: ...`` lines partition the
 free ends using ``e<edge>.<end>`` tokens.  If no connector line is
 present, all free ends form a single connector named ``free`` in
-(edge, end) order.  Every free end must lie in exactly one connector.
+(edge, end) order.  Every free end must lie in exactly one connector,
+and no two connectors share a name.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class Multipole:
     Immutable after construction; safe to share freely.
     """
 
-    __slots__ = ("_n", "_endpoints", "_connectors", "_incidence", "_free", "_hash")
+    __slots__ = ("_n", "_endpoints", "_connectors", "_incidence", "_arcs", "_free", "_hash")
 
     def __init__(
         self,
@@ -126,7 +127,11 @@ class Multipole:
         else:
             conns = tuple((name, tuple((e, i) for e, i in ends)) for name, ends in connectors)
             seen: set[tuple[int, int]] = set()
+            names: set[str] = set()
             for name, ends in conns:
+                if name in names:
+                    raise ConnectorError(f"connector {name}: name used twice")
+                names.add(name)
                 for fe in ends:
                     if fe not in free_set:
                         raise ConnectorError(f"connector {name}: {fe} is not a free end")
@@ -137,17 +142,23 @@ class Multipole:
                 missing = sorted(free_set - seen)
                 raise ConnectorError(f"free ends not covered by any connector: {missing}")
 
+        # both tables fill in (edge, end) order, so they are sorted and
+        # position k of arcs(v) is the far end of incident_ends(v)[k]
         incidence: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
+        arcs: list[list[tuple[int | None, int]]] = [[] for _ in range(vertex_count)]
         for e, (a, b) in enumerate(eps):
             if a is not None:
                 incidence[a].append((e, 0))
+                arcs[a].append((b, e))
             if b is not None:
                 incidence[b].append((e, 1))
+                arcs[b].append((a, e))
 
         self._n = vertex_count
         self._endpoints = eps
         self._connectors = conns
-        self._incidence = tuple(tuple(sorted(inc)) for inc in incidence)
+        self._incidence = tuple(map(tuple, incidence))
+        self._arcs = tuple(map(tuple, arcs))
         self._free = tuple(sorted(free))
         self._hash = hash((vertex_count, eps, conns))
 
@@ -175,6 +186,12 @@ class Multipole:
     def incident_ends(self, v: int) -> tuple[tuple[int, int], ...]:
         """The three (edge, end) pairs at v, sorted; a loop appears twice."""
         return self._incidence[v]
+
+    def arcs(self, v: int) -> tuple[tuple[int | None, int], ...]:
+        """The (neighbour, edge) pairs at v in ``incident_ends`` order: a
+        loop appears twice, and a free end has neighbour None.  Built once
+        with the multipole; every graph walk reads it."""
+        return self._arcs[v]
 
     def incident_edges(self, v: int) -> tuple[int, ...]:
         return tuple(e for e, _ in self._incidence[v])
@@ -235,11 +252,7 @@ class CubicGraph(Multipole):
 
     def adjacency(self) -> list[list[tuple[int, int]]]:
         """Per-vertex list of (neighbour, edge id); loops contribute twice."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self._n)]
-        for e, (a, b) in enumerate(self._endpoints):
-            adj[a].append((b, e))
-            adj[b].append((a, e))
-        return adj
+        return [list(a) for a in self._arcs]
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +449,8 @@ def girth(g: CubicGraph) -> int:
         pair_seen.add(key)
     if best == 2:
         return 2
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for a, b in g.edges:
-        adj[a].add(b)
-        adj[b].add(a)
+    # simple from here on: no loop, no parallel pair.  Every vertex has
+    # degree 3, so a circuit exists and the search below finds one.
     best = m + 1
     for s in range(n):
         dist = {s: 0}
@@ -451,15 +462,13 @@ def girth(g: CubicGraph) -> int:
             qi += 1
             if 2 * dist[u] >= best:
                 break
-            for v in adj[u]:
+            for v, _ in g.arcs(u):
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     parent[v] = u
                     queue.append(v)
                 elif parent[u] != v and parent[v] != u:
                     best = min(best, dist[u] + dist[v] + 1)
-    if best > m:
-        raise GraphError("graph has no circuit")
     return best
 
 
@@ -476,8 +485,7 @@ def connected_components(g: Multipole) -> list[list[int]]:
         stack = [s]
         while stack:
             u = stack.pop()
-            for e, i in g.incident_ends(u):
-                w = g.endpoints(e)[1 - i]
+            for w, _ in g.arcs(u):
                 if w is not None and not seen[w]:
                     seen[w] = True
                     comp.append(w)
@@ -498,12 +506,6 @@ def bridges(g: CubicGraph, removed: Iterable[int] = ()) -> list[int]:
     """
     n = g.vertex_count
     dead = set(removed)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for e, (a, b) in enumerate(g.edges):
-        if e in dead:
-            continue
-        adj[a].append((b, e))
-        adj[b].append((a, e))
     visited = [False] * n
     disc = [0] * n
     low = [0] * n
@@ -519,11 +521,12 @@ def bridges(g: CubicGraph, removed: Iterable[int] = ()) -> list[int]:
                 visited[u] = True
                 disc[u] = low[u] = timer
                 timer += 1
-            if idx < len(adj[u]):
+            arcs = g.arcs(u)
+            if idx < len(arcs):
                 stack.append((u, pe, idx + 1))
-                w, e = adj[u][idx]
-                if w == u:
-                    continue  # loops are never bridges
+                w, e = arcs[idx]
+                if w == u or e in dead:
+                    continue  # loops are never bridges; removed edges are absent
                 if not visited[w]:
                     stack.append((w, e, 0))
                 elif e != pe:
@@ -555,6 +558,8 @@ def is_two_connected(g: CubicGraph) -> bool:
 
 
 def is_bipartite(g: CubicGraph) -> bool:
+    """Two-colourable.  A loop fails like any odd circuit: its far end
+    w == u already carries u's colour."""
     n = g.vertex_count
     colour = [-1] * n
     for s in range(n):
@@ -566,10 +571,7 @@ def is_bipartite(g: CubicGraph) -> bool:
         while qi < len(queue):
             u = queue[qi]
             qi += 1
-            for e, i in g.incident_ends(u):
-                w = g.endpoints(e)[1 - i]
-                if w == u and g.endpoints(e) == (u, u):
-                    return False  # loop
+            for w, _ in g.arcs(u):
                 if colour[w] == -1:
                     colour[w] = 1 - colour[u]
                     queue.append(w)
@@ -697,7 +699,10 @@ class EndRef:
         part_s, _, rest = token.partition(":")
         if not rest:
             raise WiringError(f"bad end reference {token!r}")
-        part = int(part_s)
+        try:
+            part = int(part_s)
+        except ValueError:
+            raise WiringError(f"bad end reference {token!r}") from None
         m = _END_TOKEN.match(rest)
         if m:
             return EndRef(part, edge=int(m.group(1)), end=int(m.group(2)))
@@ -878,14 +883,10 @@ def canonical_form(g: CubicGraph, max_vertices: int = 64) -> tuple:
     n = g.vertex_count
     if n > max_vertices:
         raise SizeGateError(f"{n} vertices exceeds the canonical-form gate ({max_vertices})")
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for a, b in g.edges:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
 
     def refine(colour: tuple[int, ...]) -> tuple[int, ...]:
         while True:
-            sig = [(colour[v], tuple(sorted(colour[w] for w in nbrs[v]))) for v in range(n)]
+            sig = [(colour[v], tuple(sorted(colour[w] for w, _ in g.arcs(v)))) for v in range(n)]
             ranks = {s: i for i, s in enumerate(sorted(set(sig)))}
             new = tuple(ranks[s] for s in sig)
             if new == colour:
@@ -919,7 +920,7 @@ def canonical_form(g: CubicGraph, max_vertices: int = 64) -> tuple:
             search(refine(nxt))
 
     # search refers to itself through its closure cell; emptying the cell
-    # leaves no reference cycle holding nbrs and best
+    # leaves no reference cycle holding g and best
     try:
         search(refine(tuple([0] * n)))
     finally:

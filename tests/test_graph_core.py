@@ -81,6 +81,14 @@ def test_explicit_connectors_must_cover():
                      [("a", [(0, 1), (0, 1)]), ("b", [(1, 1), (2, 1)])])
 
 
+def test_connector_names_are_unique():
+    text = "vertices 1\n0 -\n0 -\n0 -\nconnector a: e0.1\nconnector a: e1.1 e2.1\n"
+    with pytest.raises(sd.ConnectorError, match="name used twice"):
+        sd.parse_edge_list(text)
+    with pytest.raises(sd.ConnectorError, match="name used twice"):
+        sd.Multipole(1, [(0, None)] * 3, [("a", [(0, 1)]), ("a", [(1, 1), (2, 1)])])
+
+
 def test_loops_and_parallel_edges_allowed(theta, dumbbell):
     assert theta.edge_count == 3
     assert dumbbell.endpoints(0) == (0, 0)
@@ -230,6 +238,50 @@ def test_two_connected_matches_vertex_deletion_oracle(petersen, k4, k33, theta, 
     assert seen == {True, False}
 
 
+def test_walks_agree_with_oracles_on_random_multigraphs():
+    # configuration-model graphs: loops, parallel edges and disconnected
+    # graphs all occur, and each walk reads the same arc table
+    rng = random.Random(20261018)
+    kinds = set()
+    for n in [2, 4, 6, 8, 10, 12, 14] * 35:
+        g = sd.CubicGraph(n, oracles.random_cubic_edges(rng, n))
+        pairs = edge_pairs(g)
+        dropped = rng.sample(range(n), rng.randint(1, min(2, n)))
+        pole, _, _ = sd.remove_vertices(g, dropped)
+        for m in (g, pole):
+            for v in range(m.vertex_count):
+                assert m.arcs(v) == tuple((m.endpoints(e)[1 - i], e)
+                                          for e, i in m.incident_ends(v))
+
+        count = oracles._component_count(n, pairs)
+        comps = sd.connected_components(g)
+        assert len(comps) == count
+        assert sorted(v for c in comps for v in c) == list(range(n))
+        assert comps == sorted(map(sorted, comps))
+        where = {v: k for k, c in enumerate(comps) for v in c}
+        assert all(where[a] == where[b] for a, b in pairs)
+
+        removed = set(rng.sample(range(g.edge_count), rng.randint(0, 3)))
+        for dead in (set(), removed):
+            kept = [e for e in range(g.edge_count) if e not in dead]
+            base = oracles._component_count(n, [pairs[e] for e in kept])
+            expected = [e for e in kept if pairs[e][0] != pairs[e][1]
+                        and oracles._component_count(
+                            n, [pairs[f] for f in kept if f != e]) > base]
+            assert sd.bridges(g, removed=dead) == expected, (g.edges, dead)
+
+        loops = any(a == b for a, b in pairs)
+        parallel = len(set(pairs)) < len(pairs)
+        kinds.update(kind for kind, seen in (("loop", loops), ("parallel", parallel),
+                                             ("disconnected", count > 1)) if seen)
+        if not (loops or parallel):
+            kinds.add("simple")
+            h = nx.Graph(pairs)
+            assert sd.girth(g) == nx.girth(h)
+            assert sd.is_bipartite(g) == nx.is_bipartite(h)
+    assert kinds == {"loop", "parallel", "disconnected", "simple"}
+
+
 def test_bipartite(petersen, k4, k33, cube, theta, prism):
     assert sd.is_bipartite(k33)
     assert sd.is_bipartite(cube)
@@ -302,6 +354,11 @@ def test_endref_parse():
     assert (r.part, r.connector, r.index) == (2, "cut", 3)
     with pytest.raises(sd.WiringError):
         sd.EndRef.parse("garbage")
+    for token in ("x:e1.0", ":e1.0"):
+        with pytest.raises(sd.WiringError, match="bad end reference"):
+            sd.EndRef.parse(token)
+    with pytest.raises(sd.WiringError, match="bad end reference"):
+        sd.WiringSpec.parse("join x:a[0] 1:b[0]")
 
 
 def test_wiring_spec_parse_matches_of():
