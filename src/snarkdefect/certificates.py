@@ -335,7 +335,7 @@ def _differences(stated: dict, rebuilt: dict) -> list[str]:
 def _edge_lists_problem(x, m: int) -> str | None:
     """Why x is not a list of lists of edge ids below m, or None."""
     if not (isinstance(x, list) and all(
-            isinstance(y, list) and all(isinstance(v, int) for v in y) for y in x)):
+            isinstance(y, list) and all(type(v) is int for v in y) for y in x)):
         return "is not a list of edge-id lists"
     if any(not 0 <= v < m for y in x for v in y):
         return "names an edge the graph does not have"

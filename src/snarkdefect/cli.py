@@ -213,7 +213,7 @@ def _load_cover_members(path: str):
     else:
         lists = None
     if not (isinstance(lists, list) and all(
-            isinstance(x, list) and all(isinstance(v, int) for v in x) for x in lists)):
+            isinstance(x, list) and all(type(v) is int for v in x) for x in lists)):
         raise GraphError(f"{path}: expected a 'matchings' list or a fulkerson certificate")
     return [frozenset(x) for x in lists]
 

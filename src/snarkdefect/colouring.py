@@ -27,19 +27,32 @@ def _no_room(limit: int | None) -> bool:
 
 def is_perfect_matching(g: CubicGraph, edges) -> bool:
     """Every vertex covered exactly once by edges of g; loops never
-    qualify, nor do ids that are not edges of g."""
+    qualify, nor do ids that are not edges of g (a bool is not an id)."""
     ends = g.edges
     covered: list[int] = []
     for e in edges:
-        if not (isinstance(e, int) and 0 <= e < len(ends)):
+        if not (type(e) is int and 0 <= e < len(ends)):
             return False
         covered += ends[e]
     # n endpoints, all distinct: each vertex once, and no loop
     return len(covered) == g.vertex_count == len(set(covered))
 
 
+def edge_set(mask: int) -> frozenset[int]:
+    """The edge ids of an edge bitmask (bit e set for edge e)."""
+    return frozenset(e for e, bit in enumerate(format(mask, "b")[::-1]) if bit == "1")
+
+
 def enumerate_perfect_matchings(g: CubicGraph, limit: int | None = None) -> list[frozenset[int]]:
-    """All perfect matchings, sorted lexicographically by sorted edge list.
+    """``perfect_matching_masks`` as edge sets: all perfect matchings,
+    sorted lexicographically by sorted edge list, or with ``limit`` the
+    search-order prefix of that many, re-sorted."""
+    return [edge_set(m) for m in perfect_matching_masks(g, limit)]
+
+
+def perfect_matching_masks(g: CubicGraph, limit: int | None = None) -> list[int]:
+    """All perfect matchings as edge bitmasks (bit e set for edge e),
+    sorted lexicographically by sorted edge list.
 
     Backtracking over the lowest uncovered vertex, trying its edges in
     ``incident_ends`` order; with ``limit`` the search stops after that
@@ -57,13 +70,16 @@ def enumerate_perfect_matchings(g: CubicGraph, limit: int | None = None) -> list
     branches on the same vertices, with the same edges, in the same
     order.  The pruned subtrees hold no matching, so ``limit`` prefixes
     are unchanged as well.
+
+    The completions of a search state, in search order, depend only on
+    its mask of uncovered vertices, so each mask is solved once.  Under
+    ``limit`` a state keeps its first ``limit`` completions: the first
+    ``limit`` of a concatenation need only the first ``limit`` of each
+    part.  Every matching has n/2 edges, so the lexicographic order is
+    the descending order of the bit strings read from edge 0.
     """
     n = g.vertex_count
-    if _no_room(limit):
-        return []
-    if n == 0:
-        return [frozenset()]
-    if n % 2:
+    if _no_room(limit) or n % 2:
         return []
     # per vertex, with loops skipped: the partners as a bitmask, and the
     # partners reached by exactly one edge (partner bit -> edge)
@@ -73,39 +89,45 @@ def enumerate_perfect_matchings(g: CubicGraph, limit: int | None = None) -> list
         partners = [w for w, _ in g.arcs(v) if w != v]
         nbr.append(sum(1 << w for w in set(partners)))
         sole.append({1 << w: e for w, e in g.arcs(v) if w != v and partners.count(w) == 1})
-    out: list[tuple[int, ...]] = []
-    _match_lowest((1 << n) - 1, [], out, limit, g, nbr, sole)
-    out.sort()
-    return [frozenset(t) for t in out]
+    found = _completions((1 << n) - 1, {0: [0]}, limit, g, nbr, sole)
+    width = f"0{g.edge_count}b"
+    return sorted(found, key=lambda m: format(m, width)[::-1], reverse=True)
 
 
-def _match_lowest(free: int, chosen: list[int], out: list[tuple[int, ...]],
-                  limit: int | None, g, nbr, sole) -> bool:
-    """Extend ``chosen`` over the bitmask ``free`` of uncovered vertices,
-    appending each perfect matching to ``out``; True once ``limit`` is
-    reached.  A module-level function, not a closure, so no reference
-    cycle keeps ``out`` alive after the search."""
-    if not free:
-        out.append(tuple(sorted(chosen)))
-        return limit is not None and len(out) >= limit
+def _completions(free: int, memo: dict[int, list[int]], limit: int | None,
+                 g, nbr, sole) -> list[int]:
+    """The perfect matchings of the vertices in the bitmask ``free``, as
+    edge bitmasks in search order, the first ``limit`` of them; each
+    ``free`` is solved once and kept in ``memo``.  A module-level
+    function, not a closure, so no reference cycle keeps ``memo`` alive
+    after the search."""
+    got = memo.get(free)
+    if got is not None:
+        return got
     v = (free & -free).bit_length() - 1
     others = free ^ 1 << v
-    depth = len(chosen)
+    out: list[int] = []
     for w, e in g.arcs(v):
         if not others >> w & 1:
             continue  # a loop, or the partner is already matched
-        chosen.append(e)
-        rest = _force(others ^ 1 << w, [v, w], chosen, nbr, sole)
-        if rest is not None and _match_lowest(rest, chosen, out, limit, g, nbr, sole):
-            return True
-        del chosen[depth:]
-    return False
+        forced = _force(others ^ 1 << w, [v, w], nbr, sole)
+        if forced is None:
+            continue
+        rest, bits = forced
+        bits |= 1 << e
+        out += [bits | m for m in _completions(rest, memo, limit, g, nbr, sole)]
+        if limit is not None and len(out) >= limit:
+            del out[limit:]
+            break
+    memo[free] = out
+    return out
 
 
-def _force(free: int, touched: list[int], chosen: list[int], nbr, sole) -> int | None:
-    """Apply the forced moves around the ``touched`` vertices, appending
-    forced edges to ``chosen``: the new ``free`` mask, or None when an
+def _force(free: int, touched: list[int], nbr, sole) -> tuple[int, int] | None:
+    """Apply the forced moves around the ``touched`` vertices: the new
+    ``free`` mask and the forced edges as a bitmask, or None when an
     uncovered vertex is left with no uncovered partner."""
+    bits = 0
     while touched:
         around = nbr[touched.pop()] & free
         while around:
@@ -119,10 +141,10 @@ def _force(free: int, touched: list[int], chosen: list[int], nbr, sole) -> int |
                 return None
             e = sole[u].get(cand)  # None unless one partner, by one edge
             if e is not None:
-                chosen.append(e)
+                bits |= 1 << e
                 free &= ~(low | cand)
                 touched += (u, cand.bit_length() - 1)
-    return free
+    return free, bits
 
 
 # ---------------------------------------------------------------------------
@@ -301,18 +323,42 @@ def two_factor_circuits(g: CubicGraph, matching: frozenset[int]) -> list[list[in
 
 def odd_circuit_count(g: CubicGraph, matching: frozenset[int]) -> int:
     """Number of odd circuits in the 2-factor complementary to a perfect matching."""
-    return sum(1 for c in two_factor_circuits(g, matching) if len(c) % 2)
+    if not is_perfect_matching(g, matching):
+        raise GraphError("not a perfect matching")
+    return _odd_circuits(g, sum(1 << e for e in matching))
 
 
-def matching_masks(matchings: list[frozenset[int]]) -> list[int]:
-    """Each matching as an edge bitmask (bit e set for edge e), in order."""
-    return [sum(1 << e for e in mm) for mm in matchings]
+def _odd_circuits(g: CubicGraph, mask: int) -> int:
+    """Number of odd circuits in the 2-factor complementary to the
+    perfect matching with edge bitmask ``mask``.
+
+    Walks each circuit from its lowest unwalked edge.  A vertex has two
+    2-factor ends, so the unwalked one beside the edge just walked is
+    the next step; there is none once the walk is back at its first
+    edge, or when that edge is a loop."""
+    rest = ((1 << g.edge_count) - 1) & ~mask  # the 2-factor edges not walked yet
+    odd = 0
+    while rest:
+        e = (rest & -rest).bit_length() - 1
+        v = g.endpoints(e)[1]
+        length = 0
+        while True:
+            rest ^= 1 << e
+            length += 1
+            for w, f in g.arcs(v):
+                if rest >> f & 1:
+                    e, v = f, w
+                    break
+            else:
+                break
+        odd += length & 1
+    return odd
 
 
 class GraphFacts:
     """Facts about one cubic graph, each computed at most once, on first
     use: bridgelessness, and the rest from one perfect-matching
-    enumeration.
+    enumeration, kept as edge bitmasks.
 
     Create one per graph and hand it to the functions that accept
     ``facts=``; nothing is cached beyond the object's own lifetime.
@@ -320,7 +366,7 @@ class GraphFacts:
 
     def __init__(self, g: CubicGraph):
         self.graph = g
-        self._prefixes: dict[int, tuple[list[frozenset[int]], list[int], bool]] = {}
+        self._prefixes: dict[int, tuple[list[int], bool]] = {}
 
     @cached_property
     def bridgeless(self) -> bool:
@@ -329,47 +375,47 @@ class GraphFacts:
         return is_bridgeless(self.graph)
 
     @cached_property
-    def matchings(self) -> list[frozenset[int]]:
-        """All perfect matchings in lexicographic order."""
-        return enumerate_perfect_matchings(self.graph)
+    def masks(self) -> list[int]:
+        """All perfect matchings as edge bitmasks, in lexicographic order."""
+        return perfect_matching_masks(self.graph)
 
     @cached_property
-    def masks(self) -> list[int]:
-        """The matchings as edge bitmasks, in the same order."""
-        return matching_masks(self.matchings)
+    def matchings(self) -> list[frozenset[int]]:
+        """The matchings as edge sets, in the same order."""
+        return [edge_set(m) for m in self.masks]
 
-    def prefix(self, cap: int | None) -> tuple[list[frozenset[int]], list[int], bool]:
-        """(matchings, masks, complete) for a search capped at ``cap``
-        matchings: the search-order prefix, re-sorted, so capped results
-        are reproducible.  A cap that holds every matching fills the full
-        list; an all-even 2-factor in a partial prefix records oddness 0.
-        Each cap is searched once; later calls return the same result.
-        A cap below 1 is an error.
+    def prefix(self, cap: int | None) -> tuple[list[int], bool]:
+        """(masks, complete) for a search capped at ``cap`` matchings:
+        the least ``cap`` of the first ``cap + 1`` in search order, so
+        capped results are reproducible.  A cap that holds every
+        matching fills the full list; an all-even 2-factor in a partial
+        prefix records oddness 0.  Each cap is searched once; later
+        calls return the same result.  A cap below 1 is an error.
         """
         if cap is None:
-            return self.matchings, self.masks, True
+            return self.masks, True
         if cap < 1:
             raise GraphError("max_matchings must be at least 1")
         if cap not in self._prefixes:
-            found = enumerate_perfect_matchings(self.graph, cap + 1)
+            found = perfect_matching_masks(self.graph, cap + 1)
             if len(found) <= cap:
-                self.matchings = found
-                self._prefixes[cap] = found, self.masks, True
+                self.masks = found
+                self._prefixes[cap] = found, True
             else:
                 found = found[:cap]
-                if any(odd_circuit_count(self.graph, mm) == 0 for mm in found):
+                if any(_odd_circuits(self.graph, m) == 0 for m in found):
                     self.oddness = 0
-                self._prefixes[cap] = found, matching_masks(found), False
+                self._prefixes[cap] = found, False
         return self._prefixes[cap]
 
     @cached_property
     def oddness(self) -> int:
         """Minimum number of odd circuits over all 2-factors."""
-        if not self.matchings:
+        if not self.masks:
             raise GraphError("graph has no perfect matching")
         best = None
-        for pm in self.matchings:
-            odd = odd_circuit_count(self.graph, pm)
+        for m in self.masks:
+            odd = _odd_circuits(self.graph, m)
             if best is None or odd < best:
                 best = odd
                 if best == 0:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .colouring import GraphFacts, _facts_for, is_perfect_matching
+from .colouring import GraphFacts, _facts_for, edge_set, is_perfect_matching
 from .graph_core import CubicGraph, GraphError, _Sentinel, bridges, girth
 
 
@@ -255,7 +255,7 @@ def _defect_impl(g: CubicGraph, regular: bool, budget: SearchBudget | None,
                  facts: GraphFacts | None) -> DefectResult:
     facts = _facts_for(g, facts)
     _require_bridgeless(facts)
-    matchings, masks, complete = facts.prefix(budget.max_matchings if budget else None)
+    masks, complete = facts.prefix(budget.max_matchings if budget else None)
     lower = 0 if facts.colourable else 3  # snark lower bound; bridgeless + uncolourable = snark
 
     mt = budget.max_triples if budget else None
@@ -280,7 +280,7 @@ def _defect_impl(g: CubicGraph, regular: bool, budget: SearchBudget | None,
     # a witness attaining the proven lower bound is exact even if the
     # matching list was truncated
     exhaustive = (complete and scanned_all) or val == lower
-    witness = ThreeArray.of(*(matchings[x] for x in triple))
+    witness = ThreeArray.of(*(edge_set(masks[x]) for x in triple))
     return DefectResult(val, witness, exhaustive, regular)
 
 
@@ -321,7 +321,7 @@ def enumerate_optimal_arrays(g: CubicGraph, regular: bool, target: int | None = 
         raise GraphError(f"no optimum to enumerate: {NONE_FOUND!r}")
     if target is not None and target != val:
         return []
-    return [ThreeArray.of(*(facts.matchings[x] for x in t)) for t in optimal]
+    return [ThreeArray.of(*(edge_set(facts.masks[x]) for x in t)) for t in optimal]
 
 
 # ---------------------------------------------------------------------------

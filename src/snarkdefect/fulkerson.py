@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .colouring import GraphFacts, is_perfect_matching
+from .colouring import GraphFacts, edge_set, is_perfect_matching
 from .defect_engine import NONE_FOUND, BudgetError, ThreeArray, coverage
 from .fano_flow import FlowCheck
 from .graph_core import CubicGraph, GraphError, SizeGateError, bridges, is_bridgeless
@@ -103,14 +103,16 @@ def find_cover(g: CubicGraph, max_matchings: int | None = None,
         raise GraphError("Fulkerson covers are defined for bridgeless graphs")
     if max_nodes is not None and max_nodes < 0:
         raise GraphError("max_nodes must be at least 0")
-    matchings, masks, complete = GraphFacts(g).prefix(max_matchings)
+    masks, complete = GraphFacts(g).prefix(max_matchings)
     if not complete:
         raise BudgetError(f"more than {max_matchings} perfect matchings")
-    full = (1 << g.edge_count) - 1
-    has = [0] * g.edge_count  # has[e]: bitset of the matchings holding e
-    for idx, mm in enumerate(matchings):
-        for e in mm:
-            has[e] |= 1 << idx
+    m = g.edge_count
+    full = (1 << m) - 1
+    # has[e]: bitset of the matchings holding e.  Row i of ``rows`` is
+    # the m-bit string of masks[-1 - i], so column e, read top down, is
+    # bit e of every mask, last matching first: has[e] in binary
+    rows = "".join(format(mask, f"0{m}b") for mask in reversed(masks))
+    has = [int(rows[m - 1 - e::m], 2) for e in range(m)] if rows else [0] * m
     suffix = [0] * (len(masks) + 1)  # suffix[i]: union of masks[i:]
     for idx in range(len(masks) - 1, -1, -1):
         suffix[idx] = suffix[idx + 1] | masks[idx]
@@ -178,7 +180,7 @@ def find_cover(g: CubicGraph, max_matchings: int | None = None,
         del dfs, place
     if found is None:
         return NONE_FOUND
-    return FulkersonCover.of(g, [matchings[i] for i in found])
+    return FulkersonCover.of(g, [edge_set(masks[i]) for i in found])
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,75 @@ def search_order_perfect_matchings(g, limit=None):
     return [frozenset(t) for t in out]
 
 
+def search_order_matchings(g, limit=None):
+    """Perfect matchings of a CubicGraph from the package's earlier
+    pruned search, kept as it was, in search order and as frozensets:
+    branch on the lowest uncovered vertex, try its edges in
+    ``incident_ends`` order, apply forced moves after each choice, and
+    stop after ``limit`` matchings.  Sorted by sorted edge list, it is
+    what the package must return, ``limit`` prefixes included."""
+    n = g.vertex_count
+    if n == 0:
+        return [frozenset()]
+    if n % 2:
+        return []
+    # per vertex, with loops skipped: the partners as a bitmask, and the
+    # partners reached by exactly one edge (partner bit -> edge)
+    nbr = []
+    sole = []
+    for v in range(n):
+        partners = [w for w, _ in g.arcs(v) if w != v]
+        nbr.append(sum(1 << w for w in set(partners)))
+        sole.append({1 << w: e for w, e in g.arcs(v) if w != v and partners.count(w) == 1})
+    out = []
+    _match_lowest((1 << n) - 1, [], out, limit, g, nbr, sole)
+    return [frozenset(t) for t in out]
+
+
+def _match_lowest(free, chosen, out, limit, g, nbr, sole):
+    """Extend ``chosen`` over the bitmask ``free`` of uncovered vertices,
+    appending each perfect matching to ``out``; True once ``limit`` is
+    reached."""
+    if not free:
+        out.append(tuple(sorted(chosen)))
+        return limit is not None and len(out) >= limit
+    v = (free & -free).bit_length() - 1
+    others = free ^ 1 << v
+    depth = len(chosen)
+    for w, e in g.arcs(v):
+        if not others >> w & 1:
+            continue  # a loop, or the partner is already matched
+        chosen.append(e)
+        rest = _force(others ^ 1 << w, [v, w], chosen, nbr, sole)
+        if rest is not None and _match_lowest(rest, chosen, out, limit, g, nbr, sole):
+            return True
+        del chosen[depth:]
+    return False
+
+
+def _force(free, touched, chosen, nbr, sole):
+    """Apply the forced moves around the ``touched`` vertices, appending
+    forced edges to ``chosen``: the new ``free`` mask, or None when an
+    uncovered vertex is left with no uncovered partner."""
+    while touched:
+        around = nbr[touched.pop()] & free
+        while around:
+            low = around & -around
+            around ^= low
+            if not free & low:
+                continue  # covered by a forced move since
+            u = low.bit_length() - 1
+            cand = nbr[u] & free
+            if not cand:
+                return None
+            e = sole[u].get(cand)  # None unless one partner, by one edge
+            if e is not None:
+                chosen.append(e)
+                free &= ~(low | cand)
+                touched += (u, cand.bit_length() - 1)
+    return free
+
+
 def fulkerson_cover(n, edges, matchings=None):
     """The first Fulkerson cover, or None when there is none.
 

@@ -111,6 +111,27 @@ def test_error_certificates_carry_no_claims():
     assert ce.verify_certificate(cert) == []
 
 
+def _as_bools(lists):
+    """Edge ids 0 and 1 written as JSON false and true."""
+    return [[{0: False, 1: True}.get(e, e) for e in x] for x in lists]
+
+
+def test_bool_edge_ids_are_caught(petersen):
+    cert = reparse(fresh_cert(petersen))
+    for key in ("df", "rdf"):
+        bad = reparse(cert)
+        witness = bad["result"][key]["witness"]
+        assert any(1 in x for x in witness)
+        bad["result"][key]["witness"] = _as_bools(witness)
+        assert ce.verify_certificate(bad) == [f"{key}: witness is not a list of edge-id lists"]
+    _, out = _cli(["fulkerson", "--construct", "petersen", "--json", "--quiet"])
+    for mode in ("find", "verify", "roundtrip"):
+        bad = json.loads(out)
+        bad["result"]["mode"] = mode
+        bad["result"]["cover"] = _as_bools(bad["result"]["cover"])
+        assert ce.verify_certificate(bad) == ["cover is not a list of edge-id lists"]
+
+
 def test_consistent_snark_flags_are_cross_checked(k4):
     cert = reparse(fresh_cert(k4, "k4"))
     # claiming a colourable graph is a snark contradicts df = 0

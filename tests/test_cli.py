@@ -152,7 +152,8 @@ def _count_calls(monkeypatch, fn):
 def test_analyze_enumerates_once_and_never_backtracks(monkeypatch):
     from snarkdefect import colouring
     graphs = [sd.petersen(), sd.flower_snark(5), sd.bipartite_double(sd.petersen())]
-    enumerations = _count_calls(monkeypatch, colouring.enumerate_perfect_matchings)
+    enumerations = _count_calls(monkeypatch, colouring.perfect_matching_masks)
+    edge_sets = _count_calls(monkeypatch, colouring.enumerate_perfect_matchings)
     colourings = _count_calls(monkeypatch, colouring.three_edge_colour)
     for g in graphs:
         cli.analyze_graph(g, None)
@@ -161,6 +162,10 @@ def test_analyze_enumerates_once_and_never_backtracks(monkeypatch):
     code, _, _ = run(["analyze", "--construct", "petersen", "--construct", "flower:5"])
     assert code == 0
     assert len(enumerations) == len(graphs) + 2 and colourings == []
+    # the pipeline reads edge bitmasks and never builds the edge-set list
+    code, _, _ = run(["fulkerson", "--construct", "petersen", "--roundtrip"])
+    assert code == 0
+    assert len(enumerations) == len(graphs) + 3 and edge_sets == []
 
 
 def test_analyze_refuses_a_bridge_after_one_matching(monkeypatch):
@@ -169,13 +174,13 @@ def test_analyze_refuses_a_bridge_after_one_matching(monkeypatch):
     from snarkdefect import colouring
     from test_certificates import bridged
     limits = []
-    enumerate_all = colouring.enumerate_perfect_matchings
+    enumerate_all = colouring.perfect_matching_masks
 
     def counted(g, limit=None):
         limits.append(limit)
         return enumerate_all(g, limit)
 
-    monkeypatch.setattr(colouring, "enumerate_perfect_matchings", counted)
+    monkeypatch.setattr(colouring, "perfect_matching_masks", counted)
     with pytest.raises(sd.GraphError, match="undefined for graphs with bridges"):
         cli.analyze_graph(bridged(), None)
     assert limits == [2]
@@ -395,6 +400,18 @@ def test_fulkerson_verify_reads_the_cover_file_once(monkeypatch, tmp_path):
     certs = [json.loads(line) for line in out.splitlines()]
     assert code == 1 and len(certs) == 3 and len(loads) == 2
     assert all(cert == certs[0] and "cannot read a cover" in cert["error"] for cert in certs)
+
+
+def test_fulkerson_verify_rejects_bool_edge_ids(tmp_path):
+    # JSON false and true are not edges 0 and 1, though Python's bools equal them
+    members = [sorted(m) for m in sd.find_cover(sd.petersen()).matchings]
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"matchings": [[{0: False, 1: True}.get(e, e) for e in m]
+                                              for m in members]}))
+    code, out, _ = run(["fulkerson", "--construct", "petersen", "--verify", str(path),
+                        "--json", "--quiet"])
+    assert code == 1
+    assert "expected a 'matchings' list" in json.loads(out)["error"]
 
 
 @pytest.mark.parametrize("case", ["bad-json", "edge-out-of-range", "edge-string",

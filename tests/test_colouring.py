@@ -6,6 +6,7 @@ import pytest
 
 import snarkdefect as sd
 import oracles
+from snarkdefect import colouring
 from oracles import edge_pairs
 
 PETERSEN_MATCHINGS = [
@@ -198,6 +199,69 @@ def test_enumeration_is_the_search_order_prefix_for_every_limit(
     assert min(loops, parallel, empty) >= 3
 
 
+# a 3-sum of flower:3 and inflate-pair:petersen:0:1 with df 4 and rdf 6
+G24 = "WD[CIC@_IGc?????_?G??????AO?Ao?@WC?_?GCG?K???`@"
+
+
+def _random_multigraphs(seed, count):
+    rng = random.Random(seed)
+    return [sd.CubicGraph(n, oracles.random_cubic_edges(rng, n))
+            for n in [2, 4, 6, 8, 10, 12, 14, 16] * (count // 8)]
+
+
+def test_mask_kernel_matches_the_pruned_search_it_replaces(petersen, blanusa1, blanusa2):
+    """The memoised kernel returns the masks of the old pruned search's
+    matchings, re-sorted, for every ``limit``."""
+    suite = [petersen, blanusa1, blanusa2, sd.bipartite_double(petersen), sd.parse_graph6(G24)]
+    suite += [sd.flower_snark(k) for k in (3, 5, 7, 9)]
+    suite += _random_multigraphs(20261019, 304)
+    loops = parallel = empty = 0
+    for g in suite:
+        for limit in (1, 2, 5, 50, None):
+            want = sorted(oracles.search_order_matchings(g, limit), key=sorted)
+            got = sd.perfect_matching_masks(g, limit)
+            assert got == [sum(1 << e for e in m) for m in want], (g.edges, limit)
+        assert len(got) == oracles.count_perfect_matchings(g.vertex_count, edge_pairs(g))
+        assert sd.enumerate_perfect_matchings(g) == [colouring.edge_set(m) for m in got]
+        loops += any(a == b for a, b in g.edges)
+        parallel += len(set(g.edges)) < g.edge_count
+        empty += not got
+    assert min(loops, parallel, empty) >= 10
+
+
+def test_mask_kernel_solves_each_uncovered_set_once(monkeypatch):
+    """J15 has 32,768 matchings; memoised on the uncovered vertices, the
+    kernel is called 635 times, and 66,963 times without the memo."""
+    calls = []
+    completions = colouring._completions
+
+    def counted(*args):
+        calls.append(args[0])
+        return completions(*args)
+
+    monkeypatch.setattr(colouring, "_completions", counted)
+    assert len(sd.perfect_matching_masks(sd.flower_snark(15))) == 32768
+    assert len(calls) <= 700
+
+
+def test_odd_circuit_walk_counts_the_odd_two_factor_circuits(theta, dumbbell):
+    """On every matching of multigraphs with loops and parallel edges."""
+    checked = 0
+    for g in [theta, dumbbell] + _random_multigraphs(20261020, 304):
+        for m in sd.enumerate_perfect_matchings(g):
+            odd = sum(len(c) % 2 for c in sd.two_factor_circuits(g, m))
+            assert colouring.odd_circuit_count(g, m) == odd, (g.edges, m)
+            checked += 1
+    assert checked > 1000
+
+
+def test_is_perfect_matching_rejects_bools(petersen):
+    # False and True equal 0 and 1, but JSON false and true are no edge ids
+    assert sd.is_perfect_matching(petersen, [0, 5, 9, 10, 12])
+    assert not sd.is_perfect_matching(petersen, [False, 5, 9, 10, 12])
+    assert not sd.is_perfect_matching(petersen, [True, 4, 5, 11, 14])
+
+
 def test_odd_graphs_have_no_matching():
     # no perfect matching on an odd vertex count
     assert oracles.count_perfect_matchings(3, [(0, 1), (1, 2)]) == 0
@@ -278,7 +342,7 @@ def test_graph_facts_prefix_is_kept_per_cap(j5):
     three = facts.prefix(3)
     assert facts.prefix(3) is three
     assert facts.prefix(5) == sd.GraphFacts(j5).prefix(5)
-    assert len(three[0]) == 3 and not three[2]
+    assert len(three[0]) == 3 and not three[1]
 
 
 def test_graph_facts_for_another_graph_are_rejected(petersen, k33):

@@ -219,8 +219,8 @@ def test_matching_cap_on_colourable_graph_enumerates_only_the_prefix(monkeypatch
         limits.append(limit)
         return enumerate_all(g, limit)
 
-    enumerate_all = colouring.enumerate_perfect_matchings
-    monkeypatch.setattr(colouring, "enumerate_perfect_matchings", counted)
+    enumerate_all = colouring.perfect_matching_masks
+    monkeypatch.setattr(colouring, "perfect_matching_masks", counted)
     sd.defect(cube, budget=sd.SearchBudget(max_matchings=2))
     assert limits == [3]
 
@@ -229,13 +229,13 @@ def test_matching_cap_holding_every_matching_enumerates_once(monkeypatch, peters
     # the capped prefix is the whole list, so colourability reuses it
     from snarkdefect import colouring
     limits = []
-    enumerate_all = colouring.enumerate_perfect_matchings
+    enumerate_all = colouring.perfect_matching_masks
 
     def counted(g, limit=None):
         limits.append(limit)
         return enumerate_all(g, limit)
 
-    monkeypatch.setattr(colouring, "enumerate_perfect_matchings", counted)
+    monkeypatch.setattr(colouring, "perfect_matching_masks", counted)
     res = sd.defect(petersen, budget=sd.SearchBudget(max_matchings=6))
     assert limits == [7]
     assert (res.value, res.exhaustive) == (3, True)
@@ -245,13 +245,13 @@ def test_analyze_searches_each_matching_cap_once(monkeypatch):
     # df and rdf read the same capped prefix; the full list is for oddness
     from snarkdefect import cli, colouring
     limits = []
-    enumerate_all = colouring.enumerate_perfect_matchings
+    enumerate_all = colouring.perfect_matching_masks
 
     def counted(g, limit=None):
         limits.append(limit)
         return enumerate_all(g, limit)
 
-    monkeypatch.setattr(colouring, "enumerate_perfect_matchings", counted)
+    monkeypatch.setattr(colouring, "perfect_matching_masks", counted)
     code = cli.main(["analyze", "--construct", "flower:5", "--max-matchings", "10",
                      "--json", "--quiet"])
     assert code == 2
