@@ -59,7 +59,15 @@ def graph_payload(g: CubicGraph) -> dict:
 
 
 def graph_from_payload(d: dict) -> CubicGraph:
-    g = CubicGraph(d["vertices"], [tuple(p) for p in d["edges"]])
+    """The graph of a payload; vertex ids are ints (a bool is not one)."""
+    n, edges = d["vertices"], d["edges"]
+    if type(n) is not int:
+        raise GraphError("vertices is not an int")
+    if not (isinstance(edges, list) and all(
+            isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p)
+            for p in edges)):
+        raise GraphError("edges is not a list of vertex-id pairs")
+    g = CubicGraph(n, [tuple(p) for p in edges])
     if graph_digest(g) != d["sha256"]:
         raise GraphError("graph digest mismatch")
     return g
@@ -181,7 +189,7 @@ def fulkerson_json(g: CubicGraph, mode: str, found) -> dict:
         "p2": sorted(p2),
         "flows": [flow_json(f1), flow_json(f2)],
         "rebuilt": cover_json(rebuilt),
-        "pass": sorted(found.matchings, key=sorted) == sorted(rebuilt.matchings, key=sorted),
+        "pass": found.matchings == rebuilt.matchings,  # both in canonical order
     }
 
 

@@ -300,36 +300,16 @@ def two_factor_circuits(g: CubicGraph, matching: frozenset[int]) -> list[list[in
     """Circuits (as edge-id lists) of the 2-factor complementary to a PM."""
     if not is_perfect_matching(g, matching):
         raise GraphError("not a perfect matching")
-    # each vertex has exactly two 2-factor ends; walk them
-    used = set()
-    circuits = []
-    for e0 in range(g.edge_count):
-        if e0 in matching or e0 in used:
-            continue
-        circuit = []
-        e, v = e0, g.endpoints(e0)[1]
-        while True:
-            used.add(e)
-            circuit.append(e)
-            nxt = [(f, w) for w, f in g.arcs(v) if f != e and f not in matching]
-            if not nxt:
-                break  # e is a loop, a circuit of its own
-            e, v = nxt[0]  # step to the far end of the next edge
-            if e == e0:
-                break
-        circuits.append(circuit)
-    return circuits
+    return _circuits(g, sum(1 << e for e in matching))
 
 
 def odd_circuit_count(g: CubicGraph, matching: frozenset[int]) -> int:
     """Number of odd circuits in the 2-factor complementary to a perfect matching."""
-    if not is_perfect_matching(g, matching):
-        raise GraphError("not a perfect matching")
-    return _odd_circuits(g, sum(1 << e for e in matching))
+    return sum(len(c) & 1 for c in two_factor_circuits(g, matching))
 
 
-def _odd_circuits(g: CubicGraph, mask: int) -> int:
-    """Number of odd circuits in the 2-factor complementary to the
+def _circuits(g: CubicGraph, mask: int) -> list[list[int]]:
+    """Circuits (as edge-id lists) of the 2-factor complementary to the
     perfect matching with edge bitmask ``mask``.
 
     Walks each circuit from its lowest unwalked edge.  A vertex has two
@@ -337,22 +317,27 @@ def _odd_circuits(g: CubicGraph, mask: int) -> int:
     the next step; there is none once the walk is back at its first
     edge, or when that edge is a loop."""
     rest = ((1 << g.edge_count) - 1) & ~mask  # the 2-factor edges not walked yet
-    odd = 0
+    circuits = []
     while rest:
         e = (rest & -rest).bit_length() - 1
         v = g.endpoints(e)[1]
-        length = 0
+        circuit = []
         while True:
             rest ^= 1 << e
-            length += 1
+            circuit.append(e)
             for w, f in g.arcs(v):
                 if rest >> f & 1:
                     e, v = f, w
                     break
             else:
                 break
-        odd += length & 1
-    return odd
+        circuits.append(circuit)
+    return circuits
+
+
+def _odd_circuits(g: CubicGraph, mask: int) -> int:
+    """Number of odd circuits in the 2-factor of ``_circuits``."""
+    return sum(len(c) & 1 for c in _circuits(g, mask))
 
 
 class GraphFacts:

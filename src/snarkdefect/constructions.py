@@ -92,26 +92,12 @@ def five_circuits(g: CubicGraph) -> list[tuple[int, ...]]:
     n = g.vertex_count
     nbrs = [{w for w, _ in g.arcs(v)} - {v} for v in range(n)]
     out = []
-
-    def extend(path: list[int]) -> None:
-        last = path[-1]
-        if len(path) == 5:
-            if path[0] in nbrs[last] and path[1] < last:
-                out.append(tuple(path))
-            return
-        for w in sorted(nbrs[last]):
-            if w > path[0] and w not in path:
-                path.append(w)
-                extend(path)
-                path.pop()
-
-    # extend refers to itself through its closure cell; emptying the cell
-    # leaves no reference cycle holding nbrs and out
-    try:
-        for v0 in range(n):
-            extend([v0])
-    finally:
-        del extend
+    for v0 in range(n):
+        # paths of 5 distinct vertices: v0, then four above it
+        paths = [(v0,)]
+        for _ in range(4):
+            paths = [p + (w,) for p in paths for w in nbrs[p[-1]] if w > v0 and w not in p]
+        out += (p for p in paths if v0 in nbrs[p[-1]] and p[1] < p[-1])
     return sorted(out)
 
 

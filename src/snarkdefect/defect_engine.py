@@ -146,22 +146,21 @@ def coverage(g: CubicGraph, a: ThreeArray) -> CoverageProfile:
 def core_of(g: CubicGraph, a: ThreeArray) -> Core:
     """Subgraph of not-simply-covered edges, with component classification.
 
-    The local structure is asserted: a core vertex meets either one
-    doubly covered and one uncovered edge-end, or one triply covered and
-    two uncovered edge-ends; circuit components alternate and have even
-    length.  A violation is a bug, not an input condition.
+    Read off the graph's arc table, keeping the edges not covered exactly
+    once.  The local structure is asserted: a core vertex meets either
+    one doubly covered and one uncovered edge-end, or one triply covered
+    and two uncovered edge-ends.  So a component is a circuit exactly
+    when it has no triply covered edge, and circuit components alternate
+    and have even length, which is asserted too.  A violation is a bug,
+    not an input condition.
     """
     prof = coverage(g, a)
     mult = prof.multiplicity
     core_edges = frozenset(e for e in range(g.edge_count) if mult[e] != 1)
 
-    ends_at: dict[int, list[int]] = {}
-    for e in core_edges:
-        for slot in g.endpoints(e):
-            ends_at.setdefault(slot, []).append(e)
-    for v, inc in ends_at.items():
-        kinds = sorted(mult[e] for e in inc)
-        assert kinds in ([0, 2], [0, 0, 3]), \
+    for v in range(g.vertex_count):
+        kinds = sorted(mult[e] for _, e in g.arcs(v) if mult[e] != 1)
+        assert not kinds or kinds in ([0, 2], [0, 0, 3]), \
             f"core vertex {v} has multiplicity pattern {kinds}"
 
     comps: list[CoreComponent] = []
@@ -169,30 +168,21 @@ def core_of(g: CubicGraph, a: ThreeArray) -> Core:
     for start in sorted(core_edges):
         if start in seen:
             continue
-        stack = [start]
         comp_edges = {start}
-        seen.add(start)
+        stack = list(g.endpoints(start))
         while stack:
-            e = stack.pop()
-            for slot in g.endpoints(e):
-                for f in ends_at[slot]:
-                    if f not in comp_edges:
-                        comp_edges.add(f)
-                        seen.add(f)
-                        stack.append(f)
-        verts = sorted({s for e in comp_edges for s in g.endpoints(e)})
-        degree = {v: 0 for v in verts}
-        for e in comp_edges:
-            for slot in g.endpoints(e):
-                degree[slot] += 1
-        if all(d == 2 for d in degree.values()):
+            for w, e in g.arcs(stack.pop()):
+                if mult[e] != 1 and e not in comp_edges:
+                    comp_edges.add(e)
+                    stack.append(w)
+        seen |= comp_edges
+        verts = sorted({v for e in comp_edges for v in g.endpoints(e)})
+        if any(mult[e] == 3 for e in comp_edges):
+            kind = CUBIC_SUBDIVISION
+        else:
             kind = EVEN_ALTERNATING_CIRCUIT
             zeros = sum(1 for e in comp_edges if mult[e] == 0)
-            twos = sum(1 for e in comp_edges if mult[e] == 2)
-            assert zeros == twos and len(comp_edges) % 2 == 0, \
-                "circuit component fails to alternate"
-        else:
-            kind = CUBIC_SUBDIVISION
+            assert 2 * zeros == len(comp_edges), "circuit component fails to alternate"
         comps.append(CoreComponent(tuple(verts), tuple(sorted(comp_edges)), kind))
 
     return Core(core_edges, prof.uncovered, prof.doubly, prof.triply, tuple(comps))

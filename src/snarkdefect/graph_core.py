@@ -271,23 +271,16 @@ def _g6_read_n(data: bytes) -> tuple[int, int]:
         if not 0 <= n <= 62:
             raise FormatError(f"invalid graph6 size byte {data[0]}")
         return n, 1
-    if len(data) >= 2 and data[1] == 126:
-        if len(data) < 8:
-            raise FormatError("truncated graph6 size field")
-        bits = 0
-        for c in data[2:8]:
-            if not 63 <= c <= 126:
-                raise FormatError(f"invalid graph6 byte {c}")
-            bits = (bits << 6) | (c - 63)
-        return bits, 8
-    if len(data) < 4:
+    # 18 bits after one '~', 36 bits after two
+    start, width = (2, 6) if data[1:2] == b"~" else (1, 3)
+    if len(data) < start + width:
         raise FormatError("truncated graph6 size field")
     bits = 0
-    for c in data[1:4]:
+    for c in data[start:start + width]:
         if not 63 <= c <= 126:
             raise FormatError(f"invalid graph6 byte {c}")
         bits = (bits << 6) | (c - 63)
-    return bits, 4
+    return bits, start + width
 
 
 def parse_graph6(text: str) -> CubicGraph:
@@ -333,28 +326,22 @@ def parse_graph6(text: str) -> CubicGraph:
 def write_graph6(g: CubicGraph) -> str:
     """Encode a simple cubic graph as one graph6 line."""
     n = g.vertex_count
-    seen = set()
-    adj = [[False] * n for _ in range(n)]
-    for e, (a, b) in enumerate(g.edges):
-        if a == b:
-            raise FormatError(f"graph6 cannot encode loop (edge {e})")
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            raise FormatError(f"graph6 cannot encode parallel edge (edge {e})")
-        seen.add(key)
-        adj[a][b] = adj[b][a] = True
     if n <= 62:
         head = bytes([n + 63])
     elif n <= 258047:
         head = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
     else:
         raise FormatError("graph too large for this writer")
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if adj[i][j] else 0)
-    while len(bits) % 6:
-        bits.append(0)
+    # bit j(j-1)/2 + i stands for the pair i < j (column-major upper triangle)
+    bits = [0] * ((n * (n - 1) // 2 + 5) // 6 * 6)
+    for e, (a, b) in enumerate(g.edges):
+        if a == b:
+            raise FormatError(f"graph6 cannot encode loop (edge {e})")
+        i, j = min(a, b), max(a, b)
+        k = j * (j - 1) // 2 + i
+        if bits[k]:
+            raise FormatError(f"graph6 cannot encode parallel edge (edge {e})")
+        bits[k] = 1
     body = bytes(sum(b << (5 - k) for k, b in enumerate(bits[i:i + 6])) + 63
                  for i in range(0, len(bits), 6))
     return (head + body).decode("ascii")
@@ -434,41 +421,32 @@ def write_edge_list(m: Multipole) -> str:
 # ---------------------------------------------------------------------------
 
 def girth(g: CubicGraph) -> int:
-    """Length of a shortest circuit; a loop counts 1, a parallel pair 2."""
+    """Length of a shortest circuit; a loop counts 1, a parallel pair 2.
+
+    One breadth-first search from each vertex, recording the edge each
+    vertex was reached by.  Any other edge to a reached vertex closes a
+    circuit through the search tree: a loop at the root closes one of
+    length 1, an edge parallel to a tree edge one of length 2."""
     n, m = g.vertex_count, g.edge_count
     if n == 0:
         raise GraphError("girth of the empty graph is undefined")
-    pair_seen = set()
-    best = None
-    for a, b in g.edges:
-        if a == b:
-            return 1
-        key = (min(a, b), max(a, b))
-        if key in pair_seen:
-            best = 2
-        pair_seen.add(key)
-    if best == 2:
-        return 2
-    # simple from here on: no loop, no parallel pair.  Every vertex has
-    # degree 3, so a circuit exists and the search below finds one.
+    # every vertex has degree 3, so a circuit exists and the search finds one
     best = m + 1
     for s in range(n):
-        dist = {s: 0}
-        parent = {s: -1}
+        dist = [-1] * n
+        via = [-1] * n
+        dist[s] = 0
         queue = [s]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
+        for u in queue:
             if 2 * dist[u] >= best:
                 break
-            for v, _ in g.arcs(u):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    queue.append(v)
-                elif parent[u] != v and parent[v] != u:
-                    best = min(best, dist[u] + dist[v] + 1)
+            for w, e in g.arcs(u):
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    via[w] = e
+                    queue.append(w)
+                elif e != via[u]:
+                    best = min(best, dist[u] + dist[w] + 1)
     return best
 
 
@@ -506,35 +484,32 @@ def bridges(g: CubicGraph, removed: Iterable[int] = ()) -> list[int]:
     """
     n = g.vertex_count
     dead = set(removed)
-    visited = [False] * n
-    disc = [0] * n
+    disc = [-1] * n
     low = [0] * n
     out: list[int] = []
     timer = 0
     for root in range(n):
-        if visited[root]:
+        if disc[root] >= 0:
             continue
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]  # (vertex, parent edge, next child idx)
+        disc[root] = low[root] = timer
+        timer += 1
+        # (vertex, edge it was reached by, its arcs not yet tried)
+        stack = [(root, -1, iter(g.arcs(root)))]
         while stack:
-            u, pe, idx = stack.pop()
-            if idx == 0:
-                visited[u] = True
-                disc[u] = low[u] = timer
-                timer += 1
-            arcs = g.arcs(u)
-            if idx < len(arcs):
-                stack.append((u, pe, idx + 1))
-                w, e = arcs[idx]
-                if w == u or e in dead:
-                    continue  # loops are never bridges; removed edges are absent
-                if not visited[w]:
-                    stack.append((w, e, 0))
-                elif e != pe:
-                    low[u] = min(low[u], disc[w])
+            u, pe, arcs = stack[-1]
+            for w, e in arcs:
+                if e == pe or e in dead:
+                    continue  # removed edges are absent
+                if disc[w] < 0:
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((w, e, iter(g.arcs(w))))
+                    break
+                low[u] = min(low[u], disc[w])  # a loop (w == u) changes nothing
             else:
-                if pe != -1:
-                    a, b = g.endpoints(pe)
-                    p = a if b == u else b
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
                     low[p] = min(low[p], low[u])
                     if low[u] > disc[p]:
                         out.append(pe)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import snarkdefect as sd
-from snarkdefect import cli
+from snarkdefect import certificates, cli
 
 
 def run(argv, stdin=None):
@@ -512,6 +512,11 @@ def _malform(cert, shape):
         cert["result"]["df"]["witness"] = 7
     elif shape == "edge-one-endpoint":
         cert["graph"]["edges"][0] = cert["graph"]["edges"][0][:1]
+    elif shape.endswith("vertex-bool"):  # vertex 1 written as true, under a matching digest
+        graph = cert["graph"]
+        graph["edges"] = [[True if v == 1 else v for v in p] for p in graph["edges"]]
+        g = sd.CubicGraph(graph["vertices"], [tuple(p) for p in graph["edges"]])
+        graph["sha256"] = certificates.graph_digest(g)
     elif shape == "result-list":
         cert["result"] = [cert["result"]]
     elif shape == "edges-not-list":
@@ -591,7 +596,7 @@ def _malform(cert, shape):
 
 
 ROUNDTRIP_SHAPES = ["roundtrip-no-rebuilt", "rebuilt-int", "flows-ints", "flows-removed-int",
-                    "flows-dict"]
+                    "flows-dict", "roundtrip-vertex-bool"]
 
 
 @pytest.mark.parametrize("shape", ["df-not-dict", "witness-not-list", "edge-one-endpoint",
@@ -606,7 +611,8 @@ ROUNDTRIP_SHAPES = ["roundtrip-no-rebuilt", "rebuilt-int", "flows-ints", "flows-
                                    "oddness-odd", "oddness-missing", "colourable-string",
                                    "exhaustive-int", "exact-false", "relabelled-fulkerson",
                                    "witness-reordered", "cover-reordered", "cover-extra-key",
-                                   "error-beside-result", "error-not-string"])
+                                   "error-beside-result", "error-not-string",
+                                   "vertex-bool", "cover-vertex-bool"])
 def test_verify_fails_malformed_certificate(tmp_path, shape):
     if shape in ROUNDTRIP_SHAPES:
         command = ["fulkerson", "--roundtrip"]
@@ -620,6 +626,8 @@ def test_verify_fails_malformed_certificate(tmp_path, shape):
     lines = vout.splitlines()
     assert lines[0].startswith(f"FAIL {path}:1")
     assert lines[1] == "verified 1 certificate(s): 0 pass, 1 fail"
+    if shape.endswith("vertex-bool"):
+        assert "graph payload: " in lines[0]
 
 
 def test_verified_fulkerson_roundtrip_certificate(tmp_path):
