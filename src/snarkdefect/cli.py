@@ -203,7 +203,7 @@ def _load_cover_members(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.loads((fh.read().splitlines() or [""])[0])
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise GraphError(f"{path}: cannot read a cover: {exc}") from None
     if isinstance(data, dict) and "matchings" in data:
         lists = data["matchings"]
@@ -271,7 +271,7 @@ def cmd_verify(args) -> int:
         label = f"{args.certificates}:{lineno}"
         try:
             cert = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             print(f"FAIL {label}: bad JSON: {exc}")
             failed += 1
             continue

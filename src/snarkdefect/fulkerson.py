@@ -393,10 +393,7 @@ def nz_4flow(g: CubicGraph, removed=(), max_dimension: int = 24) -> GroupFlow | 
             continue
         visited[root] = True
         queue = [root]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
+        for u in queue:
             for w, e in g.arcs(u):
                 if e not in removed and not visited[w]:
                     visited[w] = True

@@ -37,6 +37,7 @@ and no two connectors share a name.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -542,10 +543,7 @@ def is_bipartite(g: CubicGraph) -> bool:
             continue
         colour[s] = 0
         queue = [s]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
+        for u in queue:
             for w, _ in g.arcs(u):
                 if colour[w] == -1:
                     colour[w] = 1 - colour[u]
@@ -559,8 +557,22 @@ def cyclic_edge_connectivity(g: CubicGraph, limit: int, max_vertices: int = 40):
     """Smallest size of a cycle-separating edge cut, exactly.
 
     Returns EXCEEDS_LIMIT when every cycle-separating cut is larger than
-    ``limit`` or when no such cut exists.  Exact brute force over vertex
-    bipartitions; refuses graphs larger than ``max_vertices``.
+    ``limit`` or when no such cut exists; refuses graphs larger than
+    ``max_vertices``.  Let S = δ(A) be a least cycle-separating cut:
+
+    - Both sides are connected: a disconnected side has a component with
+      a circuit, and that component's cut is a strict subset of S.  So
+      each edge h of S is a bridge of G − (S − h).
+    - S is a matching: a vertex with two edges in S lies on no circuit of
+      its side, and moving it across gives a smaller cut.  So |S| ≤ n/2.
+    - A component C of G − S that meets S in k_C edge-ends has
+      3|C| = 2e(C) + k_C, so C holds a circuit iff k_C ≤ |C|.
+
+    Any S that leaves two components with a circuit bounds the least cut
+    by |S|.  So for k = 1, 2, ... the search takes each matching T of
+    k − 1 edges and each bridge h > max(T) of G − T, and returns the
+    first k at which G − (T ∪ {h}) has two components with a circuit:
+    about C(m, k − 1)·(n + m) steps for size k.
     """
     n = g.vertex_count
     if n > max_vertices:
@@ -568,65 +580,42 @@ def cyclic_edge_connectivity(g: CubicGraph, limit: int, max_vertices: int = 40):
             f"{n} vertices exceeds the exact enumeration gate ({max_vertices})")
     if not is_connected(g):
         raise GraphError("cyclic edge connectivity requires a connected graph")
-    if n < 2:
-        return EXCEEDS_LIMIT
+    edges = g.edges
+    for k in range(1, min(limit, n // 2) + 1):
+        for t in itertools.combinations(range(g.edge_count), k - 1):
+            if len({v for e in t for v in edges[e]}) < 2 * len(t):
+                continue  # not a matching
+            last = t[-1] if t else -1
+            for h in bridges(g, t):
+                if h > last and _cyclic_components(g, {*t, h}) >= 2:
+                    return k
+    return EXCEEDS_LIMIT
 
-    edge_masks = []
-    for a, b in g.edges:
-        edge_masks.append((1 << a) | (1 << b))
-    adj_mask = [0] * n
-    for a, b in g.edges:
-        if a != b:
-            adj_mask[a] |= 1 << b
-            adj_mask[b] |= 1 << a
 
-    def has_circuit(mask: int) -> bool:
-        # a circuit exists iff some component of the induced subgraph has
-        # at least as many induced edges as vertices
-        rest = mask
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            comp = 1 << v
-            frontier = comp
-            while frontier:
-                nxt = 0
-                f = frontier
-                while f:
-                    u = (f & -f).bit_length() - 1
-                    f &= f - 1
-                    nxt |= adj_mask[u] & mask & ~comp
-                comp |= nxt
-                frontier = nxt
-            ec = 0
-            for em in edge_masks:
-                if em & comp == em:
-                    ec += 1
-            if ec >= comp.bit_count():
-                return True
-            rest &= ~comp
-        return False
-
-    full = (1 << n) - 1
-    best = None
-    # fix vertex n-1 on the complement side; A runs over subsets of the rest
-    for a_mask in range(1, 1 << (n - 1)):
-        cap = limit + 1 if best is None else min(best, limit + 1)
-        cut = 0
-        for em in edge_masks:
-            part = em & a_mask
-            if part and part != em:
-                cut += 1
-                if cut >= cap:
-                    break
-        if cut >= cap:
+def _cyclic_components(g: CubicGraph, dead: set[int]) -> int:
+    """Number of components of g minus the ``dead`` edges that hold a
+    circuit, which is those with at most as many dead edge-ends as
+    vertices."""
+    n = g.vertex_count
+    seen = [False] * n
+    count = 0
+    for s in range(n):
+        if seen[s]:
             continue
-        if has_circuit(a_mask) and has_circuit(full & ~a_mask):
-            best = cut
-            if best <= 1:
-                break
-    if best is None or best > limit:
-        return EXCEEDS_LIMIT
-    return best
+        seen[s] = True
+        stack = [s]
+        size = cut = 0
+        while stack:
+            u = stack.pop()
+            size += 1
+            for w, e in g.arcs(u):
+                if e in dead:
+                    cut += 1
+                elif not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        count += cut <= size
+    return count
 
 
 def bipartite_double(g: CubicGraph) -> CubicGraph:
@@ -853,7 +842,11 @@ def canonical_form(g: CubicGraph, max_vertices: int = 64) -> tuple:
     """A complete isomorphism invariant: the minimum relabelled edge list.
 
     Iterated degree/neighbourhood refinement plus full backtracking over
-    non-singleton cells; exponential in the worst case, gated by size.
+    non-singleton cells, on an explicit stack of colourings rather than
+    by recursion; exponential in the worst case, gated by size.
+    ``refine`` ranks its colours 0..k-1, so a colouring with no repeated
+    colour is itself a relabelling, and the minimum over these leaves
+    does not depend on the order they are visited in.
     """
     n = g.vertex_count
     if n > max_vertices:
@@ -868,39 +861,22 @@ def canonical_form(g: CubicGraph, max_vertices: int = 64) -> tuple:
                 return colour
             colour = new
 
-    def edge_key(order: list[int]) -> tuple:
-        pos = {v: i for i, v in enumerate(order)}
-        rel = sorted(tuple(sorted((pos[a], pos[b]))) for a, b in g.edges)
-        return tuple(rel)
-
-    best: list[tuple | None] = [None]
-
-    def search(colour: tuple[int, ...]) -> None:
+    best = None
+    stack = [(0,) * n]
+    while stack:
+        colour = refine(stack.pop())
         cells: dict[int, list[int]] = {}
         for v, c in enumerate(colour):
             cells.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = c
-                break
-        if target is None:
-            order = sorted(range(n), key=lambda v: colour[v])
-            key = edge_key(order)
-            if best[0] is None or key < best[0]:
-                best[0] = key
-            return
+        if len(cells) == n:
+            key = tuple(sorted(tuple(sorted((colour[a], colour[b]))) for a, b in g.edges))
+            if best is None or key < best:
+                best = key
+            continue
+        target = min(c for c, cell in cells.items() if len(cell) > 1)
         for v in cells[target]:
-            nxt = tuple((c if u != v else -1) for u, c in enumerate(colour))
-            search(refine(nxt))
-
-    # search refers to itself through its closure cell; emptying the cell
-    # leaves no reference cycle holding g and best
-    try:
-        search(refine(tuple([0] * n)))
-    finally:
-        del search
-    return (n, best[0])
+            stack.append(tuple((c if u != v else -1) for u, c in enumerate(colour)))
+    return (n, best)
 
 
 def is_isomorphic(g: CubicGraph, h: CubicGraph) -> bool:

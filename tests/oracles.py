@@ -487,3 +487,72 @@ def random_cubic_edges(rng, n):
     stubs = [v for v in range(n) for _ in range(3)]
     rng.shuffle(stubs)
     return [(min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2])]
+
+
+def cyclic_edge_connectivity(n, edges, limit):
+    """Smallest size of a cycle-separating edge cut of a connected cubic
+    multigraph, or None when every such cut is larger than ``limit`` or
+    none exists.
+
+    The package's earlier brute force, kept as it was: every one of the
+    2^(n-1) vertex bipartitions, on bitmask adjacency.
+    """
+    if n < 2:
+        return None
+
+    edge_masks = []
+    for a, b in edges:
+        edge_masks.append((1 << a) | (1 << b))
+    adj_mask = [0] * n
+    for a, b in edges:
+        if a != b:
+            adj_mask[a] |= 1 << b
+            adj_mask[b] |= 1 << a
+
+    def has_circuit(mask: int) -> bool:
+        # a circuit exists iff some component of the induced subgraph has
+        # at least as many induced edges as vertices
+        rest = mask
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            comp = 1 << v
+            frontier = comp
+            while frontier:
+                nxt = 0
+                f = frontier
+                while f:
+                    u = (f & -f).bit_length() - 1
+                    f &= f - 1
+                    nxt |= adj_mask[u] & mask & ~comp
+                comp |= nxt
+                frontier = nxt
+            ec = 0
+            for em in edge_masks:
+                if em & comp == em:
+                    ec += 1
+            if ec >= comp.bit_count():
+                return True
+            rest &= ~comp
+        return False
+
+    full = (1 << n) - 1
+    best = None
+    # fix vertex n-1 on the complement side; A runs over subsets of the rest
+    for a_mask in range(1, 1 << (n - 1)):
+        cap = limit + 1 if best is None else min(best, limit + 1)
+        cut = 0
+        for em in edge_masks:
+            part = em & a_mask
+            if part and part != em:
+                cut += 1
+                if cut >= cap:
+                    break
+        if cut >= cap:
+            continue
+        if has_circuit(a_mask) and has_circuit(full & ~a_mask):
+            best = cut
+            if best <= 1:
+                break
+    if best is None or best > limit:
+        return None
+    return best

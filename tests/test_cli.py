@@ -402,6 +402,19 @@ def test_fulkerson_verify_reads_the_cover_file_once(monkeypatch, tmp_path):
     assert all(cert == certs[0] and "cannot read a cover" in cert["error"] for cert in certs)
 
 
+NESTED = "[" * 100_000 + "]" * 100_000  # too deep for the JSON decoder
+
+
+def test_fulkerson_verify_too_deep_cover_is_an_error_for_every_input(tmp_path):
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"matchings": "M"}).replace('"M"', NESTED))
+    code, out, _ = run(["fulkerson", "--verify", str(path), "--json", "--quiet",
+                        "--construct", "petersen", "--construct", "flower:3"])
+    certs = [json.loads(line) for line in out.splitlines()]
+    assert code == 1 and len(certs) == 2
+    assert all("cannot read a cover" in cert["error"] for cert in certs)
+
+
 def test_fulkerson_verify_rejects_bool_edge_ids(tmp_path):
     # JSON false and true are not edges 0 and 1, though Python's bools equal them
     members = [sorted(m) for m in sd.find_cover(sd.petersen()).matchings]
@@ -488,6 +501,18 @@ def test_verify_rejects_unparseable_line(tmp_path):
     path.write_text("{not json\n")
     code, vout, _ = run(["verify", str(path)])
     assert code == 1 and "FAIL" in vout
+
+
+def test_verify_too_deep_line_is_a_failure(tmp_path):
+    _, out, _ = run(["analyze", "--construct", "petersen", "--json"])
+    path = tmp_path / "deep.jsonl"
+    path.write_text(NESTED + "\n" + out)
+    code, vout, _ = run(["verify", str(path)])
+    assert code == 1
+    lines = vout.splitlines()
+    assert lines[0].startswith(f"FAIL {path}:1: bad JSON: ")
+    assert lines[1].startswith(f"PASS {path}:2")
+    assert lines[2] == "verified 2 certificate(s): 1 pass, 1 fail"
 
 
 @pytest.mark.parametrize("case", ["missing", "byte-0xff", "directory"])

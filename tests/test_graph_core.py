@@ -2,15 +2,20 @@
 
 import random
 import string
+import time
 
 import networkx as nx
 import pytest
 
 import snarkdefect as sd
 import oracles
+from conftest import petersen_ring
 from oracles import edge_pairs
 
 PETERSEN_G6 = "IheA@GUAo"
+
+# a 3-sum of flower:3 and inflate-pair:petersen:0:1, cyclically 3-edge-connected
+G24 = "WD[CIC@_IGc?????_?G??????AO?Ao?@WC?_?GCG?K???`@"
 
 PETERSEN_EDGES = (
     (0, 1), (0, 4), (0, 5), (1, 2), (1, 6), (2, 3), (2, 7), (3, 4),
@@ -323,6 +328,55 @@ def test_cyclic_edge_connectivity(petersen, k4, theta, j5, blanusa1, j7, dumbbel
     assert sd.cyclic_edge_connectivity(theta, 6) is sd.EXCEEDS_LIMIT
     with pytest.raises(sd.SizeGateError):
         sd.cyclic_edge_connectivity(j7, 6, max_vertices=10)
+
+
+def _outcome(f, *args, **kw):
+    try:
+        return f(*args, **kw)
+    except sd.GraphError as exc:
+        return type(exc), str(exc)
+
+
+def _brute_cyclic_edge_connectivity(g, limit, max_vertices=40):
+    n, pairs = g.vertex_count, edge_pairs(g)
+    if n > max_vertices:
+        raise sd.SizeGateError(
+            f"{n} vertices exceeds the exact enumeration gate ({max_vertices})")
+    if oracles._component_count(n, pairs) > 1:
+        raise sd.GraphError("cyclic edge connectivity requires a connected graph")
+    best = oracles.cyclic_edge_connectivity(n, pairs, limit)
+    return sd.EXCEEDS_LIMIT if best is None else best
+
+
+def test_cyclic_edge_connectivity_matches_the_brute_force():
+    # configuration-model multigraphs: loops, parallel edges and
+    # disconnected graphs all occur; errors must match in type and text
+    rng = random.Random(20261019)
+    seen = set()
+    for n in [2, 4, 6, 8, 10, 12, 14] * 20:
+        g = sd.CubicGraph(n, oracles.random_cubic_edges(rng, n))
+        for limit in range(-1, 7):
+            got = _outcome(sd.cyclic_edge_connectivity, g, limit)
+            assert got == _outcome(_brute_cyclic_edge_connectivity, g, limit), (g.edges, limit)
+            seen.add(got if isinstance(got, int) else
+                     "exceeds" if got is sd.EXCEEDS_LIMIT else got[0].__name__)
+        gate = n - 2
+        assert (_outcome(sd.cyclic_edge_connectivity, g, 6, max_vertices=gate)
+                == _outcome(_brute_cyclic_edge_connectivity, g, 6, max_vertices=gate))
+    assert {1, 2, 3, "exceeds", "GraphError"} <= seen
+
+
+@pytest.mark.parametrize("graph, limit, expected", [
+    (lambda: sd.parse_graph6(G24), 3, 3),
+    (lambda: petersen_ring(3), 6, 2),
+], ids=["G24", "petersen-ring-3"])
+def test_cyclic_edge_connectivity_reaches_small_cuts_of_large_graphs(graph, limit, expected):
+    # 24 and 30 vertices: 2^23 and 2^29 bipartitions, but small cuts are
+    # found through bridges of the graph minus a few edges
+    g = graph()
+    start = time.process_time()
+    assert sd.cyclic_edge_connectivity(g, limit) == expected
+    assert time.process_time() - start < 1.0
 
 
 def test_bipartite_double(petersen, k4, theta, cube):
