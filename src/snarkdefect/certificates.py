@@ -43,6 +43,8 @@ from .graph_core import CubicGraph, GraphError, girth, is_bridgeless, write_edge
 
 SCHEMA = "snarkdefect.certificate/1"
 _ERROR_KEYS = {"schema", "command", "source", "error"}
+_CERT_KEYS = {"schema", "command", "source", "graph", "result", "exact", "timing"}
+_GRAPH_KEYS = {"sha256", "vertices", "edges"}
 _FULKERSON_MODES = ("find", "verify", "roundtrip")
 
 
@@ -368,11 +370,20 @@ def _type_problems(obj: dict, types: dict, prefix: str = "") -> list[str]:
 def _shape_problems(command: str, cert: dict, m: int) -> list[str]:
     """Parts of a certificate whose JSON type or edge ids (m edges) are
     not the ones the checks read, including each claim taken at face
-    value; such a certificate is reported, not checked."""
-    res = cert.get("result")
+    value, and an envelope that is not the writer's (its keys, a string
+    source, a null or {"seconds": number} timing, the graph's keys); such
+    a certificate is reported, not checked."""
+    if cert.keys() != _CERT_KEYS:
+        return [f"certificate: expected the keys {sorted(_CERT_KEYS)}, got {sorted(cert)}"]
+    res, timing, graph = cert["result"], cert["timing"], cert["graph"]
     if not isinstance(res, dict):
         return [f"result: expected an object, got {type(res).__name__}"]
-    problems = _type_problems(cert, {"exact": bool})
+    problems = _type_problems(cert, {"exact": bool, "source": str})
+    if timing is not None and not (type(timing) is dict and timing.keys() == {"seconds"}
+                                   and type(timing["seconds"]) in (int, float)):
+        problems.append('timing: expected null or {"seconds": <number>}')
+    if graph.keys() != _GRAPH_KEYS:
+        problems.append(f"graph: expected the keys {sorted(_GRAPH_KEYS)}, got {sorted(graph)}")
     if command == "analyze":
         problems += _type_problems(res, {"colourable": bool, "oddness": int,
                                          "df": dict, "rdf": dict})

@@ -154,7 +154,14 @@ def _run_batch(args, command: str, per_graph, human) -> int:
     ``human(src, result, cert)`` line per input; bad inputs and
     GraphErrors become error certificates.  Exit code 1 on an unwritable
     --output file, any error or failed check, else 2 if any result was
-    budget-limited, else 0."""
+    budget-limited, else 0.  An --output file that is also an input is
+    refused the same way: opening it would overwrite the input."""
+    inputs = (args.edge_list, getattr(args, "verify", None), args.graph6 != "-" and args.graph6)
+    if args.output and os.path.exists(args.output) and any(
+            name and os.path.exists(name) and os.path.samefile(name, args.output)
+            for name in inputs):
+        print(f"snarkdefect: cannot write {args.output}: it is also an input", file=sys.stderr)
+        return 1
     try:
         sink = open(args.output, "w", encoding="utf-8") if args.output else None
     except OSError as exc:

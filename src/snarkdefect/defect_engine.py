@@ -49,6 +49,11 @@ class SearchBudget:
     max_triples: int | None = None
 
 
+def _canonical_order(members) -> list[frozenset[int]]:
+    """Members as frozensets in canonical order: by sorted edge list."""
+    return sorted(map(frozenset, members), key=sorted)
+
+
 @dataclass(frozen=True)
 class ThreeArray:
     """A multiset of three perfect matchings, stored in canonical order."""
@@ -57,9 +62,7 @@ class ThreeArray:
 
     @staticmethod
     def of(m1, m2, m3) -> "ThreeArray":
-        members = sorted((frozenset(m1), frozenset(m2), frozenset(m3)),
-                         key=lambda s: tuple(sorted(s)))
-        return ThreeArray(tuple(members))
+        return ThreeArray(tuple(_canonical_order((m1, m2, m3))))
 
     def multiplicity(self, e: int) -> int:
         return sum(1 for mm in self.matchings if e in mm)
@@ -125,6 +128,17 @@ class DefectResult:
         return repr(self.value)
 
 
+def _member_multiplicities(g: CubicGraph, members, kind: str) -> list[int]:
+    """How many members hold each edge; each must be a perfect matching."""
+    mult = [0] * g.edge_count
+    for idx, mm in enumerate(members):
+        if not is_perfect_matching(g, mm):
+            raise GraphError(f"{kind} member {idx} is not a perfect matching of the graph")
+        for e in mm:
+            mult[e] += 1
+    return mult
+
+
 def coverage(g: CubicGraph, a: ThreeArray) -> CoverageProfile:
     """Per-edge multiplicities of a 3-array plus the counts n0..n3.
 
@@ -132,13 +146,7 @@ def coverage(g: CubicGraph, a: ThreeArray) -> CoverageProfile:
     every multiplicity is 0..3, the counts sum to the edge count, and
     n1 + 2*n2 + 3*n3 = 3n/2.
     """
-    for idx, mm in enumerate(a.matchings):
-        if not is_perfect_matching(g, mm):
-            raise GraphError(f"array member {idx} is not a perfect matching of the graph")
-    mult = [0] * g.edge_count
-    for mm in a.matchings:
-        for e in mm:
-            mult[e] += 1
+    mult = _member_multiplicities(g, a.matchings, "array")
     counts = tuple(mult.count(k) for k in range(4))
     return CoverageProfile(tuple(mult), counts)
 

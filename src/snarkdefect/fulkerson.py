@@ -25,10 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .colouring import GraphFacts, edge_set, is_perfect_matching
-from .defect_engine import NONE_FOUND, BudgetError, ThreeArray, coverage
+from .colouring import GraphFacts, edge_set
+from .defect_engine import (NONE_FOUND, BudgetError, ThreeArray, _canonical_order,
+                            _member_multiplicities, coverage)
 from .fano_flow import FlowCheck
-from .graph_core import CubicGraph, GraphError, SizeGateError, bridges, is_bridgeless
+from .graph_core import CubicGraph, GraphError, SizeGateError, bridges
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class FulkersonCover:
 
     @staticmethod
     def of(g: CubicGraph, members) -> "FulkersonCover":
-        ms = sorted((frozenset(mm) for mm in members), key=lambda s: tuple(sorted(s)))
+        ms = _canonical_order(members)
         if len(ms) != 6:
             raise GraphError(f"a Fulkerson cover has six members, got {len(ms)}")
         return FulkersonCover(g, tuple(ms))
@@ -61,13 +62,7 @@ def verify_cover(g: CubicGraph, cover) -> CoverCheck:
     members = cover.matchings if isinstance(cover, FulkersonCover) else tuple(cover)
     if len(members) != 6:
         raise GraphError(f"expected six matchings, got {len(members)}")
-    for idx, mm in enumerate(members):
-        if not is_perfect_matching(g, mm):
-            raise GraphError(f"cover member {idx} is not a perfect matching")
-    mult = [0] * g.edge_count
-    for mm in members:
-        for e in mm:
-            mult[e] += 1
+    mult = _member_multiplicities(g, members, "cover")
     for e, k in enumerate(mult):
         if k != 2:
             return CoverCheck(False, tuple(mult), f"edge {e} is covered {k} times, expected 2")
@@ -99,11 +94,12 @@ def find_cover(g: CubicGraph, max_matchings: int | None = None,
     because a truncated search cannot certify absence.  A negative
     ``max_nodes`` is an input error.
     """
-    if not is_bridgeless(g):
+    facts = GraphFacts(g)
+    if not facts.bridgeless:
         raise GraphError("Fulkerson covers are defined for bridgeless graphs")
     if max_nodes is not None and max_nodes < 0:
         raise GraphError("max_nodes must be at least 0")
-    masks, complete = GraphFacts(g).prefix(max_matchings)
+    masks, complete = facts.prefix(max_matchings)
     if not complete:
         raise BudgetError(f"more than {max_matchings} perfect matchings")
     m = g.edge_count
@@ -252,8 +248,7 @@ def verify_group_flow(flow: GroupFlow) -> FlowCheck:
     g = flow.graph
     if len(flow.values) != g.edge_count:
         return FlowCheck(False, "value table length mismatch")
-    for e in range(g.edge_count):
-        v = flow.values[e]
+    for e, v in enumerate(flow.values):
         if e in flow.removed:
             if v is not None:
                 return FlowCheck(False, f"removed edge {e} carries a value")
@@ -282,68 +277,64 @@ def complementary_to_flows(g: CubicGraph, pair: ComplementaryPair):
     err = check_complementary(g, pair.first, pair.second)
     if err:
         raise GraphError(f"invalid complementary pair: {err}")
-    removals = []
     flows = []
     for arr in (pair.first, pair.second):
-        vals = [0] * g.edge_count  # XOR of the indices of the members avoiding e
+        # XOR of the indices of the members holding e, which is that of
+        # the members avoiding e, since 1 ^ 2 ^ 3 = 0
+        vals = [0] * g.edge_count
         for i, mm in enumerate(arr.matchings, start=1):
-            for e in range(g.edge_count):
-                if e not in mm:
-                    vals[e] ^= i
+            for e in mm:
+                vals[e] ^= i
         p = frozenset(e for e, v in enumerate(vals) if v == 0)
-        removals.append(p)
         flows.append(GroupFlow(g, p, tuple(v or None for v in vals)))
-    return removals[0], removals[1], flows[0], flows[1]
+    return flows[0].removed, flows[1].removed, flows[0], flows[1]
 
 
 def flows_to_cover(g: CubicGraph, p1: frozenset[int], p2: frozenset[int],
                    phi1: GroupFlow, phi2: GroupFlow) -> FulkersonCover:
     """Rebuild a cover from two matchings and flows on their complements.
 
-    xi maps each edge to a 2-subset of {1..6}; at every vertex the three
-    subsets must partition {1..6} (checked; a failure means the inputs
-    violate the preconditions or there is a construction bug).  It also
-    makes each M_i a perfect matching and puts each edge in two members.
+    Checked: P1 and P2 are disjoint matchings of edge ids of g, without
+    loops, that meet the same vertices, and phi_i is a verified flow on
+    g - P_i.  Then the labels xi(x) at each vertex partition {1..6}, so
+    each M_i is a perfect matching and every edge is in two members:
+
+    - at a vertex P1 and P2 miss, each flow XORs three nonzero values to
+      zero (a loop there would leave zero on the third edge), so it
+      gives the three edges 1, 2 and 3: the labels are {a, b+3} over
+      three distinct a and three distinct b;
+    - at a vertex P1 and P2 meet, in p1 and p2, with third edge f,
+      Kirchhoff gives phi1(p2) = phi1(f) = a and phi2(p1) = phi2(f) = b:
+      the labels are {1,2,3}-{a}, {4,5,6}-{b+3} and {a, b+3}.
     """
     p1, p2 = frozenset(p1), frozenset(p2)
     if p1 & p2:
         raise GraphError(f"P1 and P2 share edges {sorted(p1 & p2)}")
-    touched = [0] * g.vertex_count
+    met = []
     for p in (p1, p2):
-        seen = [0] * g.vertex_count
+        ends: list[int] = []
         for e in p:
+            if not (type(e) is int and 0 <= e < g.edge_count):
+                raise GraphError(f"P1/P2 holds {e!r}, which is not an edge id of the graph")
             a, b = g.endpoints(e)
             if a == b:
                 raise GraphError(f"edge {e} is a loop, not a matching edge")
-            seen[a] += 1
-            seen[b] += 1
-        if any(k > 1 for k in seen):
+            ends += a, b
+        met.append(set(ends))
+        if len(met[-1]) < len(ends):
             raise GraphError("P1/P2 is not a matching")
-        for v in range(g.vertex_count):
-            touched[v] += seen[v]
-    if any(k == 1 for k in touched):
+    if met[0] != met[1]:
         raise GraphError("P1 union P2 is not a disjoint union of circuits")
     for flow, p in ((phi1, p1), (phi2, p2)):
-        if flow.removed != p:
+        if flow.graph != g or flow.removed != p:
             raise GraphError("flow domain does not match its matching")
         chk = verify_group_flow(flow)
         if not chk:
             raise GraphError(f"flow fails verification: {chk.violation}")
 
-    xi: list[frozenset[int]] = []
-    for e in range(g.edge_count):
-        if e in p2:
-            xi.append(frozenset({1, 2, 3} - {phi1.value(e)}))
-        elif e in p1:
-            xi.append(frozenset({4, 5, 6} - {phi2.value(e) + 3}))
-        else:
-            xi.append(frozenset({phi1.value(e), phi2.value(e) + 3}))
-    for v in range(g.vertex_count):
-        labels = [xi[e] for e, _ in g.incident_ends(v)]
-        union = labels[0] | labels[1] | labels[2]
-        if len(union) != 6:
-            raise GraphError(
-                f"vertex partition failure at {v}: {sorted(map(sorted, labels))}")
+    xi = [{1, 2, 3} - {phi1.value(e)} if e in p2
+          else {4, 5, 6} - {phi2.value(e) + 3} if e in p1
+          else {phi1.value(e), phi2.value(e) + 3} for e in range(g.edge_count)]
     members = [frozenset(e for e in range(g.edge_count) if i in xi[e]) for i in range(1, 7)]
     return FulkersonCover.of(g, members)
 
@@ -382,12 +373,10 @@ def nz_4flow(g: CubicGraph, removed=(), max_dimension: int = 24) -> GroupFlow | 
     n = g.vertex_count
     present = [e for e in range(g.edge_count) if e not in removed]
 
-    # spanning forest; fundamental cycles of the non-tree edges
-    parent_edge = [-1] * n
-    parent_vtx = [-1] * n
-    depth = [0] * n
+    # spanning forest, as its arcs u -> w in search order; the cycle space
+    # dimension d is gated before any circuit is built
+    tree: list[tuple[int, int, int]] = []
     visited = [False] * n
-    tree: set[int] = set()
     for root in range(n):
         if visited[root]:
             continue
@@ -397,78 +386,61 @@ def nz_4flow(g: CubicGraph, removed=(), max_dimension: int = 24) -> GroupFlow | 
             for w, e in g.arcs(u):
                 if e not in removed and not visited[w]:
                     visited[w] = True
-                    parent_edge[w] = e
-                    parent_vtx[w] = u
-                    depth[w] = depth[u] + 1
-                    tree.add(e)
+                    tree.append((u, w, e))
                     queue.append(w)
-
-    nontree = [e for e in present if e not in tree]
+    nontree = sorted(set(present) - {e for _, _, e in tree})
     d = len(nontree)
     if d > max_dimension:
         raise SizeGateError(f"cycle space dimension {d} exceeds the gate ({max_dimension})")
 
-    def fundamental_cycle(e: int) -> int:
-        a, b = g.endpoints(e)
-        mask = 1 << e
-        while a != b:
-            if depth[a] < depth[b]:
-                a, b = b, a
-            mask ^= 1 << parent_edge[a]
-            a = parent_vtx[a]
-        return mask
-
-    cycles = [fundamental_cycle(e) for e in nontree]
-    odd = [False] * n
-    for e in present:
-        a, b = g.endpoints(e)
-        if a != b:
-            odd[a] = not odd[a]
-            odd[b] = not odd[b]
+    # circuit t, of the non-tree edge ab, holds the tree edges with exactly
+    # one of a, b below them.  below[] marks a and b with bit t and sums
+    # each subtree's marks, leaves inward; bit t of below[w] is then set
+    # iff the tree edge into w is on circuit t (a loop's two marks cancel)
+    cycles = [1 << e for e in nontree]
+    below = [0] * n
+    for t, e in enumerate(nontree):
+        for v in g.endpoints(e):
+            below[v] ^= 1 << t
+    for u, w, e in reversed(tree):
+        below[u] ^= below[w]
+        for t in range(d):
+            if below[w] >> t & 1:
+                cycles[t] |= 1 << e
+    odd = [sum(e not in removed for _, e in g.arcs(v)) % 2 for v in range(n)]
+    present_mask = sum(1 << e for e in present)
 
     def try_s1(s1: int) -> GroupFlow | None:
         # components of (V, S1) must each hold an even number of odd vertices
         comp = [-1] * n
-        order: list[int] = []
-        pe = [-1] * n
-        pv = [-1] * n
+        arcs: list[tuple[int, int, int]] = []  # the components' tree arcs, in search order
         for root in range(n):
             if comp[root] != -1:
                 continue
             total_odd = odd[root]
             comp[root] = root
             stack = [root]
-            members = [root]
             while stack:
                 u = stack.pop()
                 for w, e in g.arcs(u):
                     if s1 >> e & 1 and comp[w] == -1:
                         comp[w] = root
-                        pe[w] = e
-                        pv[w] = u
+                        arcs.append((u, w, e))
                         total_odd ^= odd[w]
                         stack.append(w)
-                        members.append(w)
             if total_odd:
                 return None
-            order.extend(members)
         # fix parities along each component's spanning tree, leaves inward
         need = list(odd)
         y_mask = 0
-        for u in reversed(order):
-            if pe[u] != -1 and need[u]:
-                y_mask ^= 1 << pe[u]
-                need[pv[u]] = not need[pv[u]]
-        s2 = y_mask
-        for e in present:
-            if not (s1 >> e & 1):
-                s2 |= 1 << e
-        vals: list[int | None] = [None] * g.edge_count
-        for e in present:
-            a = s1 >> e & 1
-            b = s2 >> e & 1
-            vals[e] = 2 * a + b
-        return GroupFlow(g, removed, tuple(vals))
+        for u, w, e in reversed(arcs):
+            if need[w]:
+                y_mask ^= 1 << e
+                need[u] = not need[u]
+        s2 = y_mask | present_mask & ~s1
+        # a removed edge lies in neither set: value 0, stored as None
+        return GroupFlow(g, removed, tuple(2 * (s1 >> e & 1) + (s2 >> e & 1) or None
+                                          for e in range(g.edge_count)))
 
     # bit t of coeffs selects cycles[t], so S1 runs in ascending order of
     # its coefficient vector read with cycles[d - 1] as the top bit

@@ -294,12 +294,27 @@ def test_output_file_mirrors_stdout(tmp_path):
 
 @pytest.mark.parametrize("command", ["analyze", "fulkerson"])
 @pytest.mark.parametrize("case, reason", [("missing-dir", "No such file or directory"),
-                                          ("directory", "Is a directory")])
+                                          ("directory", "Is a directory"),
+                                          ("input", "it is also an input")])
 def test_unwritable_output_is_one_error_line(tmp_path, command, case, reason):
     sink = tmp_path / "missing" / "x.jsonl" if case == "missing-dir" else tmp_path
-    code, out, err = run([command, "--construct", "petersen", "--json", "--output", str(sink)])
+    inputs = []
+    if case == "input":  # the graph6 file of analyze, the cover file of fulkerson --verify
+        sink = tmp_path / "input.txt"
+        if command == "analyze":
+            sink.write_text(sd.write_graph6(sd.petersen()) + "\n")
+            inputs = ["--graph6", str(sink)]
+        else:
+            cover = sd.find_cover(sd.petersen())
+            sink.write_text(json.dumps({"matchings": [sorted(m) for m in cover.matchings]}))
+            inputs = ["--verify", str(sink)]
+        before = sink.read_bytes()
+    code, out, err = run([command, *inputs, "--construct", "petersen", "--json",
+                          "--output", str(sink)])
     assert (code, out) == (1, "")
     assert err == f"snarkdefect: cannot write {sink}: {reason}\n"
+    if case == "input":
+        assert sink.read_bytes() == before
 
 
 def test_timing_flag_records_seconds():
@@ -613,6 +628,18 @@ def _malform(cert, shape):
         cert["result"]["df"]["value"] = 0
         cert["result"]["snark"] = False
         cert["error"] = ""
+    elif shape == "extra-top-key":
+        cert["foo"] = 1
+    elif shape == "timing-string":
+        cert["timing"] = "fast"
+    elif shape == "timing-seconds-string":
+        cert["timing"] = {"seconds": "x"}
+    elif shape == "timing-missing":
+        del cert["timing"]
+    elif shape == "source-list":
+        cert["source"] = [1, 2]
+    elif shape == "graph-extra-key":
+        cert["graph"]["note"] = "x"
     elif shape == "error-not-string":
         cert = {key: cert[key] for key in ("schema", "command", "source")} | {"error": 5}
     else:
@@ -637,7 +664,9 @@ ROUNDTRIP_SHAPES = ["roundtrip-no-rebuilt", "rebuilt-int", "flows-ints", "flows-
                                    "exhaustive-int", "exact-false", "relabelled-fulkerson",
                                    "witness-reordered", "cover-reordered", "cover-extra-key",
                                    "error-beside-result", "error-not-string",
-                                   "vertex-bool", "cover-vertex-bool"])
+                                   "vertex-bool", "cover-vertex-bool", "extra-top-key",
+                                   "timing-string", "timing-seconds-string", "timing-missing",
+                                   "source-list", "graph-extra-key"])
 def test_verify_fails_malformed_certificate(tmp_path, shape):
     if shape in ROUNDTRIP_SHAPES:
         command = ["fulkerson", "--roundtrip"]

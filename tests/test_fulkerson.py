@@ -2,6 +2,8 @@
 
 import gc
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -293,6 +295,11 @@ def test_flows_to_cover_validates_inputs(petersen):
                           tuple(0 if v == 1 else v for v in f1.values))
     with pytest.raises(sd.GraphError):
         sd.flows_to_cover(petersen, p1, p2, broken, f2)
+    for bad in (99, -1):  # ids that are not edges of the graph
+        with pytest.raises(sd.GraphError, match="not an edge id"):
+            sd.flows_to_cover(petersen, p1 | {bad}, p2, f1, f2)
+    with pytest.raises(sd.GraphError, match="circuits"):  # P1 and P2 meet different vertices
+        sd.flows_to_cover(petersen, frozenset(sorted(p1)[1:]), p2, f1, f2)
 
 
 # --------------------------------------------------------------------------
@@ -330,8 +337,23 @@ def test_nz_4flow_on_colourable_graphs(theta, k4, k33, prism, cube):
         assert flow.removed == frozenset()
 
 
-def test_nz_4flow_k33_golden(k33):
+def test_nz_4flow_k33_golden(k33, cube, prism, j5, petersen):
     assert sd.nz_4flow(k33).values == (1, 3, 2, 2, 1, 3, 3, 2, 1)
+
+    def word(g, removed=()):  # the values as digits, "-" on removed edges
+        return "".join("-" if v is None else str(v) for v in sd.nz_4flow(g, removed).values)
+
+    assert word(cube) == "132321221331"
+    assert word(prism) == "321123321"
+    assert word(sd.bipartite_double(petersen)) == "322113123113321223332312312211"
+    assert sd.nz_4flow(j5) is None
+    assert word(j5, sd.enumerate_perfect_matchings(j5)[0]) == "-11-11-11-11-1111111-11-1-1-1-"
+    assert [word(petersen, m) for m in sd.enumerate_perfect_matchings(petersen)] == [
+        "-1111-111--1-11", "-11111--111-1-1", "1-1-1111-1-11-1",
+        "1-11--11111-11-", "11--111-1111-1-", "11-1-1-1--11111"]
+    # two non-adjacent edges removed: the search passes S1 = 0
+    assert [word(petersen, r) for r in ((0, 14), (3, 12), (5, 10))] == [
+        "-3333211321212-", "213-23321321-21", "31212-1332-2131"]
 
 
 def test_petersen_has_no_nz_4flow(petersen):
@@ -362,3 +384,36 @@ def test_nz_4flow_rejects_bridgy_subgraph(petersen):
 def test_nz_4flow_dimension_gate(petersen):
     with pytest.raises(sd.SizeGateError):
         sd.nz_4flow(petersen, max_dimension=2)
+
+
+def flower_minus_matching(k):
+    """J_k and the perfect matching of hub i with inner vertex k + i and
+    of alternate edges of the outer 2k-circuit."""
+    g = sd.flower_snark(k)
+    outer = [2 * k + i for i in range(k)] + [3 * k + i for i in range(k)]
+    pairs = {(i, k + i) for i in range(k)} | {(outer[j], outer[j + 1]) for j in range(0, 2 * k, 2)}
+    return g, [e for e in range(g.edge_count) if g.endpoints(e) in pairs]
+
+
+@pytest.mark.parametrize("drop_matching", [False, True], ids=["gated", "minus-matching"])
+def test_nz_4flow_memory_is_linear_on_large_graphs(drop_matching):
+    # J_2001 has 8004 vertices and 12006 edges: its cycle space dimension
+    # 4003 is refused after one walk, and without the matching it is 2;
+    # neither keeps an edge mask per vertex
+    g, matching = flower_minus_matching(2001)
+    removed = matching if drop_matching else ()
+    tracemalloc.start()
+    start = time.process_time()
+    try:
+        if drop_matching:
+            flow = sd.nz_4flow(g, removed)
+        else:
+            with pytest.raises(sd.SizeGateError, match="dimension 4003 "):
+                sd.nz_4flow(g, removed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.process_time() - start < 3.0
+    assert peak < 400 * g.edge_count
+    if drop_matching:
+        assert sd.verify_group_flow(flow).ok
