@@ -89,7 +89,13 @@ def perfect_matching_masks(g: CubicGraph, limit: int | None = None) -> list[int]
         partners = [w for w, _ in g.arcs(v) if w != v]
         nbr.append(sum(1 << w for w in set(partners)))
         sole.append({1 << w: e for w, e in g.arcs(v) if w != v and partners.count(w) == 1})
-    found = _completions((1 << n) - 1, {0: [0]}, limit, g, nbr, sole)
+    try:
+        found = _completions((1 << n) - 1, {0: [0]}, limit, g, nbr, sole)
+    except RecursionError:
+        # one Python level per branching pick; an explicit stack would not
+        # help while oddness enumerates every matching whatever the cap
+        raise GraphError(f"the matching search on {n} vertices is deeper than "
+                         "the interpreter's recursion limit") from None
     width = f"0{g.edge_count}b"
     return sorted(found, key=lambda m: format(m, width)[::-1], reverse=True)
 
@@ -351,6 +357,8 @@ class GraphFacts:
     def __init__(self, g: CubicGraph):
         self.graph = g
         self._prefixes: dict[int, tuple[list[int], bool]] = {}
+        self._first_even: int | None = None  # set by the oddness walk
+        self._exact_df: int | None = None  # set by defect once df is exact
 
     @cached_property
     def bridgeless(self) -> bool:
@@ -394,17 +402,50 @@ class GraphFacts:
 
     @cached_property
     def oddness(self) -> int:
-        """Minimum number of odd circuits over all 2-factors."""
+        """Minimum number of odd circuits over all 2-factors.
+
+        Walks the 2-factors in list order and stops at the first all-even
+        one, keeping its index for ``_colour_triple``.  The least df/rdf
+        witness that ``analyze`` reports needs that index in the full
+        sorted list; ``oddness`` and ``is_snark`` alone could stop at the
+        first all-even 2-factor in search order, but today they too wait
+        for the whole enumeration.
+        """
         if not self.masks:
             raise GraphError("graph has no perfect matching")
         best = None
-        for m in self.masks:
+        for idx, m in enumerate(self.masks):
             odd = _odd_circuits(self.graph, m)
             if best is None or odd < best:
                 best = odd
                 if best == 0:
+                    self._first_even = idx
                     break
         return best
+
+    @cached_property
+    def _colour_triple(self) -> tuple[int, int, int] | None:
+        """The least (i, j, k), i <= j <= k, of indices into the full list
+        whose matchings partition the edges: the df and rdf witness of a
+        colourable graph.  None when the graph is not colourable.
+
+        Each member of a partition has an all-even 2-factor, the other two
+        members alternating along it, so i is the first all-even index.
+        j is the least index from i on whose matching avoids ``masks[i]``;
+        one exists, as the 2-factor of i splits into two matchings.  The
+        edges that i and j leave are one at each vertex, so they are a
+        matching k, and k >= j: a k below j would be a smaller such j.
+        """
+        if not self.colourable:
+            return None
+        g, masks = self.graph, self.masks
+        i = self._first_even
+        if i is None:  # oddness was read off a capped prefix
+            i = next(x for x, m in enumerate(masks) if not _odd_circuits(g, m))
+        mi = masks[i]
+        j = next(j for j in range(i, len(masks)) if not mi & masks[j])
+        rest = ((1 << g.edge_count) - 1) ^ mi ^ masks[j]
+        return i, j, masks.index(rest, j)
 
     @property
     def colourable(self) -> bool:

@@ -13,11 +13,20 @@ lexicographic order on the sorted triples of sorted edge lists.  The
 reported witness is the first triple attaining the minimum, i.e. the
 lexicographically least optimal 3-array.  Sound pruning (a pair bound on
 the uncovered count, and early stop once a proven global lower bound is
-attained: 0 for colourable graphs, 3 for snarks) never changes the
+attained: 0 for colourable graphs, 3 for snarks, and for rdf an exact df,
+since rdf >= df whenever a regular array exists) never changes the
 value or the witness.  The scan keeps nothing: it yields each triple at
 or below the running minimum, df and rdf keep one witness, and
-``enumerate_optimal_arrays`` keeps the ties at the final minimum.  The
-scan runs on one thread, so a triple budget's cutoff point is
+``enumerate_optimal_arrays`` keeps the ties at the final minimum.
+
+A colourable graph does not scan for df or rdf: their witness is the
+least triple of matchings that partitions the edges, found directly by
+``GraphFacts`` (a partition has no common edge, so it is regular).  The
+scan stays for a triple budget, which counts inspected triples, for a
+capped matching list, and for ``enumerate_optimal_arrays``, which needs
+every tie.
+
+The scan runs on one thread, so a triple budget's cutoff point is
 reproducible; a negative budget is an input error.  The ``threads``
 keywords are accepted for compatibility and have no effect: the scan is
 pure Python, which threads cannot overlap under the interpreter lock.
@@ -50,8 +59,15 @@ class SearchBudget:
 
 
 def _canonical_order(members) -> list[frozenset[int]]:
-    """Members as frozensets in canonical order: by sorted edge list."""
-    return sorted(map(frozenset, members), key=sorted)
+    """Members as frozensets in canonical order: by sorted edge list.
+    Every id must be an int (a bool is not one), so the sort compares
+    like with like."""
+    ms = [frozenset(mm) for mm in members]
+    for mm in ms:
+        for e in mm:
+            if type(e) is not int:
+                raise GraphError(f"member holds {e!r}, which is not an edge id")
+    return sorted(ms, key=sorted)
 
 
 @dataclass(frozen=True)
@@ -255,20 +271,26 @@ def _defect_impl(g: CubicGraph, regular: bool, budget: SearchBudget | None,
     _require_bridgeless(facts)
     masks, complete = facts.prefix(budget.max_matchings if budget else None)
     lower = 0 if facts.colourable else 3  # snark lower bound; bridgeless + uncolourable = snark
+    if regular and facts._exact_df is not None:
+        lower = facts._exact_df  # rdf >= df whenever a regular array exists
 
     mt = budget.max_triples if budget else None
     if mt is not None and mt < 0:
         raise GraphError("max_triples must be at least 0")
     best = None  # (value, triple): the first triple at the least value
     scanned_all = True
-    for hit in _scan(masks, g.edge_count, g.vertex_count // 2, regular, mt):
-        if hit is None:
-            scanned_all = False
-            break
-        if best is None or hit[0] < best[0]:
-            best = hit
-        if best[0] <= lower:
-            break
+    triple = facts._colour_triple if mt is None and complete else None
+    if triple is not None:
+        best = 0, triple
+    else:
+        for hit in _scan(masks, g.edge_count, g.vertex_count // 2, regular, mt):
+            if hit is None:
+                scanned_all = False
+                break
+            if best is None or hit[0] < best[0]:
+                best = hit
+            if best[0] <= lower:
+                break
 
     if best is None:
         if regular and complete and scanned_all:
@@ -278,6 +300,8 @@ def _defect_impl(g: CubicGraph, regular: bool, budget: SearchBudget | None,
     # a witness attaining the proven lower bound is exact even if the
     # matching list was truncated
     exhaustive = (complete and scanned_all) or val == lower
+    if exhaustive and not regular:
+        facts._exact_df = val
     witness = ThreeArray.of(*(edge_set(masks[x]) for x in triple))
     return DefectResult(val, witness, exhaustive, regular)
 

@@ -124,6 +124,15 @@ def test_bridge_graph_is_an_error(tmp_path):
     assert "bridge" in json.loads(out)["error"]
 
 
+def test_too_deep_matching_search_is_an_error_certificate():
+    # J_1001 has 4,004 vertices; the matching search recurses once per pick
+    code, out, _ = run(["analyze", "--construct", "flower:1001", "--max-matchings", "1",
+                        "--json", "--quiet"])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert "4004 vertices" in error and "recursion limit" in error
+
+
 def test_missing_matching_is_reported_before_bridges(tmp_path):
     # a claw whose leaves carry loops has bridges and no perfect matching
     path = tmp_path / "claw.txt"

@@ -1,13 +1,17 @@
 """Defect search: values, witnesses, cores, budgets, and the girth bound."""
 
+import hashlib
 import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
 
 import snarkdefect as sd
 import oracles
+from snarkdefect import certificates, cli
+from snarkdefect.defect_engine import _scan
 from conftest import petersen_ring
 from oracles import edge_pairs
 
@@ -76,6 +80,15 @@ def test_three_array_canonicalisation(petersen):
     assert arr.is_regular is (len(ms[0] & ms[3]) == 0)
     # repeating one matching thrice leaves its edges triply covered
     assert not sd.ThreeArray.of(ms[0], ms[0], ms[0]).is_regular
+
+
+@pytest.mark.parametrize("members", [[{0, 1}, {"x"}, {2}], [{0}, {True}, {2}]],
+                         ids=["string", "bool"])
+def test_array_constructors_reject_non_int_ids(petersen, members):
+    with pytest.raises(sd.GraphError, match="not an edge id"):
+        sd.ThreeArray.of(*members)
+    with pytest.raises(sd.GraphError, match="not an edge id"):
+        sd.FulkersonCover.of(petersen, members * 2)
 
 
 def test_coverage_identities_on_sampled_arrays(petersen, j5):
@@ -186,6 +199,107 @@ def test_df_and_rdf_keep_one_witness_not_every_optimum():
         optimal = sd.enumerate_optimal_arrays(g, regular)
         assert len(optimal) == 9472
         assert res.witness == optimal[0]
+
+# --------------------------------------------------------------------------
+# colourable graphs: the colour-class triple instead of the scan
+# --------------------------------------------------------------------------
+
+# a triple budget keeps df and rdf on the scan; this one never runs out
+SCAN = sd.SearchBudget(max_triples=10 ** 12)
+
+
+def test_colour_triple_matches_the_scan(theta, k4, k33, prism, cube):
+    suite = [theta, k4, k33, prism, cube, sd.bipartite_double(sd.petersen()),
+             sd.bipartite_double(sd.flower_snark(3)), sd.inflate_to_triangle(k4, 0)]
+    rng = random.Random(20261019)
+    multigraphs = 0
+    while len(suite) < 220:
+        n = rng.choice([2, 4, 6, 8, 10, 12, 14, 16])
+        g = sd.CubicGraph(n, oracles.random_cubic_edges(rng, n))
+        if sd.is_bridgeless(g) and sd.GraphFacts(g).colourable:
+            suite.append(g)
+            multigraphs += len(set(g.edges)) < g.edge_count
+    assert multigraphs >= 20
+    for g in suite:
+        facts = sd.GraphFacts(g)
+        zero = next(t for v, t in _scan(facts.masks, g.edge_count, g.vertex_count // 2, False)
+                    if v == 0)
+        assert facts._colour_triple == zero, g.edges
+        for search in (sd.defect, sd.regular_defect):
+            direct, scanned = search(g), search(g, budget=SCAN)
+            assert (direct.value, direct.witness, direct.exhaustive) == \
+                (scanned.value, scanned.witness, scanned.exhaustive) == \
+                (0, sd.ThreeArray.of(*(facts.matchings[x] for x in zero)), True), g.edges
+
+
+def test_colour_triple_after_a_capped_prefix(cube):
+    # the capped prefix proves colourability without the oddness walk, so
+    # the triple finds its first all-even 2-factor itself
+    facts = sd.GraphFacts(cube)
+    capped = sd.defect(cube, budget=sd.SearchBudget(max_matchings=2), facts=facts)
+    assert not capped.exhaustive
+    assert sd.defect(cube, facts=facts).witness == sd.defect(cube, budget=SCAN).witness
+
+
+def test_triple_budget_keeps_the_scan_on_colourable_graphs():
+    # values, flags and witnesses as the scan gave them before the
+    # colour-class triple existed
+    g = cli.build_descriptor("double:petersen")
+    first = (0, 1, 10, 11, 18, 19, 20, 21, 24, 25)
+    second = (0, 1, 12, 13, 14, 15, 22, 23, 26, 27)
+    for triples, want_df in ((1, (20, False, (first, first, first))),
+                             (5, (12, False, (first, first, second))),
+                             (40, (12, False, (first, first, second)))):
+        budget = sd.SearchBudget(max_triples=triples)
+        d, r = sd.defect(g, budget=budget), sd.regular_defect(g, budget=budget)
+        assert (d.value, d.exhaustive, d.witness.sorted_lists()) == want_df
+        assert (r.value, r.exhaustive, r.witness) == (sd.UNKNOWN, False, None)
+    d = sd.defect(g, budget=sd.SearchBudget(max_triples=1000))
+    assert (d.value, d.exhaustive, d.witness) == (0, True, sd.defect(g).witness)
+
+
+def test_analyze_reaches_double_flower_7():
+    # 20,760 matchings; the scan took about 3 s to reach the partition
+    g = cli.build_descriptor("double:flower:7")
+    start = time.process_time()
+    res, exact = cli.analyze_graph(g, None)
+    assert time.process_time() - start < 1.5
+    assert exact and (res["df"]["value"], res["rdf"]["value"]) == (0, 0)
+
+
+def test_rdf_stops_at_an_exact_df(monkeypatch):
+    # rdf >= df: once df is exact, the rdf scan stops at the first regular
+    # triple that reaches it, which the full scan keeps too
+    g = petersen_ring(4)
+    spent = []
+
+    def timed(*args, **kwargs):
+        start = time.process_time()
+        res = sd.regular_defect(*args, **kwargs)
+        spent.append(time.process_time() - start)
+        return res
+
+    monkeypatch.setattr(cli, "regular_defect", timed)
+    res, exact = cli.analyze_graph(g, None)
+    assert spent[0] < 0.1  # 0.3 s when the scan ran to its end
+    text = certificates.dump_certificate(
+        certificates.make_certificate("analyze", "ring4", g, res, exact, None))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "dc9355037b11f9587ffaea41bfd100bf36276cb611301e1a1ee48dcb6226e4b4"
+
+
+def test_exact_df_makes_a_budgeted_rdf_exact():
+    # the declared change: a triple budget that reaches rdf's witness but
+    # not the end of the scan gives an exact rdf once df is exact
+    g = petersen_ring(2)
+    budget = sd.SearchBudget(max_triples=100)
+    alone = sd.regular_defect(g, budget=budget)
+    assert (alone.value, alone.exhaustive) == (6, False)
+    facts = sd.GraphFacts(g)
+    assert sd.defect(g, facts=facts).value == 6
+    after = sd.regular_defect(g, budget=budget, facts=facts)
+    assert (after.value, after.exhaustive, after.witness) == (6, True, alone.witness)
+
 
 # --------------------------------------------------------------------------
 # budgets, threads, determinism
