@@ -295,7 +295,7 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _add_input_flags(p: argparse.ArgumentParser) -> None:
+def _add_input_flags(p: argparse.ArgumentParser, max_triples_help: str) -> None:
     p.add_argument("--graph6", metavar="FILE",
                    help="graph6 input, one graph per line ('-' for stdin)")
     p.add_argument("--edge-list", metavar="FILE", help="edge-list format input")
@@ -309,15 +309,19 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
                    help="accepted for compatibility; has no effect")
     p.add_argument("--timing", action="store_true",
                    help="record wall time (certificates stop being reproducible)")
-    # argparse converts a string default with type=int, so a bad variable
-    # is a usage error, as a bad flag is
-    p.add_argument("--max-matchings", type=int, default=os.environ.get(ENV_MAX_MATCHINGS) or None,
+    # main() sets the defaults of these two from the environment on every call
+    p.add_argument("--max-matchings", type=int, default=None,
                    help=f"matching enumeration cap (default ${ENV_MAX_MATCHINGS})")
-    p.add_argument("--max-triples", type=int, default=os.environ.get(ENV_MAX_TRIPLES) or None,
-                   help=f"triple inspection cap (default ${ENV_MAX_TRIPLES})")
+    p.add_argument("--max-triples", type=int, default=None, help=max_triples_help)
 
 
 def make_parser() -> argparse.ArgumentParser:
+    """A new command-line parser; main() builds one per process and keeps it."""
+    return _build_parser()[0]
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, tuple[argparse.ArgumentParser, ...]]:
+    """The parser, and its subparsers that take the budget flags."""
     parser = argparse.ArgumentParser(
         prog="snarkdefect",
         description="Exact colouring-defect and Fulkerson-cover computations "
@@ -325,11 +329,11 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     pa = sub.add_parser("analyze", help="defect, core and flow analysis per input graph")
-    _add_input_flags(pa)
+    _add_input_flags(pa, f"triple inspection cap (default ${ENV_MAX_TRIPLES})")
     pa.set_defaults(fn=cmd_analyze)
 
     pf = sub.add_parser("fulkerson", help="find/verify Fulkerson covers, run the roundtrip")
-    _add_input_flags(pf)
+    _add_input_flags(pf, f"accepted for compatibility; has no effect (default ${ENV_MAX_TRIPLES})")
     mode = pf.add_mutually_exclusive_group()
     mode.add_argument("--find", action="store_true", help="search for a cover (default)")
     mode.add_argument("--verify", metavar="COVERFILE",
@@ -343,11 +347,30 @@ def make_parser() -> argparse.ArgumentParser:
     pv.add_argument("certificates", help="JSONL certificate file ('-' for stdin)")
     pv.add_argument("--quiet", action="store_true", help="print failures only")
     pv.set_defaults(fn=cmd_verify)
-    return parser
+    return parser, (pa, pf)
+
+
+_built = None  # what _build_parser() returns, from the first main() call
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
+    """Run one command line and return its exit code; ``--help`` and
+    usage errors raise SystemExit, as argparse does.
+
+    main can be called any number of times in one process.  The parser is
+    built on the first call and reused by later ones; the
+    SNARKDEFECT_MAX_MATCHINGS and SNARKDEFECT_MAX_TRIPLES variables are
+    read on every call."""
+    global _built
+    if _built is None:
+        _built = _build_parser()
+    parser, budgeted = _built
+    # argparse converts a string default with type=int, so a bad variable
+    # is a usage error, as a bad flag is
+    budgets = {"max_matchings": os.environ.get(ENV_MAX_MATCHINGS) or None,
+               "max_triples": os.environ.get(ENV_MAX_TRIPLES) or None}
+    for p in budgeted:
+        p.set_defaults(**budgets)
     args = parser.parse_args(argv)
     # a value from a SNARKDEFECT_MAX_* variable is checked, and reported,
     # as the flag it stands in for

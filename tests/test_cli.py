@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -248,12 +251,25 @@ def test_budget_flag_gives_exit_2():
 
 
 def test_budget_env_var(monkeypatch):
+    """Each call reads the variable as it is at that call, in one process."""
+    argv = ["analyze", "--construct", "flower:5"]
     monkeypatch.setenv("SNARKDEFECT_MAX_TRIPLES", "10")
-    code, out, _ = run(["analyze", "--construct", "flower:5"])
+    code, out, _ = run(argv)
     assert code == 2 and "df=11?" in out
+    monkeypatch.setenv("SNARKDEFECT_MAX_TRIPLES", "50")
+    code, out, _ = run(argv)
+    assert (code, out) == run([*argv, "--max-triples", "50"])[:2]
+    assert code == 2 and "df=9?" in out
     monkeypatch.delenv("SNARKDEFECT_MAX_TRIPLES")
-    code, _, _ = run(["analyze", "--construct", "flower:5"])
-    assert code == 0
+    code, out, _ = run(argv)
+    assert code == 0 and "df=3 " in out
+    monkeypatch.setenv("SNARKDEFECT_MAX_TRIPLES", "ten")
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith("argument --max-triples: invalid int value: 'ten'")
+    monkeypatch.delenv("SNARKDEFECT_MAX_TRIPLES")
+    code, out, _ = run(argv)
+    assert code == 0 and "df=3 " in out
 
 
 @pytest.mark.parametrize("var", ["SNARKDEFECT_MAX_MATCHINGS", "SNARKDEFECT_MAX_TRIPLES"])
@@ -727,6 +743,95 @@ def test_help_screens_list_documented_flags():
     _, fu, _ = run(["fulkerson", "--help"])
     for flag in ("--find", "--verify", "--roundtrip", "--max-nodes"):
         assert flag in fu
+    # fulkerson takes --max-triples, and checks it, but counts no triples
+    assert "triple inspection cap" in an and "triple inspection cap" not in fu
+    assert fu.count("has no effect") == 2           # --threads and --max-triples
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+# Imports the CLI in a fresh interpreter, counting the argparse parsers
+# made, then makes several main() calls (one of them a usage error, one
+# --help) counting the builder's calls, then one make_parser() call.
+COUNT_BUILDS = """
+import argparse, contextlib, io, json
+made = 0
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    global made
+    made += 1
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import snarkdefect.cli as cli
+at_import = made
+builds = 0
+build = cli._build_parser
+def counting_build():
+    global builds
+    builds += 1
+    return build()
+cli._build_parser = counting_build
+codes = []
+for argv in (["analyze", "--construct", "petersen"], ["analyze", "--bogus"], ["--help"],
+             ["fulkerson", "--construct", "petersen"], ["analyze", "--construct", "flower:3"],
+             ["fulkerson", "--help"], ["verify", "no-such-file"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+in_main, builds_in_main = made - at_import, builds
+cli.make_parser()
+print(json.dumps({"at_import": at_import, "builds": builds_in_main, "in_main": in_main,
+                  "one_build": made - at_import - in_main, "codes": codes}))
+"""
+
+
+def _fresh_env(**extra):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("SNARKDEFECT_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return {**env, **extra}
+
+
+def test_parser_is_built_once_per_process_and_not_at_import():
+    proc = subprocess.run([sys.executable, "-c", COUNT_BUILDS], env=_fresh_env(),
+                          capture_output=True, text=True, check=True)
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [0, 2, 0, 0, 0, 0, 1]
+    assert got["at_import"] == 0
+    assert got["builds"] == 1
+    assert got["in_main"] == got["one_build"] > 0
+
+
+def test_warm_call_prints_what_a_fresh_process_prints(monkeypatch, tmp_path):
+    """stdout, stderr and exit code of in-process main() calls made after
+    other calls, with a budget variable set and unset, equal those of a
+    fresh ``python -m snarkdefect.cli`` per command line."""
+    monkeypatch.chdir(tmp_path)
+    for var in (cli.ENV_MAX_MATCHINGS, cli.ENV_MAX_TRIPLES):
+        monkeypatch.delenv(var, raising=False)
+    screen = {"COLUMNS": "80", "LINES": "24"}
+    for var, value in screen.items():
+        monkeypatch.setenv(var, value)
+    _, certs, _ = run(["analyze", "--construct", "flower:3", "--json"])
+    (tmp_path / "certs.jsonl").write_text(certs, encoding="utf-8")
+    argvs = [
+        ["analyze", "--construct", "petersen", "--json"],
+        ["fulkerson", "--construct", "petersen", "--roundtrip", "--json"],
+        ["verify", "certs.jsonl"],
+        ["fulkerson", "--construct", "petersen", "--find", "--roundtrip"],
+        ["--help"],
+        ["analyze", "--help"],
+        ["fulkerson", "--help"],
+    ]
+    monkeypatch.setenv(cli.ENV_MAX_TRIPLES, "5")      # warm the parser with a budget set
+    run(["analyze", "--construct", "flower:5"])
+    run(["fulkerson", "--construct", "petersen", "--max-nodes", "-1"])
+    monkeypatch.delenv(cli.ENV_MAX_TRIPLES)
+    for argv in argvs:
+        proc = subprocess.run([sys.executable, "-m", "snarkdefect.cli", *argv],
+                              env=_fresh_env(**screen), capture_output=True, text=True)
+        assert run(argv) == (proc.returncode, proc.stdout, proc.stderr), argv
 
 
 def test_no_input_is_a_quiet_noop():
