@@ -345,10 +345,78 @@ def _odd_circuits(g: CubicGraph, mask: int) -> int:
     return sum(len(c) & 1 for c in _circuits(g, mask))
 
 
+def _lex_matchings(g: CubicGraph):
+    """Yield the perfect matchings as edge bitmasks in lexicographic
+    order of sorted edge lists, the order of ``perfect_matching_masks``,
+    or that order's prefix and then None once the walk has made more
+    than 4n nodes (a node is a branching or a matching yielded).
+
+    Edges are decided in id order, include before exclude: the matchings
+    below a state agree on every edge below the lowest one still open,
+    and those that hold it come first (all have n/2 edges).  After each
+    decision a vertex left with no open edge ends the branch, and one
+    left with a single open edge takes it at once.  Both only drop
+    subtrees or decisions that hold no matching, so the order is
+    unchanged.  The walk keeps a stack of states, not Python frames, so
+    its depth has no recursion limit.
+    """
+    n = g.vertex_count
+    ends = g.edges
+    inc = [0] * n  # per vertex, its edges as a bitmask, loops left out
+    open_ = 0  # the edges still open
+    for e, (a, b) in enumerate(ends):
+        if a != b:
+            inc[a] |= 1 << e
+            inc[b] |= 1 << e
+            open_ |= 1 << e
+    nbrs = [[w for w, _ in g.arcs(v)] for v in range(n)]
+    # states still to walk: (open edges, chosen edges, vertices to check),
+    # the exclude branch below the include branch.  Open edges have both
+    # ends uncovered, and every uncovered vertex keeps one after the
+    # forced moves, so a state with no open edge is a perfect matching.
+    stack = [(open_, 0, list(range(n)))]
+    nodes = 0
+    while stack:
+        open_, chosen, touched = stack.pop()
+        while touched:  # forced moves around the touched vertices
+            v = touched.pop()
+            live = inc[v] & open_
+            if live & (live - 1):
+                continue  # two open edges or more
+            if not live:
+                if inc[v] & chosen:
+                    continue  # covered
+                break  # uncovered with no open edge: no matching here
+            a, b = ends[live.bit_length() - 1]
+            chosen |= live
+            open_ &= ~(inc[a] | inc[b])
+            touched += nbrs[a] + nbrs[b]
+        else:
+            nodes += 1
+            if nodes > 4 * n:
+                yield None
+                return
+            if not open_:
+                yield chosen
+                continue
+            low = open_ & -open_
+            a, b = ends[low.bit_length() - 1]
+            stack.append((open_ ^ low, chosen, [a, b]))
+            stack.append((open_ & ~(inc[a] | inc[b]), chosen | low, nbrs[a] + nbrs[b]))
+
+
 class GraphFacts:
     """Facts about one cubic graph, each computed at most once, on first
-    use: bridgelessness, and the rest from one perfect-matching
-    enumeration, kept as edge bitmasks.
+    use: bridgelessness, oddness and the df/rdf witness of a colourable
+    graph from one lexicographic walk over the perfect matchings, and the
+    full list of matchings, as edge bitmasks, for the paths that need it.
+
+    The walk stops at the least colour class, so a colourable graph
+    never builds the list.  On a snark it sees every matching, in list
+    order, and its matchings become the list.  After 4n nodes, or
+    before testing a 65th 2-factor, it gives up, and the list is
+    enumerated and walked instead: the caps change only speed, never a
+    result.
 
     Create one per graph and hand it to the functions that accept
     ``facts=``; nothing is cached beyond the object's own lifetime.
@@ -357,7 +425,7 @@ class GraphFacts:
     def __init__(self, g: CubicGraph):
         self.graph = g
         self._prefixes: dict[int, tuple[list[int], bool]] = {}
-        self._first_even: int | None = None  # set by the oddness walk
+        self._least_class: int | None = None  # set by the oddness walk
         self._exact_df: int | None = None  # set by defect once df is exact
 
     @cached_property
@@ -402,50 +470,57 @@ class GraphFacts:
 
     @cached_property
     def oddness(self) -> int:
-        """Minimum number of odd circuits over all 2-factors.
-
-        Walks the 2-factors in list order and stops at the first all-even
-        one, keeping its index for ``_colour_triple``.  The least df/rdf
-        witness that ``analyze`` reports needs that index in the full
-        sorted list; ``oddness`` and ``is_snark`` alone could stop at the
-        first all-even 2-factor in search order, but today they too wait
-        for the whole enumeration.
-        """
-        if not self.masks:
-            raise GraphError("graph has no perfect matching")
-        best = None
-        for idx, m in enumerate(self.masks):
-            odd = _odd_circuits(self.graph, m)
-            if best is None or odd < best:
-                best = odd
-                if best == 0:
-                    self._first_even = idx
-                    break
+        """Minimum number of odd circuits over all 2-factors, from
+        ``_walk``, which also keeps the least colour class for
+        ``_colour_triple``."""
+        best, self._least_class = self._walk()
         return best
+
+    def _walk(self) -> tuple[int, int | None]:
+        """(oddness, the least colour class or None): the 2-factors in
+        lexicographic order of their matchings, up to the first all-even
+        one.  The list is walked when it is already there, or when
+        ``_lex_matchings`` gives up; a complete walk keeps its matchings
+        as the list."""
+        g = self.graph
+        # a test walks the n edges of a 2-factor: 64 keep the walk's cost
+        # near linear in n, and hold every matching of the small snarks
+        walk = None if "masks" in self.__dict__ else _first_even(g, _lex_matchings(g), 64)
+        best, seen = walk or _first_even(g, self.masks)
+        if best is None:
+            raise GraphError("graph has no perfect matching")
+        if best:
+            self.masks = seen
+            return best, None
+        return 0, seen[-1]
 
     @cached_property
     def _colour_triple(self) -> tuple[int, int, int] | None:
-        """The least (i, j, k), i <= j <= k, of indices into the full list
-        whose matchings partition the edges: the df and rdf witness of a
+        """The least triple M1 <= M2 <= M3 of perfect matchings, as edge
+        bitmasks, that partitions the edges: the df and rdf witness of a
         colourable graph.  None when the graph is not colourable.
 
         Each member of a partition has an all-even 2-factor, the other two
-        members alternating along it, so i is the first all-even index.
-        j is the least index from i on whose matching avoids ``masks[i]``;
-        one exists, as the 2-factor of i splits into two matchings.  The
-        edges that i and j leave are one at each vertex, so they are a
-        matching k, and k >= j: a k below j would be a smaller such j.
+        members alternating along it, so M1 is the least colour class,
+        the first all-even 2-factor.  A matching that avoids M1 takes one
+        of the two alternating halves of each circuit of E - M1, and two
+        such choices first differ at the lowest edge of a circuit where
+        they differ; so the least, M2, takes on each circuit the half
+        that holds its lowest edge.  M2 is a colour class too (M1 and M3
+        alternate along its 2-factor), so it is not below M1.  M3 =
+        E - M1 - M2 avoids M1 too, so it is not below M2.
         """
         if not self.colourable:
             return None
-        g, masks = self.graph, self.masks
-        i = self._first_even
-        if i is None:  # oddness was read off a capped prefix
-            i = next(x for x, m in enumerate(masks) if not _odd_circuits(g, m))
-        mi = masks[i]
-        j = next(j for j in range(i, len(masks)) if not mi & masks[j])
-        rest = ((1 << g.edge_count) - 1) ^ mi ^ masks[j]
-        return i, j, masks.index(rest, j)
+        g = self.graph
+        m1 = self._least_class
+        if m1 is None:  # oddness was read off a capped prefix
+            m1 = self._walk()[1]
+        m2 = 0
+        for circuit in _circuits(g, m1):  # each walked from its lowest edge
+            for e in circuit[::2]:
+                m2 |= 1 << e
+        return m1, m2, ((1 << g.edge_count) - 1) ^ m1 ^ m2
 
     @property
     def colourable(self) -> bool:
@@ -455,6 +530,25 @@ class GraphFacts:
             return self.oddness == 0
         except GraphError:  # no perfect matching
             return False
+
+
+def _first_even(g: CubicGraph, matchings,
+                cap: int | None = None) -> tuple[int | None, list[int]] | None:
+    """(the least odd count, None with no matching; the matchings seen)
+    over the 2-factors of ``matchings``, in their order, up to the first
+    all-even one, which is then the last seen.  None when ``matchings``
+    gives up (yields None) or holds more than ``cap`` to test."""
+    best, seen = None, []
+    for m in matchings:
+        if m is None or len(seen) == cap:
+            return None
+        odd = _odd_circuits(g, m)
+        seen.append(m)
+        if best is None or odd < best:
+            best = odd
+            if not odd:
+                break
+    return best, seen
 
 
 def _facts_for(g: CubicGraph, facts: GraphFacts | None) -> GraphFacts:

@@ -7,9 +7,10 @@ number of edges covered by no member; df(g) minimizes this over all
 Search contract
 ---------------
 
-Matchings are enumerated once in lexicographic order; triples (i, j, k)
-with i <= j <= k are scanned in lexicographic index order, which equals
-lexicographic order on the sorted triples of sorted edge lists.  The
+Matchings are listed at most once, in lexicographic order, and only
+when a scan needs them; triples (i, j, k) with i <= j <= k are scanned
+in lexicographic index order, which equals lexicographic order on the
+sorted triples of sorted edge lists.  The
 reported witness is the first triple attaining the minimum, i.e. the
 lexicographically least optimal 3-array.  Sound pruning (a pair bound on
 the uncovered count, and early stop once a proven global lower bound is
@@ -20,11 +21,12 @@ or below the running minimum, df and rdf keep one witness, and
 ``enumerate_optimal_arrays`` keeps the ties at the final minimum.
 
 A colourable graph does not scan for df or rdf: their witness is the
-least triple of matchings that partitions the edges, found directly by
-``GraphFacts`` (a partition has no common edge, so it is regular).  The
-scan stays for a triple budget, which counts inspected triples, for a
-capped matching list, and for ``enumerate_optimal_arrays``, which needs
-every tie.
+least triple of matchings that partitions the edges, built by
+``GraphFacts`` from the least colour class (a partition has no common
+edge, so it is regular).  With no matching cap the list is then never
+built.  The scan stays for a triple budget, which counts inspected
+triples, for a capped matching list, and for
+``enumerate_optimal_arrays``, which needs every tie.
 
 The scan runs on one thread, so a triple budget's cutoff point is
 reproducible; a negative budget is an input error.  The ``threads``
@@ -269,7 +271,9 @@ def _defect_impl(g: CubicGraph, regular: bool, budget: SearchBudget | None,
                  facts: GraphFacts | None) -> DefectResult:
     facts = _facts_for(g, facts)
     _require_bridgeless(facts)
-    masks, complete = facts.prefix(budget.max_matchings if budget else None)
+    cap = budget.max_matchings if budget else None
+    # with no cap, a colourable graph's witness needs no list: leave it unbuilt
+    masks, complete = facts.prefix(cap) if cap is not None else (None, True)
     lower = 0 if facts.colourable else 3  # snark lower bound; bridgeless + uncolourable = snark
     if regular and facts._exact_df is not None:
         lower = facts._exact_df  # rdf >= df whenever a regular array exists
@@ -277,12 +281,13 @@ def _defect_impl(g: CubicGraph, regular: bool, budget: SearchBudget | None,
     mt = budget.max_triples if budget else None
     if mt is not None and mt < 0:
         raise GraphError("max_triples must be at least 0")
-    best = None  # (value, triple): the first triple at the least value
+    best = None  # (value, members): the first triple at the least value
     scanned_all = True
-    triple = facts._colour_triple if mt is None and complete else None
-    if triple is not None:
-        best = 0, triple
+    if mt is None and complete and facts.colourable:
+        best = 0, facts._colour_triple
     else:
+        if masks is None:
+            masks = facts.masks
         for hit in _scan(masks, g.edge_count, g.vertex_count // 2, regular, mt):
             if hit is None:
                 scanned_all = False
@@ -291,18 +296,20 @@ def _defect_impl(g: CubicGraph, regular: bool, budget: SearchBudget | None,
                 best = hit
             if best[0] <= lower:
                 break
+        if best is not None:
+            best = best[0], [masks[x] for x in best[1]]
 
     if best is None:
         if regular and complete and scanned_all:
             return DefectResult(NONE_FOUND, None, True, True)
         return DefectResult(UNKNOWN, None, False, regular)
-    val, triple = best
+    val, members = best
     # a witness attaining the proven lower bound is exact even if the
     # matching list was truncated
     exhaustive = (complete and scanned_all) or val == lower
     if exhaustive and not regular:
         facts._exact_df = val
-    witness = ThreeArray.of(*(edge_set(masks[x]) for x in triple))
+    witness = ThreeArray.of(*(edge_set(m) for m in members))
     return DefectResult(val, witness, exhaustive, regular)
 
 

@@ -1,9 +1,12 @@
 """Command-line behaviour: formats, exit codes, budgets, determinism."""
 
+import ast
 import contextlib
 import io
 import json
 import os
+import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import snarkdefect as sd
+import oracles
 from snarkdefect import certificates, cli
 
 
@@ -164,20 +168,23 @@ def _count_calls(monkeypatch, fn):
 def test_analyze_enumerates_once_and_never_backtracks(monkeypatch):
     from snarkdefect import colouring
     graphs = [sd.petersen(), sd.flower_snark(5), sd.bipartite_double(sd.petersen())]
+    walks = _count_calls(monkeypatch, colouring._lex_matchings)
     enumerations = _count_calls(monkeypatch, colouring.perfect_matching_masks)
     edge_sets = _count_calls(monkeypatch, colouring.enumerate_perfect_matchings)
     colourings = _count_calls(monkeypatch, colouring.three_edge_colour)
     for g in graphs:
         cli.analyze_graph(g, None)
-    assert enumerations == graphs
+    # one walk each: it lists a snark's matchings, and stops at the least
+    # colour class of double:petersen, whose list is never built
+    assert walks == graphs and enumerations == []
     assert colourings == []
     code, _, _ = run(["analyze", "--construct", "petersen", "--construct", "flower:5"])
     assert code == 0
-    assert len(enumerations) == len(graphs) + 2 and colourings == []
+    assert len(walks) == len(graphs) + 2 and enumerations == [] and colourings == []
     # the pipeline reads edge bitmasks and never builds the edge-set list
     code, _, _ = run(["fulkerson", "--construct", "petersen", "--roundtrip"])
     assert code == 0
-    assert len(enumerations) == len(graphs) + 3 and edge_sets == []
+    assert len(walks) == len(graphs) + 2 and len(enumerations) == 1 and edge_sets == []
 
 
 def test_analyze_refuses_a_bridge_after_one_matching(monkeypatch):
@@ -801,6 +808,93 @@ def test_parser_is_built_once_per_process_and_not_at_import():
     assert got["at_import"] == 0
     assert got["builds"] == 1
     assert got["in_main"] == got["one_build"] > 0
+
+
+def test_import_footprint_is_pinned():
+    """What ``import snarkdefect`` runs, from the source: the modules
+    imported at module level (outside any def or class) and the number of
+    dataclasses.  Growing either is import-time work for every process,
+    so it shows up here as a reviewed change of this test."""
+    imported, dataclasses = set(), 0
+    for path in sorted(SRC.glob("snarkdefect/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        stack = list(tree.body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.partition(".")[0])
+            elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                stack += [child for child in ast.iter_child_nodes(node) if isinstance(child, ast.stmt)]
+        dataclasses += sum(
+            1 for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for d in node.decorator_list
+            if "dataclass" in (getattr(d, "id", None), getattr(getattr(d, "func", None), "id", None)))
+    assert imported - {"snarkdefect"} == {
+        "__future__", "argparse", "dataclasses", "functools", "hashlib", "itertools", "json",
+        "os", "re", "sys", "time", "typing", "warnings"}
+    assert dataclasses == 16
+
+
+def _capped(argv, cwd):
+    """Run ``python`` with argv in a child limited to 1 GB of address
+    space and a minute of wall time: (exit code, stdout, its CPU seconds)."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run([sys.executable, *argv], cwd=cwd, env=_fresh_env(), preexec_fn=limit,
+                          capture_output=True, text=True, timeout=60)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    return proc.returncode, proc.stdout, cpu
+
+
+def _seeded_simple_cubic(n, seed):
+    """A simple bridgeless cubic graph from the configuration model."""
+    rng = random.Random(seed)
+    while True:
+        edges = oracles.random_cubic_edges(rng, n)
+        if all(a != b for a, b in edges) and len(set(edges)) == len(edges):
+            g = sd.CubicGraph(n, edges)
+            if sd.is_bridgeless(g):
+                return g
+
+
+@pytest.mark.parametrize("source", ["double:flower:11", "n100"])
+def test_analyze_reaches_large_colourable_graphs(tmp_path, source):
+    # a colourable graph's witness needs no list of its matchings; built
+    # from that list, each ran out of a 1 GB address space, after 6 s
+    # (double:flower:11, 88 vertices) and 9 s of CPU (the 100-vertex graph)
+    if source == "n100":
+        g = _seeded_simple_cubic(100, 1)
+        (tmp_path / "n100.txt").write_text(
+            "vertices 100\n" + "".join(f"{a} {b}\n" for a, b in g.edges))
+        argv = ["--edge-list", "n100.txt"]
+    else:
+        argv = ["--construct", source]
+    code, out, cpu = _capped(["-m", "snarkdefect.cli", "analyze", *argv, "--json"], tmp_path)
+    assert code == 0 and cpu < 2.0
+    result = json.loads(out)["result"]
+    assert [(result[k]["value"], result[k]["exhaustive"]) for k in ("df", "rdf")] == \
+        [(0, True), (0, True)]
+    (tmp_path / "cert.jsonl").write_text(out)
+    code, out, _ = _capped(["-m", "snarkdefect.cli", "verify", "cert.jsonl"], tmp_path)
+    assert code == 0 and out.startswith(f"PASS cert.jsonl:1 ({argv[1]})")
+
+
+def test_oddness_reaches_a_bipartite_double_of_a_double():
+    # double:double:flower:9 is two copies of double:flower:9 (144
+    # vertices); from the full list, oddness ran out of a 1 GB address
+    # space after 2.6 s.  analyze refuses it: it is disconnected.
+    code, out, cpu = _capped(["-c", "import snarkdefect as sd\n"
+                              "from snarkdefect.cli import build_descriptor\n"
+                              "g = build_descriptor('double:double:flower:9')\n"
+                              "print(g.vertex_count, sd.oddness(g), sd.is_snark(g))"], None)
+    assert (code, out, cpu < 2.0) == (0, "144 0 False\n", True)
+    with pytest.raises(sd.GraphError, match="found disconnected"):
+        cli.analyze_graph(cli.build_descriptor("double:double:flower:9"), None)
 
 
 def test_warm_call_prints_what_a_fresh_process_prints(monkeypatch, tmp_path):

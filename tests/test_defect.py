@@ -1,16 +1,19 @@
 """Defect search: values, witnesses, cores, budgets, and the girth bound."""
 
 import hashlib
+import importlib.util
 import itertools
 import random
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 import snarkdefect as sd
 import oracles
-from snarkdefect import certificates, cli
+from snarkdefect import certificates, cli, colouring
 from snarkdefect.defect_engine import _scan
 from conftest import petersen_ring
 from oracles import edge_pairs
@@ -220,16 +223,133 @@ def test_colour_triple_matches_the_scan(theta, k4, k33, prism, cube):
             suite.append(g)
             multigraphs += len(set(g.edges)) < g.edge_count
     assert multigraphs >= 20
+    walked = 0
     for g in suite:
         facts = sd.GraphFacts(g)
+        triple = facts._colour_triple  # before the list exists
+        walked += "masks" not in vars(facts)
         zero = next(t for v, t in _scan(facts.masks, g.edge_count, g.vertex_count // 2, False)
                     if v == 0)
-        assert facts._colour_triple == zero, g.edges
+        assert triple == tuple(facts.masks[x] for x in zero), g.edges
         for search in (sd.defect, sd.regular_defect):
             direct, scanned = search(g), search(g, budget=SCAN)
             assert (direct.value, direct.witness, direct.exhaustive) == \
                 (scanned.value, scanned.witness, scanned.exhaustive) == \
                 (0, sd.ThreeArray.of(*(facts.matchings[x] for x in zero)), True), g.edges
+    assert walked == len(suite)  # every triple came from the walk, none from the list
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_inputs(monkeypatch):
+    """perfbench/inputs.py, loaded by path (it is not a package)."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
+    mod = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, mod)  # dataclasses look it up there
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _list_triple(g):
+    """The colour triple as the full list gives it: the first value-0
+    triple of the scan, which starts at the first all-even 2-factor."""
+    masks = sd.perfect_matching_masks(g)
+    first_even = next(i for i, m in enumerate(masks) if not colouring._odd_circuits(g, m))
+    zero = next(t for v, t in _scan(masks, g.edge_count, g.vertex_count // 2, False) if v == 0)
+    assert zero[0] == first_even
+    return tuple(masks[x] for x in zero)
+
+
+def _walk_triple(g):
+    """The colour triple from fresh facts, which must not build the list."""
+    facts = sd.GraphFacts(g)
+    triple = facts._colour_triple
+    assert "masks" not in vars(facts), g.edges
+    return triple
+
+
+def test_walk_triple_matches_the_list(monkeypatch, theta, k4, k33, prism, cube):
+    # every colourable graph of the suite's fixtures and constructions, and
+    # 300 graphs as the analyze-random benchmark draws them
+    suite = [theta, k4, k33, prism, cube, sd.inflate_to_triangle(k4, 0)]
+    suite += [cli.build_descriptor(f"double:{name}")
+              for name in ("petersen", "flower:3", "flower:5")]
+    inputs = _perfbench_inputs(monkeypatch)
+    rng = random.Random(20261019)
+    suite += [sd.parse_graph6(inputs.graph6(30, inputs.random_cubic(30, rng)))
+              for _ in range(300)]
+    for g in suite:
+        assert _walk_triple(g) == _list_triple(g), g.edges
+
+
+def test_walk_lists_every_matching_of_a_small_snark(monkeypatch, blanusa1, blanusa2):
+    # the analyze-snarks graphs: the walk's matchings become the list, and
+    # nothing enumerates them again
+    suite = [cli.build_descriptor(name) for name in
+             ("petersen", "flower:3", "flower:5", "inflate:petersen:0",
+              "inflate-pair:petersen:0:1")] + [blanusa1, blanusa2]
+    enumerate_all = colouring.perfect_matching_masks
+    want = [(enumerate_all(g), min(colouring._odd_circuits(g, m) for m in enumerate_all(g)))
+            for g in suite]
+    enumerations = []
+    monkeypatch.setattr(colouring, "perfect_matching_masks",
+                        lambda g, limit=None: enumerations.append(g) or enumerate_all(g, limit))
+    for g, (masks, least) in zip(suite, want):
+        facts = sd.GraphFacts(g)
+        assert facts.oddness == least == 2
+        assert vars(facts)["masks"] == masks
+    assert enumerations == []
+
+
+def test_walk_over_its_cap_takes_the_list(monkeypatch):
+    # flower:7 (a snark) and a colourable 40-vertex benchmark-style graph
+    # go over the walk's cap; both then read the enumerated list, and their
+    # certificates are the ones the list alone gave
+    inputs = _perfbench_inputs(monkeypatch)
+    g40 = sd.parse_graph6(inputs.graph6(40, inputs.random_cubic(40, random.Random(21))))
+    for name, g, odd, digest in (
+            ("flower:7", sd.flower_snark(7), 2,
+             "7609dec827e1ddd4f40a06c1e61e91b10fa1b299cbffe343254c1c4a3ddb7b4e"),
+            ("g40", g40, 0,
+             "2017ade21492b4b6412d1b6e754e8a75018c8bcd563f1fa24bfed798f3ad0aa1")):
+        assert colouring._first_even(g, colouring._lex_matchings(g), 64) is None
+        facts = sd.GraphFacts(g)
+        assert facts.oddness == odd
+        assert vars(facts)["masks"] == sd.perfect_matching_masks(g)
+        if odd == 0:
+            assert facts._colour_triple == _list_triple(g)
+        res, exact = cli.analyze_graph(g, None)
+        text = certificates.dump_certificate(
+            certificates.make_certificate("analyze", name, g, res, exact, None))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+
+
+def test_prefix_is_the_same_with_or_without_the_walk(cube, j5):
+    for g in (cube, j5, cli.build_descriptor("double:petersen")):
+        walked = sd.GraphFacts(g)
+        walked.oddness
+        assert walked.prefix(3) == sd.GraphFacts(g).prefix(3)
+
+
+def test_budgeted_certificates_are_unchanged(cube):
+    # sha256 of the six certificates per graph, one per line, as the list
+    # alone gave them: --max-matchings 1, 2, 7 and --max-triples 1, 5, 40
+    budgets = [sd.SearchBudget(max_matchings=m) for m in (1, 2, 7)] + \
+              [sd.SearchBudget(max_triples=t) for t in (1, 5, 40)]
+    for name, g, digest in (
+            ("double:petersen", cli.build_descriptor("double:petersen"),
+             "b39f6dfc9be62854292e9c775138dd03218267f5bd925207eee7fe5edd4433fe"),
+            ("cube", cube,
+             "20aced757619c4c0a3194993009ac4ed9ae044d8be86a0bc2ae661479b3166e4"),
+            ("flower:5", cli.build_descriptor("flower:5"),
+             "2290468822f62c6466c9eb1b6205bf8d6228ed0be33f2705e27ffba6c80fca33")):
+        lines = []
+        for budget in budgets:
+            res, exact = cli.analyze_graph(g, budget)
+            lines.append(certificates.dump_certificate(
+                certificates.make_certificate("analyze", name, g, res, exact, None)))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest, name
 
 
 def test_colour_triple_after_a_capped_prefix(cube):
@@ -356,7 +476,8 @@ def test_matching_cap_holding_every_matching_enumerates_once(monkeypatch, peters
 
 
 def test_analyze_searches_each_matching_cap_once(monkeypatch):
-    # df and rdf read the same capped prefix; the full list is for oddness
+    # df and rdf read the same capped prefix; oddness walks every matching
+    # of flower:5 in order and keeps them, with no enumeration
     from snarkdefect import cli, colouring
     limits = []
     enumerate_all = colouring.perfect_matching_masks
@@ -369,7 +490,7 @@ def test_analyze_searches_each_matching_cap_once(monkeypatch):
     code = cli.main(["analyze", "--construct", "flower:5", "--max-matchings", "10",
                      "--json", "--quiet"])
     assert code == 2
-    assert limits == [None, 11]
+    assert limits == [11]
 
 
 def test_threads_do_not_change_results(petersen, j5):
