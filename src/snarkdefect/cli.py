@@ -151,10 +151,10 @@ def _human_analyze(src: str, res: dict, cert: dict) -> str:
 
 def _run_batch(args, command: str, per_graph, human) -> int:
     """Emit ``per_graph(g) -> result`` as one certificate and one
-    ``human(src, result, cert)`` line per input; bad inputs and
-    GraphErrors become error certificates.  Exit code 1 on an unwritable
-    --output file, any error or failed check, else 2 if any result was
-    budget-limited, else 0.  An --output file that is also an input is
+    ``human(src, result, cert)`` line per input; bad inputs, GraphErrors
+    and running out of memory become error certificates.  Exit code 1 on
+    an unwritable --output file, any error or failed check, else 2 if any
+    result was budget-limited, else 0.  An --output file that is also an input is
     refused the same way: opening it would overwrite the input."""
     inputs = (args.edge_list, getattr(args, "verify", None), args.graph6 != "-" and args.graph6)
     if args.output and os.path.exists(args.output) and any(
@@ -185,8 +185,9 @@ def _run_batch(args, command: str, per_graph, human) -> int:
                 if isinstance(item, GraphError):
                     raise item
                 res = per_graph(item)
-            except GraphError as exc:
-                emit(certs.error_certificate(command, src, str(exc)), f"{src}: ERROR {exc}")
+            except (GraphError, MemoryError) as exc:
+                msg = "out of memory" if isinstance(exc, MemoryError) else str(exc)
+                emit(certs.error_certificate(command, src, msg), f"{src}: ERROR {msg}")
                 any_error = True
                 continue
             dt = time.perf_counter() - t0 if args.timing else None

@@ -320,23 +320,28 @@ def _circuits(g: CubicGraph, mask: int) -> list[list[int]]:
     Walks each circuit from its lowest unwalked edge.  A vertex has two
     2-factor ends, so the unwalked one beside the edge just walked is
     the next step; there is none once the walk is back at its first
-    edge, or when that edge is a loop."""
-    rest = ((1 << g.edge_count) - 1) & ~mask  # the 2-factor edges not walked yet
+    edge, or when that edge is a loop.  One flag per edge, read off the
+    mask once, keeps the walk linear in the edge count."""
+    m = g.edge_count
+    # per edge, "0" while it is a 2-factor edge not walked yet ([:m]:
+    # with no edges, format still gives "0")
+    rest = bytearray(format(mask, f"0{m}b")[::-1][:m], "ascii")
     circuits = []
-    while rest:
-        e = (rest & -rest).bit_length() - 1
-        v = g.endpoints(e)[1]
+    start = rest.find(b"0")
+    while start >= 0:
+        e, v = start, g.endpoints(start)[1]
         circuit = []
         while True:
-            rest ^= 1 << e
+            rest[e] = 49  # "1"
             circuit.append(e)
             for w, f in g.arcs(v):
-                if rest >> f & 1:
+                if rest[f] == 48:  # "0"
                     e, v = f, w
                     break
             else:
                 break
         circuits.append(circuit)
+        start = rest.find(b"0", start)
     return circuits
 
 
@@ -346,10 +351,8 @@ def _odd_circuits(g: CubicGraph, mask: int) -> int:
 
 
 def _lex_matchings(g: CubicGraph):
-    """Yield the perfect matchings as edge bitmasks in lexicographic
-    order of sorted edge lists, the order of ``perfect_matching_masks``,
-    or that order's prefix and then None once the walk has made more
-    than 4n nodes (a node is a branching or a matching yielded).
+    """Yield every perfect matching as an edge bitmask, in lexicographic
+    order of sorted edge lists, the order of ``perfect_matching_masks``.
 
     Edges are decided in id order, include before exclude: the matchings
     below a state agree on every edge below the lowest one still open,
@@ -375,7 +378,6 @@ def _lex_matchings(g: CubicGraph):
     # ends uncovered, and every uncovered vertex keeps one after the
     # forced moves, so a state with no open edge is a perfect matching.
     stack = [(open_, 0, list(range(n)))]
-    nodes = 0
     while stack:
         open_, chosen, touched = stack.pop()
         while touched:  # forced moves around the touched vertices
@@ -392,10 +394,6 @@ def _lex_matchings(g: CubicGraph):
             open_ &= ~(inc[a] | inc[b])
             touched += nbrs[a] + nbrs[b]
         else:
-            nodes += 1
-            if nodes > 4 * n:
-                yield None
-                return
             if not open_:
                 yield chosen
                 continue
@@ -413,10 +411,9 @@ class GraphFacts:
 
     The walk stops at the least colour class, so a colourable graph
     never builds the list.  On a snark it sees every matching, in list
-    order, and its matchings become the list.  After 4n nodes, or
-    before testing a 65th 2-factor, it gives up, and the list is
-    enumerated and walked instead: the caps change only speed, never a
-    result.
+    order, and its matchings become the list.  Before testing a 65th
+    2-factor it gives up, and the list is enumerated and walked instead:
+    the cap changes only speed, never a result.
 
     Create one per graph and hand it to the functions that accept
     ``facts=``; nothing is cached beyond the object's own lifetime.
@@ -448,8 +445,7 @@ class GraphFacts:
         """(masks, complete) for a search capped at ``cap`` matchings:
         the least ``cap`` of the first ``cap + 1`` in search order, so
         capped results are reproducible.  A cap that holds every
-        matching fills the full list; an all-even 2-factor in a partial
-        prefix records oddness 0.  Each cap is searched once; later
+        matching fills the full list.  Each cap is searched once; later
         calls return the same result.  A cap below 1 is an error.
         """
         if cap is None:
@@ -462,37 +458,28 @@ class GraphFacts:
                 self.masks = found
                 self._prefixes[cap] = found, True
             else:
-                found = found[:cap]
-                if any(_odd_circuits(self.graph, m) == 0 for m in found):
-                    self.oddness = 0
-                self._prefixes[cap] = found, False
+                self._prefixes[cap] = found[:cap], False
         return self._prefixes[cap]
 
     @cached_property
     def oddness(self) -> int:
-        """Minimum number of odd circuits over all 2-factors, from
-        ``_walk``, which also keeps the least colour class for
-        ``_colour_triple``."""
-        best, self._least_class = self._walk()
-        return best
-
-    def _walk(self) -> tuple[int, int | None]:
-        """(oddness, the least colour class or None): the 2-factors in
-        lexicographic order of their matchings, up to the first all-even
-        one.  The list is walked when it is already there, or when
-        ``_lex_matchings`` gives up; a complete walk keeps its matchings
-        as the list."""
+        """Minimum number of odd circuits over all 2-factors: the
+        2-factors in lexicographic order of their matchings, up to the
+        first all-even one, whose matching is kept as the least colour
+        class for ``_colour_triple``.  The walk gives up before its 65th
+        2-factor, and the list is walked instead; on a snark, the
+        matchings seen become the list."""
         g = self.graph
-        # a test walks the n edges of a 2-factor: 64 keep the walk's cost
+        # a test walks the n edges of a 2-factor: 64 tests keep that cost
         # near linear in n, and hold every matching of the small snarks
-        walk = None if "masks" in self.__dict__ else _first_even(g, _lex_matchings(g), 64)
-        best, seen = walk or _first_even(g, self.masks)
+        best, seen = _first_even(g, _lex_matchings(g), 64) or _first_even(g, self.masks)
         if best is None:
             raise GraphError("graph has no perfect matching")
         if best:
             self.masks = seen
-            return best, None
-        return 0, seen[-1]
+        else:
+            self._least_class = seen[-1]
+        return best
 
     @cached_property
     def _colour_triple(self) -> tuple[int, int, int] | None:
@@ -514,8 +501,6 @@ class GraphFacts:
             return None
         g = self.graph
         m1 = self._least_class
-        if m1 is None:  # oddness was read off a capped prefix
-            m1 = self._walk()[1]
         m2 = 0
         for circuit in _circuits(g, m1):  # each walked from its lowest edge
             for e in circuit[::2]:
@@ -537,10 +522,10 @@ def _first_even(g: CubicGraph, matchings,
     """(the least odd count, None with no matching; the matchings seen)
     over the 2-factors of ``matchings``, in their order, up to the first
     all-even one, which is then the last seen.  None when ``matchings``
-    gives up (yields None) or holds more than ``cap`` to test."""
+    holds more than ``cap`` to test."""
     best, seen = None, []
     for m in matchings:
-        if m is None or len(seen) == cap:
+        if len(seen) == cap:
             return None
         odd = _odd_circuits(g, m)
         seen.append(m)

@@ -55,7 +55,6 @@ class FanoPoint:
         return FanoPoint(int(s[0]), int(s[1]), int(s[2]))
 
 
-_ZERO = FanoPoint(0, 0, 0)
 _POINTS = tuple(FanoPoint(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)
                 if (a, b, c) != (0, 0, 0))
 

@@ -140,6 +140,30 @@ def test_too_deep_matching_search_is_an_error_certificate():
     assert "4004 vertices" in error and "recursion limit" in error
 
 
+def test_running_out_of_memory_is_an_error_certificate(monkeypatch):
+    # the first input runs out of memory; the batch goes on to the second
+    analyze = cli.analyze_graph
+    seen = []
+
+    def first_runs_out(g, budget, threads=None):
+        seen.append(g)
+        if len(seen) == 1:
+            raise MemoryError
+        return analyze(g, budget, threads)
+
+    monkeypatch.setattr(cli, "analyze_graph", first_runs_out)
+    argv = ["analyze", "--construct", "flower:5", "--construct", "petersen"]
+    code, out, _ = run(argv + ["--json", "--quiet"])
+    assert code == 1
+    first, second = map(json.loads, out.splitlines())
+    assert first == certificates.error_certificate("analyze", "flower:5", "out of memory")
+    assert second["result"]["df"]["value"] == 3
+    seen.clear()
+    code, out, _ = run(argv)
+    assert code == 1
+    assert out.splitlines()[0] == "flower:5: ERROR out of memory"
+
+
 def test_missing_matching_is_reported_before_bridges(tmp_path):
     # a claw whose leaves carry loops has bridges and no perfect matching
     path = tmp_path / "claw.txt"
@@ -835,6 +859,38 @@ def test_import_footprint_is_pinned():
         "__future__", "argparse", "dataclasses", "functools", "hashlib", "itertools", "json",
         "os", "re", "sys", "time", "typing", "warnings"}
     assert dataclasses == 16
+
+
+def test_every_private_module_name_is_used():
+    """A private name bound at module level (a def, a class or an
+    assignment) that no other top-level statement of the package reads
+    is dead code, and an assignment still runs at import."""
+    defined, reads = {}, []
+    for path in sorted(SRC.glob("snarkdefect/*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                bound = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                bound = []
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+            reads.append(names)
+            for name in bound:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[f"{path.stem}.{name}"] = name, len(reads) - 1
+    unread = [where for where, (name, own) in defined.items()
+              if not any(name in names for i, names in enumerate(reads) if i != own)]
+    assert len(defined) > 30
+    assert unread == []
 
 
 def _capped(argv, cwd):

@@ -304,8 +304,9 @@ def test_walk_lists_every_matching_of_a_small_snark(monkeypatch, blanusa1, blanu
 
 def test_walk_over_its_cap_takes_the_list(monkeypatch):
     # flower:7 (a snark) and a colourable 40-vertex benchmark-style graph
-    # go over the walk's cap; both then read the enumerated list, and their
-    # certificates are the ones the list alone gave
+    # reach the walk's cap, its 64th tested 2-factor; both then read the
+    # enumerated list, and their certificates are the ones the list alone
+    # gave
     inputs = _perfbench_inputs(monkeypatch)
     g40 = sd.parse_graph6(inputs.graph6(40, inputs.random_cubic(40, random.Random(21))))
     for name, g, odd, digest in (
@@ -323,6 +324,18 @@ def test_walk_over_its_cap_takes_the_list(monkeypatch):
         text = certificates.dump_certificate(
             certificates.make_certificate("analyze", name, g, res, exact, None))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+
+
+def test_walk_takes_no_node_cap(monkeypatch):
+    # a 60-vertex benchmark-style graph whose walk makes 289 search nodes
+    # before its least colour class, the 43rd 2-factor tested: the walk
+    # finds it, and the list is never built
+    inputs = _perfbench_inputs(monkeypatch)
+    g = sd.parse_graph6(inputs.graph6(60, inputs.random_cubic(60, random.Random(2))))
+    facts = sd.GraphFacts(g)
+    assert facts.oddness == 0
+    assert "masks" not in vars(facts)
+    assert facts._colour_triple == _list_triple(g)
 
 
 def test_prefix_is_the_same_with_or_without_the_walk(cube, j5):
@@ -353,8 +366,8 @@ def test_budgeted_certificates_are_unchanged(cube):
 
 
 def test_colour_triple_after_a_capped_prefix(cube):
-    # the capped prefix proves colourability without the oddness walk, so
-    # the triple finds its first all-even 2-factor itself
+    # a capped prefix before the oddness walk leaves the uncapped witness
+    # as the scan gives it
     facts = sd.GraphFacts(cube)
     capped = sd.defect(cube, budget=sd.SearchBudget(max_matchings=2), facts=facts)
     assert not capped.exhaustive
