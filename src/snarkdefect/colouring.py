@@ -360,8 +360,10 @@ def _lex_matchings(g: CubicGraph):
     decision a vertex left with no open edge ends the branch, and one
     left with a single open edge takes it at once.  Both only drop
     subtrees or decisions that hold no matching, so the order is
-    unchanged.  The walk keeps a stack of states, not Python frames, so
-    its depth has no recursion limit.
+    unchanged; so is skipping a set of open edges (the matchings below
+    a state depend on nothing else) that held none before, which walks
+    each dead end once.  The walk keeps a stack of states, not Python
+    frames, so its depth has no recursion limit.
     """
     n = g.vertex_count
     ends = g.edges
@@ -378,8 +380,14 @@ def _lex_matchings(g: CubicGraph):
     # ends uncovered, and every uncovered vertex keeps one after the
     # forced moves, so a state with no open edge is a perfect matching.
     stack = [(open_, 0, list(range(n)))]
+    dead = set()  # open edge sets with no matching below
+    found = 0
     while stack:
         open_, chosen, touched = stack.pop()
+        if touched is None:  # the walk below open_ is over
+            if chosen == found:
+                dead.add(open_)
+            continue
         while touched:  # forced moves around the touched vertices
             v = touched.pop()
             live = inc[v] & open_
@@ -395,10 +403,14 @@ def _lex_matchings(g: CubicGraph):
             touched += nbrs[a] + nbrs[b]
         else:
             if not open_:
+                found += 1
                 yield chosen
+                continue
+            if open_ in dead:
                 continue
             low = open_ & -open_
             a, b = ends[low.bit_length() - 1]
+            stack.append((open_, found, None))  # matchings found before it
             stack.append((open_ ^ low, chosen, [a, b]))
             stack.append((open_ & ~(inc[a] | inc[b]), chosen | low, nbrs[a] + nbrs[b]))
 
@@ -466,13 +478,14 @@ class GraphFacts:
         """Minimum number of odd circuits over all 2-factors: the
         2-factors in lexicographic order of their matchings, up to the
         first all-even one, whose matching is kept as the least colour
-        class for ``_colour_triple``.  The walk gives up before its 65th
-        2-factor, and the list is walked instead; on a snark, the
-        matchings seen become the list."""
+        class for ``_colour_triple``.  The list is walked instead when it
+        is already there or the walk gives up before its 65th 2-factor;
+        on a snark, the matchings seen become the list."""
         g = self.graph
         # a test walks the n edges of a 2-factor: 64 tests keep that cost
         # near linear in n, and hold every matching of the small snarks
-        best, seen = _first_even(g, _lex_matchings(g), 64) or _first_even(g, self.masks)
+        walk = None if "masks" in self.__dict__ else _first_even(g, _lex_matchings(g), 64)
+        best, seen = walk or _first_even(g, self.masks)
         if best is None:
             raise GraphError("graph has no perfect matching")
         if best:

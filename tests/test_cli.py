@@ -173,6 +173,40 @@ def test_missing_matching_is_reported_before_bridges(tmp_path):
     assert json.loads(out)["error"] == "graph has no perfect matching"
 
 
+def _bridged_blobs(k):
+    """A vertex joined by three bridges to three blobs, each a prism on 2k
+    vertices with one rung subdivided, blob edges listed first.  Each
+    blob is odd and needs its bridge, so there is no perfect matching."""
+    edges, bridges, n = [], [], 1
+    for _ in range(3):
+        u, w, x = range(n, n + k), range(n + k, n + 2 * k), n + 2 * k
+        edges += [(u[i], u[(i + 1) % k]) for i in range(k)]
+        edges += [(w[i], w[(i + 1) % k]) for i in range(k)]
+        edges += [(u[i], w[i]) for i in range(1, k)] + [(u[0], x), (x, w[0])]
+        bridges.append((0, x))
+        n = x + 1
+    return sd.CubicGraph(n, edges + bridges)
+
+
+def test_missing_matching_behind_bridges_is_found_at_once(tmp_path):
+    # a blob has about Fib(k) matchings of all but its subdivision vertex;
+    # a matching walk that met the second blob's dead end again below each
+    # of them took 9 s at k = 16 (100 vertices), and this is k = 50
+    g = _bridged_blobs(50)
+    (tmp_path / "blobs.txt").write_text(
+        f"vertices {g.vertex_count}\n" + "".join(f"{a} {b}\n" for a, b in g.edges))
+    code, out, cpu = _capped(["-m", "snarkdefect.cli", "analyze", "--edge-list", "blobs.txt",
+                              "--json"], tmp_path)
+    assert (code, cpu < 2.0) == (1, True)
+    assert json.loads(out) == certificates.error_certificate(
+        "analyze", "blobs.txt", "graph has no perfect matching")
+    code, out, cpu = _capped(["-c", "import snarkdefect as sd\n"
+                              f"g = sd.CubicGraph({g.vertex_count}, {list(g.edges)!r})\n"
+                              "try:\n    sd.oddness(g)\n"
+                              "except sd.GraphError as exc:\n    print(exc)"], None)
+    assert (code, out, cpu < 2.0) == (0, "graph has no perfect matching\n", True)
+
+
 def _count_calls(monkeypatch, fn):
     """Rebind every package attribute holding fn to a counting wrapper."""
     calls = []

@@ -338,6 +338,18 @@ def test_walk_takes_no_node_cap(monkeypatch):
     assert facts._colour_triple == _list_triple(g)
 
 
+def test_oddness_reads_a_list_already_built(monkeypatch, cube, j5):
+    # a capped prefix that held every matching filled the list: oddness
+    # and the witness read it, with no second search
+    monkeypatch.setattr(colouring, "_lex_matchings", lambda g: pytest.fail("searched again"))
+    for g, odd in ((cube, 0), (j5, 2)):
+        facts = sd.GraphFacts(g)
+        assert facts.prefix(1000)[1]
+        assert facts.oddness == odd
+        if not odd:
+            assert facts._colour_triple == _list_triple(g)
+
+
 def test_prefix_is_the_same_with_or_without_the_walk(cube, j5):
     for g in (cube, j5, cli.build_descriptor("double:petersen")):
         walked = sd.GraphFacts(g)
