@@ -6,9 +6,10 @@ writes, and ``result_exact`` says whether one is exact.  A certificate
 carries the graph itself (edge list + digest), so `verify` re-checks it
 without the original input and without any search: it validates the
 witnesses or the cover, passes them to the same builder together with
-the claims only a search could check (oddness, each ``exhaustive``,
-none_found, the budget detail), and names every result
-key, and ``exact``, that differs from the rebuilt result.  Those claims
+the claims only a search could check (oddness, null where a matching
+cap left it open, each ``exhaustive``, none_found, the budget detail),
+and names every result key, and ``exact``, that differs from the
+rebuilt result.  Those claims
 are taken at face value, after their JSON types and their consistency
 with each other are checked.  A result the writers refuse to write
 fails before any rebuild: an ``analyze``, ``find`` or ``roundtrip``
@@ -120,9 +121,11 @@ def flow_json(f: GroupFlow) -> dict:
     }
 
 
-def analyze_json(g: CubicGraph, oddness: int, d: DefectResult, r: DefectResult) -> dict:
+def analyze_json(g: CubicGraph, oddness: int | None, d: DefectResult,
+                 r: DefectResult) -> dict:
     """The whole ``analyze`` result from the search outcomes: girth,
-    colourability (oddness 0) and snark status, the df and rdf results,
+    colourability (oddness 0) and snark status, all three null when a
+    matching cap left oddness open, the df and rdf results,
     the core of the rdf witness (else the df witness), the
     characteristic flow of the rdf witness and, for an exact rdf, the
     girth-bound check on that girth and core.
@@ -147,8 +150,8 @@ def analyze_json(g: CubicGraph, oddness: int, d: DefectResult, r: DefectResult) 
     exact_rdf = r.exhaustive and isinstance(r.value, int) and r.witness is not None
     return {
         "girth": gi,
-        "colourable": oddness == 0,
-        "snark": oddness != 0,
+        "colourable": None if oddness is None else oddness == 0,
+        "snark": None if oddness is None else oddness != 0,
         "oddness": oddness,
         "df": defect_json(d),
         "rdf": defect_json(r),
@@ -280,9 +283,10 @@ def _cross_check(res: dict, problems: list[str]) -> None:
             problems.append("uncolourable graph with zero df")
         if res.get("snark") is True and dv < 3:
             problems.append(f"snark with exact df {dv} < 3")
-    # a 2-factor of a cubic graph has an even number of odd circuits
+    # a 2-factor of a cubic graph has an even number of odd circuits; null
+    # oddness (a matching cap left it open) claims nothing
     odd = res["oddness"]
-    if odd < 0 or odd % 2:
+    if odd is not None and (odd < 0 or odd % 2):
         problems.append(f"oddness {odd} is not a non-negative even number")
 
 
@@ -385,8 +389,13 @@ def _shape_problems(command: str, cert: dict, m: int) -> list[str]:
     if graph.keys() != _GRAPH_KEYS:
         problems.append(f"graph: expected the keys {sorted(_GRAPH_KEYS)}, got {sorted(graph)}")
     if command == "analyze":
-        problems += _type_problems(res, {"colourable": bool, "oddness": int,
-                                         "df": dict, "rdf": dict})
+        # a matching cap that leaves oddness open leaves it and
+        # colourability null, and then no df or rdf is exhaustive
+        open_ = res.get("oddness", 0) is None and not any(
+            type(res.get(key)) is dict and res[key].get("exhaustive") is True
+            for key in ("df", "rdf"))
+        problems += _type_problems(res, {"df": dict, "rdf": dict} if open_ else
+                                   {"colourable": bool, "oddness": int, "df": dict, "rdf": dict})
         for key in ("df", "rdf"):
             sec = res.get(key)
             if type(sec) is not dict:

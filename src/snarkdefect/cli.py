@@ -111,11 +111,10 @@ def _defect_word(sec: dict) -> str:
 
 def analyze_graph(g: CubicGraph, budget, threads=None) -> tuple[dict, bool]:
     """The analyze result and whether it is exact; ``threads`` is ignored."""
-    facts = GraphFacts(g)
-    if not facts.bridgeless and facts.prefix(1)[0]:
+    facts = GraphFacts(g, budget.max_matchings if budget else None)
+    if not facts.bridgeless and facts._reach(0):
         # defect refuses a graph with a bridge: ask it after one matching,
-        # not a full enumeration; with no matching, oddness reports that
-        # from the cached empty list
+        # not a whole walk; with no matching, oddness reports that
         defect(g, facts=facts)
     odd = oddness(g, facts=facts)
     d = defect(g, budget=budget, facts=facts)
@@ -137,8 +136,8 @@ def _human_analyze(src: str, res: dict, cert: dict) -> str:
     parts = [
         f"{src}:",
         f"girth={res['girth']}",
-        f"snark={'yes' if res['snark'] else 'no'}",
-        f"oddness={res['oddness']}",
+        f"snark={'?' if res['snark'] is None else 'yes' if res['snark'] else 'no'}",
+        f"oddness={'?' if res['oddness'] is None else res['oddness']}",
         f"df={_defect_word(res['df'])}",
         f"rdf={_defect_word(res['rdf'])}",
         f"core={core_s}",

@@ -1,5 +1,14 @@
 """Perfect matchings and 3-edge-colourings of cubic graphs and multipoles.
 
+Perfect matchings come from one enumerator, ``_lex_matchings``: a walk
+that lists them in lexicographic order of sorted edge lists, memoised
+on the completions of each set of open edges.  ``perfect_matching_masks``
+is its first ``limit`` matchings, and ``GraphFacts`` keeps one walk per
+graph, whose list its bridge check, capped prefix, oddness and full
+list all extend.  Oddness tests the 2-factors in that order and stops
+at the least colour class; under a matching cap it reads only the
+capped matchings and is None when they do not settle it.
+
 Colours live in {1, 2, 3}, identified with the nonzero elements of
 Z2 x Z2 via 1=(0,1), 2=(1,0), 3=(1,1); the group operation is integer
 XOR.  A colouring is valid when the three edge-ends at every vertex
@@ -45,112 +54,21 @@ def edge_set(mask: int) -> frozenset[int]:
 
 def enumerate_perfect_matchings(g: CubicGraph, limit: int | None = None) -> list[frozenset[int]]:
     """``perfect_matching_masks`` as edge sets: all perfect matchings,
-    sorted lexicographically by sorted edge list, or with ``limit`` the
-    search-order prefix of that many, re-sorted."""
+    sorted lexicographically by sorted edge list, or the first ``limit``."""
     return [edge_set(m) for m in perfect_matching_masks(g, limit)]
 
 
 def perfect_matching_masks(g: CubicGraph, limit: int | None = None) -> list[int]:
     """All perfect matchings as edge bitmasks (bit e set for edge e),
-    sorted lexicographically by sorted edge list.
-
-    Backtracking over the lowest uncovered vertex, trying its edges in
-    ``incident_ends`` order; with ``limit`` the search stops after that
-    many matchings (the truncated result is then a prefix of the search
-    order, re-sorted).
-
-    Forced moves prune the search.  After each choice, look at the
-    uncovered neighbours of the two newly covered vertices: one with no
-    uncovered partner ends the branch, and one whose only uncovered
-    partner is reached by a single edge is matched at once, and the
-    check repeats.  This never reorders the matchings: every matching
-    below the branch contains the forced edges, so the unpruned search
-    takes each of them too when its end becomes the lowest uncovered
-    vertex (every other edge there leads to no matching), and it
-    branches on the same vertices, with the same edges, in the same
-    order.  The pruned subtrees hold no matching, so ``limit`` prefixes
-    are unchanged as well.
-
-    The completions of a search state, in search order, depend only on
-    its mask of uncovered vertices, so each mask is solved once.  Under
-    ``limit`` a state keeps its first ``limit`` completions: the first
-    ``limit`` of a concatenation need only the first ``limit`` of each
-    part.  Every matching has n/2 edges, so the lexicographic order is
-    the descending order of the bit strings read from edge 0.
-    """
-    n = g.vertex_count
-    if _no_room(limit) or n % 2:
-        return []
-    # per vertex, with loops skipped: the partners as a bitmask, and the
-    # partners reached by exactly one edge (partner bit -> edge)
-    nbr: list[int] = []
-    sole: list[dict[int, int]] = []
-    for v in range(n):
-        partners = [w for w, _ in g.arcs(v) if w != v]
-        nbr.append(sum(1 << w for w in set(partners)))
-        sole.append({1 << w: e for w, e in g.arcs(v) if w != v and partners.count(w) == 1})
-    try:
-        found = _completions((1 << n) - 1, {0: [0]}, limit, g, nbr, sole)
-    except RecursionError:
-        # one Python level per branching pick; an explicit stack would not
-        # help while oddness enumerates every matching whatever the cap
-        raise GraphError(f"the matching search on {n} vertices is deeper than "
-                         "the interpreter's recursion limit") from None
-    width = f"0{g.edge_count}b"
-    return sorted(found, key=lambda m: format(m, width)[::-1], reverse=True)
-
-
-def _completions(free: int, memo: dict[int, list[int]], limit: int | None,
-                 g, nbr, sole) -> list[int]:
-    """The perfect matchings of the vertices in the bitmask ``free``, as
-    edge bitmasks in search order, the first ``limit`` of them; each
-    ``free`` is solved once and kept in ``memo``.  A module-level
-    function, not a closure, so no reference cycle keeps ``memo`` alive
-    after the search."""
-    got = memo.get(free)
-    if got is not None:
-        return got
-    v = (free & -free).bit_length() - 1
-    others = free ^ 1 << v
-    out: list[int] = []
-    for w, e in g.arcs(v):
-        if not others >> w & 1:
-            continue  # a loop, or the partner is already matched
-        forced = _force(others ^ 1 << w, [v, w], nbr, sole)
-        if forced is None:
-            continue
-        rest, bits = forced
-        bits |= 1 << e
-        out += [bits | m for m in _completions(rest, memo, limit, g, nbr, sole)]
-        if limit is not None and len(out) >= limit:
-            del out[limit:]
-            break
-    memo[free] = out
-    return out
-
-
-def _force(free: int, touched: list[int], nbr, sole) -> tuple[int, int] | None:
-    """Apply the forced moves around the ``touched`` vertices: the new
-    ``free`` mask and the forced edges as a bitmask, or None when an
-    uncovered vertex is left with no uncovered partner."""
-    bits = 0
-    while touched:
-        around = nbr[touched.pop()] & free
-        while around:
-            low = around & -around
-            around ^= low
-            if not free & low:
-                continue  # covered by a forced move since
-            u = low.bit_length() - 1
-            cand = nbr[u] & free
-            if not cand:
-                return None
-            e = sole[u].get(cand)  # None unless one partner, by one edge
-            if e is not None:
-                bits |= 1 << e
-                free &= ~(low | cand)
-                touched += (u, cand.bit_length() - 1)
-    return free, bits
+    sorted lexicographically by sorted edge list, or with ``limit`` the
+    first ``limit`` of them: the matchings of ``_lex_matchings``."""
+    found: list[int] = []
+    if not _no_room(limit):
+        for m in _lex_matchings(g):
+            found.append(m)
+            if len(found) == limit:
+                break
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +212,15 @@ def verify_parity(m: Multipole, colouring: dict[int, int]) -> ParityReport:
     return ParityReport(not bad, tuple(counts), n, msg)
 
 
-def is_snark(g: CubicGraph, *, facts: GraphFacts | None = None) -> bool:
+def is_snark(g: CubicGraph, *, facts: GraphFacts | None = None) -> bool | None:
     """Bridgeless (for a cubic graph the same as 2-connected) and not
-    3-edge-colourable."""
+    3-edge-colourable; None when ``facts`` carries a matching cap that
+    leaves colourability open."""
     facts = _facts_for(g, facts)
-    return facts.bridgeless and not facts.colourable
+    if not facts.bridgeless:
+        return False
+    colourable = facts.colourable
+    return None if colourable is None else not colourable
 
 
 def two_factor_circuits(g: CubicGraph, matching: frozenset[int]) -> list[list[int]]:
@@ -352,7 +274,7 @@ def _odd_circuits(g: CubicGraph, mask: int) -> int:
 
 def _lex_matchings(g: CubicGraph):
     """Yield every perfect matching as an edge bitmask, in lexicographic
-    order of sorted edge lists, the order of ``perfect_matching_masks``.
+    order of sorted edge lists.
 
     Edges are decided in id order, include before exclude: the matchings
     below a state agree on every edge below the lowest one still open,
@@ -360,10 +282,19 @@ def _lex_matchings(g: CubicGraph):
     decision a vertex left with no open edge ends the branch, and one
     left with a single open edge takes it at once.  Both only drop
     subtrees or decisions that hold no matching, so the order is
-    unchanged; so is skipping a set of open edges (the matchings below
-    a state depend on nothing else) that held none before, which walks
-    each dead end once.  The walk keeps a stack of states, not Python
-    frames, so its depth has no recursion limit.
+    unchanged.
+
+    Every edge chosen below a state is open in it, and its uncovered
+    vertices are the ends of its open edges, so the matchings below it
+    are its chosen edges joined with completions that depend on its open
+    edges alone.  When the walk below a set of open edges ends, the
+    stretch of matchings it found is noted with the chosen edges they
+    share, and a later state with the same open edges replays that
+    stretch with its own chosen edges in their place instead of walking
+    again.  The replay keeps the order: matchings that share their
+    chosen edges first differ, and so compare, where their completions
+    do.  A dead end is walked once.  The walk keeps a stack of states,
+    not Python frames, so its depth has no recursion limit.
     """
     n = g.vertex_count
     ends = g.edges
@@ -376,17 +307,20 @@ def _lex_matchings(g: CubicGraph):
             open_ |= 1 << e
     nbrs = [[w for w, _ in g.arcs(v)] for v in range(n)]
     # states still to walk: (open edges, chosen edges, vertices to check),
-    # the exclude branch below the include branch.  Open edges have both
-    # ends uncovered, and every uncovered vertex keeps one after the
-    # forced moves, so a state with no open edge is a perfect matching.
+    # the exclude branch below the include branch, and below both the
+    # state again with the index in found where its walk began.  Open
+    # edges have both ends uncovered, and every uncovered vertex keeps
+    # one after the forced moves, so a state with no open edge is a
+    # perfect matching.
     stack = [(open_, 0, list(range(n)))]
-    dead = set()  # open edge sets with no matching below
-    found = 0
+    found: list[int] = []  # every matching yielded, in order
+    # open edges -> (start, end, chosen edges): the walk below them found
+    # found[start:end] under those chosen edges
+    memo: dict[int, tuple[int, int, int]] = {}
     while stack:
         open_, chosen, touched = stack.pop()
-        if touched is None:  # the walk below open_ is over
-            if chosen == found:
-                dead.add(open_)
+        if type(touched) is int:  # the walk below open_, begun at found[touched], is over
+            memo[open_] = touched, len(found), chosen
             continue
         while touched:  # forced moves around the touched vertices
             v = touched.pop()
@@ -403,39 +337,64 @@ def _lex_matchings(g: CubicGraph):
             touched += nbrs[a] + nbrs[b]
         else:
             if not open_:
-                found += 1
+                found.append(chosen)
                 yield chosen
                 continue
-            if open_ in dead:
+            done = memo.get(open_)
+            if done is None:
+                low = open_ & -open_
+                a, b = ends[low.bit_length() - 1]
+                stack.append((open_, chosen, len(found)))
+                stack.append((open_ ^ low, chosen, [a, b]))
+                stack.append((open_ & ~(inc[a] | inc[b]), chosen | low, nbrs[a] + nbrs[b]))
                 continue
-            low = open_ & -open_
-            a, b = ends[low.bit_length() - 1]
-            stack.append((open_, found, None))  # matchings found before it
-            stack.append((open_ ^ low, chosen, [a, b]))
-            stack.append((open_ & ~(inc[a] | inc[b]), chosen | low, nbrs[a] + nbrs[b]))
+            start, end, was = done
+            for m in found[start:end]:  # a copy: found grows meanwhile
+                found.append(m ^ was | chosen)
+                yield found[-1]
 
 
 class GraphFacts:
     """Facts about one cubic graph, each computed at most once, on first
-    use: bridgelessness, oddness and the df/rdf witness of a colourable
-    graph from one lexicographic walk over the perfect matchings, and the
-    full list of matchings, as edge bitmasks, for the paths that need it.
+    use: bridgelessness, oddness, the df/rdf witness of a colourable
+    graph and the perfect matchings as edge bitmasks.
 
-    The walk stops at the least colour class, so a colourable graph
-    never builds the list.  On a snark it sees every matching, in list
-    order, and its matchings become the list.  Before testing a 65th
-    2-factor it gives up, and the list is enumerated and walked instead:
-    the cap changes only speed, never a result.
+    All of them read one list: the matchings of one lexicographic walk
+    (``_lex_matchings``), kept as far as the walk has gone.  Oddness
+    tests the 2-factors in that order and stops at the first all-even
+    one, the least colour class, so a colourable graph walks no further;
+    a snark walks to the end.
+
+    ``cap`` is a run's matching cap: the capped list, oddness and
+    colourability read at most its first ``cap`` matchings, and one more
+    tells whether there are others.  When the cap cuts the walk off
+    before oddness is settled, oddness and colourability are None.  A
+    cap below 1 is an error.
 
     Create one per graph and hand it to the functions that accept
     ``facts=``; nothing is cached beyond the object's own lifetime.
     """
 
-    def __init__(self, g: CubicGraph):
+    def __init__(self, g: CubicGraph, cap: int | None = None):
+        if cap is not None and cap < 1:
+            raise GraphError("max_matchings must be at least 1")
         self.graph = g
-        self._prefixes: dict[int, tuple[list[int], bool]] = {}
+        self.cap = cap
+        self._walk = _lex_matchings(g)
+        self._seen: list[int] = []  # the walk's matchings so far
         self._least_class: int | None = None  # set by the oddness walk
         self._exact_df: int | None = None  # set by defect once df is exact
+
+    def _reach(self, i: int) -> bool:
+        """Whether the walk has an i-th matching (counting from 0),
+        walking on to it if it has not got there yet."""
+        seen = self._seen
+        if i >= len(seen):
+            for m in self._walk:
+                seen.append(m)
+                if i < len(seen):
+                    break
+        return i < len(seen)
 
     @cached_property
     def bridgeless(self) -> bool:
@@ -445,60 +404,51 @@ class GraphFacts:
 
     @cached_property
     def masks(self) -> list[int]:
-        """All perfect matchings as edge bitmasks, in lexicographic order."""
-        return perfect_matching_masks(self.graph)
+        """All perfect matchings as edge bitmasks, in lexicographic
+        order, whatever the cap."""
+        self._seen += self._walk
+        return self._seen
 
     @cached_property
     def matchings(self) -> list[frozenset[int]]:
         """The matchings as edge sets, in the same order."""
         return [edge_set(m) for m in self.masks]
 
-    def prefix(self, cap: int | None) -> tuple[list[int], bool]:
-        """(masks, complete) for a search capped at ``cap`` matchings:
-        the least ``cap`` of the first ``cap + 1`` in search order, so
-        capped results are reproducible.  A cap that holds every
-        matching fills the full list.  Each cap is searched once; later
-        calls return the same result.  A cap below 1 is an error.
-        """
-        if cap is None:
+    def prefix(self) -> tuple[list[int], bool]:
+        """(masks, complete): the first ``cap`` matchings, or all of them
+        with no cap, and whether they are all."""
+        if self.cap is None:
             return self.masks, True
-        if cap < 1:
-            raise GraphError("max_matchings must be at least 1")
-        if cap not in self._prefixes:
-            found = perfect_matching_masks(self.graph, cap + 1)
-            if len(found) <= cap:
-                self.masks = found
-                self._prefixes[cap] = found, True
-            else:
-                self._prefixes[cap] = found[:cap], False
-        return self._prefixes[cap]
+        complete = not self._reach(self.cap)
+        return self._seen[:self.cap], complete
 
     @cached_property
-    def oddness(self) -> int:
+    def oddness(self) -> int | None:
         """Minimum number of odd circuits over all 2-factors: the
-        2-factors in lexicographic order of their matchings, up to the
-        first all-even one, whose matching is kept as the least colour
-        class for ``_colour_triple``.  The list is walked instead when it
-        is already there or the walk gives up before its 65th 2-factor;
-        on a snark, the matchings seen become the list."""
-        g = self.graph
-        # a test walks the n edges of a 2-factor: 64 tests keep that cost
-        # near linear in n, and hold every matching of the small snarks
-        walk = None if "masks" in self.__dict__ else _first_even(g, _lex_matchings(g), 64)
-        best, seen = walk or _first_even(g, self.masks)
+        2-factors in the walk's order, up to the first all-even one, whose
+        matching is kept as the least colour class for ``_colour_triple``.
+        None when the cap cuts the walk off first."""
+        best, i = None, 0
+        while i != self.cap and self._reach(i):
+            odd = _odd_circuits(self.graph, self._seen[i])
+            if best is None or odd < best:
+                best = odd
+                if not odd:
+                    self._least_class = self._seen[i]
+                    return 0
+            i += 1
+        if self._reach(i):  # the cap cut the walk off
+            return None
         if best is None:
             raise GraphError("graph has no perfect matching")
-        if best:
-            self.masks = seen
-        else:
-            self._least_class = seen[-1]
         return best
 
     @cached_property
     def _colour_triple(self) -> tuple[int, int, int] | None:
         """The least triple M1 <= M2 <= M3 of perfect matchings, as edge
         bitmasks, that partitions the edges: the df and rdf witness of a
-        colourable graph.  None when the graph is not colourable.
+        colourable graph.  None when the graph is not known to be
+        colourable.
 
         Each member of a partition has an all-even 2-factor, the other two
         members alternating along it, so M1 is the least colour class,
@@ -521,46 +471,34 @@ class GraphFacts:
         return m1, m2, ((1 << g.edge_count) - 1) ^ m1 ^ m2
 
     @property
-    def colourable(self) -> bool:
+    def colourable(self) -> bool | None:
         """3-edge-colourable: some 2-factor has only even circuits (the
-        colour classes 2 and 3 alternate along them)."""
+        colour classes 2 and 3 alternate along them).  None when the cap
+        leaves oddness open."""
         try:
-            return self.oddness == 0
+            odd = self.oddness
         except GraphError:  # no perfect matching
             return False
+        return None if odd is None else odd == 0
 
 
-def _first_even(g: CubicGraph, matchings,
-                cap: int | None = None) -> tuple[int | None, list[int]] | None:
-    """(the least odd count, None with no matching; the matchings seen)
-    over the 2-factors of ``matchings``, in their order, up to the first
-    all-even one, which is then the last seen.  None when ``matchings``
-    holds more than ``cap`` to test."""
-    best, seen = None, []
-    for m in matchings:
-        if len(seen) == cap:
-            return None
-        odd = _odd_circuits(g, m)
-        seen.append(m)
-        if best is None or odd < best:
-            best = odd
-            if not odd:
-                break
-    return best, seen
-
-
-def _facts_for(g: CubicGraph, facts: GraphFacts | None) -> GraphFacts:
-    """The caller's facts for g, or fresh ones; facts about another graph
-    are an error, not a silent wrong answer."""
+def _facts_for(g: CubicGraph, facts: GraphFacts | None,
+               cap: int | None = None) -> GraphFacts:
+    """The caller's facts for g, or fresh ones under the matching cap
+    ``cap``; facts about another graph, or under another cap, are an
+    error, not a silent wrong answer."""
     if facts is None:
-        return GraphFacts(g)
+        return GraphFacts(g, cap)
     if facts.graph is not g:
         raise GraphError("facts= was built for a different graph")
+    if cap not in (None, facts.cap):
+        raise GraphError(f"facts= was built for a matching cap of {facts.cap}, not {cap}")
     return facts
 
 
-def oddness(g: CubicGraph, *, facts: GraphFacts | None = None) -> int:
-    """Minimum number of odd circuits over all 2-factors of g."""
+def oddness(g: CubicGraph, *, facts: GraphFacts | None = None) -> int | None:
+    """Minimum number of odd circuits over all 2-factors of g; None only
+    when ``facts`` carries a matching cap that leaves it open."""
     return _facts_for(g, facts).oddness
 
 

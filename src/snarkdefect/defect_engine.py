@@ -7,15 +7,18 @@ number of edges covered by no member; df(g) minimizes this over all
 Search contract
 ---------------
 
-Matchings are listed at most once, in lexicographic order, and only
-when a scan needs them; triples (i, j, k) with i <= j <= k are scanned
-in lexicographic index order, which equals lexicographic order on the
-sorted triples of sorted edge lists.  The
-reported witness is the first triple attaining the minimum, i.e. the
-lexicographically least optimal 3-array.  Sound pruning (a pair bound on
-the uncovered count, and early stop once a proven global lower bound is
-attained: 0 for colourable graphs, 3 for snarks, and for rdf an exact df,
-since rdf >= df whenever a regular array exists) never changes the
+Matchings are listed at most once, in lexicographic order, by the one
+walk of the graph's ``GraphFacts``, and only as far as a scan needs
+them: a matching cap takes the first ``max_matchings`` of that list,
+and colourability and oddness then read no further.  Triples
+(i, j, k) with i <= j <= k are scanned in lexicographic index order,
+which equals lexicographic order on the sorted triples of sorted edge
+lists.  The reported witness is the first triple attaining the minimum,
+i.e. the lexicographically least optimal 3-array.  Sound pruning (a
+pair bound on the uncovered count, and early stop once a proven global
+lower bound is attained: 0 for colourable graphs and for graphs whose oddness a
+matching cap left open, 3 for snarks, and for rdf an exact df, since
+rdf >= df whenever a regular array exists) never changes the
 value or the witness.  The scan keeps nothing: it yields each triple at
 or below the running minimum, df and rdf keep one witness, and
 ``enumerate_optimal_arrays`` keeps the ties at the final minimum.
@@ -23,9 +26,9 @@ or below the running minimum, df and rdf keep one witness, and
 A colourable graph does not scan for df or rdf: their witness is the
 least triple of matchings that partitions the edges, built by
 ``GraphFacts`` from the least colour class (a partition has no common
-edge, so it is regular).  With no matching cap the list is then never
-built.  The scan stays for a triple budget, which counts inspected
-triples, for a capped matching list, and for
+edge, so it is regular).  With no matching cap the list then stops at
+the least colour class.  The scan stays for a triple budget, which
+counts inspected triples, for a capped matching list, and for
 ``enumerate_optimal_arrays``, which needs every tie.
 
 The scan runs on one thread, so a triple budget's cutoff point is
@@ -269,12 +272,13 @@ def _require_bridgeless(facts: GraphFacts) -> None:
 
 def _defect_impl(g: CubicGraph, regular: bool, budget: SearchBudget | None,
                  facts: GraphFacts | None) -> DefectResult:
-    facts = _facts_for(g, facts)
+    facts = _facts_for(g, facts, budget.max_matchings if budget else None)
     _require_bridgeless(facts)
-    cap = budget.max_matchings if budget else None
     # with no cap, a colourable graph's witness needs no list: leave it unbuilt
-    masks, complete = facts.prefix(cap) if cap is not None else (None, True)
-    lower = 0 if facts.colourable else 3  # snark lower bound; bridgeless + uncolourable = snark
+    masks, complete = facts.prefix() if facts.cap is not None else (None, True)
+    # a snark's df is at least 3 (bridgeless + uncolourable = snark); 0 when
+    # the graph is colourable or the cap leaves oddness open
+    lower = 3 if facts.oddness else 0
     if regular and facts._exact_df is not None:
         lower = facts._exact_df  # rdf >= df whenever a regular array exists
 

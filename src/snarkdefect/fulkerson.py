@@ -94,12 +94,12 @@ def find_cover(g: CubicGraph, max_matchings: int | None = None,
     because a truncated search cannot certify absence.  A negative
     ``max_nodes`` is an input error.
     """
-    facts = GraphFacts(g)
+    facts = GraphFacts(g, max_matchings)
     if not facts.bridgeless:
         raise GraphError("Fulkerson covers are defined for bridgeless graphs")
     if max_nodes is not None and max_nodes < 0:
         raise GraphError("max_nodes must be at least 0")
-    masks, complete = facts.prefix(max_matchings)
+    masks, complete = facts.prefix()
     if not complete:
         raise BudgetError(f"more than {max_matchings} perfect matchings")
     m = g.edge_count

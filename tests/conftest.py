@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 import snarkdefect as sd
+from snarkdefect import colouring
 
 DATA = Path(__file__).parent / "data"
 
@@ -92,3 +93,18 @@ def petersen_ring(k):
         edges += [(a + 10 * c, b + 10 * c) for a, b in p.edges[1:]]
         edges.append((10 * c + 1, 10 * ((c + 1) % k)))
     return sd.CubicGraph(10 * k, tuple(edges))
+
+
+def counted_walks(monkeypatch):
+    """Count what each matching walk yields: one entry per walk."""
+    walk, reads = colouring._lex_matchings, []
+
+    def counted(g):
+        reads.append(0)
+        at = len(reads) - 1
+        for m in walk(g):
+            reads[at] += 1
+            yield m
+
+    monkeypatch.setattr(colouring, "_lex_matchings", counted)
+    return reads

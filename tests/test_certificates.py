@@ -75,6 +75,26 @@ def test_forged_value_is_caught(petersen):
     assert "snark with exact df 2 < 3" in problems
 
 
+def test_open_oddness_verifies_only_beside_inexact_searches(petersen):
+    # a matching cap that cuts the walk off leaves oddness, colourability
+    # and snark status null, and then no df or rdf is exhaustive
+    res, exact = analyze_graph(petersen, sd.SearchBudget(max_matchings=3))
+    cert = reparse(ce.make_certificate("analyze", "petersen", petersen, res, exact, None))
+    assert (res["oddness"], res["colourable"], res["snark"], exact) == (None, None, None, False)
+    assert ce.verify_certificate(cert) == []
+    # the same claims beside an exhaustive df: null is no longer allowed
+    full = reparse(fresh_cert(petersen))
+    for key in ("oddness", "colourable", "snark"):
+        full["result"][key] = None
+    problems = ce.verify_certificate(full)
+    assert "oddness: expected an int, got NoneType" in problems
+    assert "colourable: expected a bool, got NoneType" in problems
+    # null oddness leaves colourability and snark status null too
+    cert["result"].update(colourable=False, snark=True)
+    assert ce.verify_certificate(cert) == ["colourable: does not match the rebuilt result",
+                                           "snark: does not match the rebuilt result"]
+
+
 def test_truncated_witness_is_caught(petersen):
     cert = reparse(fresh_cert(petersen))
     cert["result"]["rdf"]["witness"][0] = cert["result"]["rdf"]["witness"][0][:3]

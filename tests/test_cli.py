@@ -16,6 +16,7 @@ import pytest
 import snarkdefect as sd
 import oracles
 from snarkdefect import certificates, cli
+from conftest import counted_walks
 
 
 def run(argv, stdin=None):
@@ -131,13 +132,22 @@ def test_bridge_graph_is_an_error(tmp_path):
     assert "bridge" in json.loads(out)["error"]
 
 
-def test_too_deep_matching_search_is_an_error_certificate():
-    # J_1001 has 4,004 vertices; the matching search recurses once per pick
-    code, out, _ = run(["analyze", "--construct", "flower:1001", "--max-matchings", "1",
-                        "--json", "--quiet"])
-    assert code == 1
-    error = json.loads(out)["error"]
-    assert "4004 vertices" in error and "recursion limit" in error
+@pytest.mark.parametrize("desc, cap", [("flower:17", "10"), ("flower:1001", "1")])
+def test_matching_cap_leaves_a_large_snarks_oddness_open(desc, cap):
+    # the walk stops after cap + 1 matchings, before oddness is settled:
+    # oddness, colourability and snark status are null, df and rdf only
+    # bounds.  Reading every matching, flower:17 took 3.7 s; flower:1001
+    # (4,004 vertices) ended at the interpreter's recursion limit.
+    argv = ["-m", "snarkdefect.cli", "analyze", "--construct", desc, "--max-matchings", cap]
+    code, out, cpu = _capped([*argv, "--json"], None)
+    assert (code, cpu < 2.0) == (2, True)
+    cert = json.loads(out)
+    assert cert["exact"] is False and certificates.verify_certificate(cert) == []
+    res = cert["result"]
+    assert (res["oddness"], res["colourable"], res["snark"]) == (None, None, None)
+    assert not (res["df"]["exhaustive"] or res["rdf"]["exhaustive"])
+    code, out, _ = _capped(argv, None)
+    assert code == 2 and f"{desc}: girth=6 snark=? oddness=? df=" in out
 
 
 def test_running_out_of_memory_is_an_error_certificate(monkeypatch):
@@ -233,7 +243,7 @@ def test_analyze_enumerates_once_and_never_backtracks(monkeypatch):
     for g in graphs:
         cli.analyze_graph(g, None)
     # one walk each: it lists a snark's matchings, and stops at the least
-    # colour class of double:petersen, whose list is never built
+    # colour class of double:petersen
     assert walks == graphs and enumerations == []
     assert colourings == []
     code, _, _ = run(["analyze", "--construct", "petersen", "--construct", "flower:5"])
@@ -242,25 +252,17 @@ def test_analyze_enumerates_once_and_never_backtracks(monkeypatch):
     # the pipeline reads edge bitmasks and never builds the edge-set list
     code, _, _ = run(["fulkerson", "--construct", "petersen", "--roundtrip"])
     assert code == 0
-    assert len(walks) == len(graphs) + 2 and len(enumerations) == 1 and edge_sets == []
+    assert len(walks) == len(graphs) + 3 and enumerations == edge_sets == []
 
 
 def test_analyze_refuses_a_bridge_after_one_matching(monkeypatch):
-    """A graph with a bridge and a perfect matching is refused before
-    the full enumeration that oddness would run."""
-    from snarkdefect import colouring
+    """A graph with a bridge and a perfect matching is refused after the
+    walk's first matching, not after the whole walk oddness would make."""
     from test_certificates import bridged
-    limits = []
-    enumerate_all = colouring.perfect_matching_masks
-
-    def counted(g, limit=None):
-        limits.append(limit)
-        return enumerate_all(g, limit)
-
-    monkeypatch.setattr(colouring, "perfect_matching_masks", counted)
+    reads = counted_walks(monkeypatch)
     with pytest.raises(sd.GraphError, match="undefined for graphs with bridges"):
         cli.analyze_graph(bridged(), None)
-    assert limits == [2]
+    assert reads == [1]
 
 def test_each_value_is_checked_once(monkeypatch, tmp_path):
     """analyze, fulkerson --roundtrip and verify of its certificate each
@@ -972,6 +974,19 @@ def test_analyze_reaches_large_colourable_graphs(tmp_path, source):
     (tmp_path / "cert.jsonl").write_text(out)
     code, out, _ = _capped(["-m", "snarkdefect.cli", "verify", "cert.jsonl"], tmp_path)
     assert code == 0 and out.startswith(f"PASS cert.jsonl:1 ({argv[1]})")
+
+
+@pytest.mark.parametrize("n, seed, place", [(100, 3, 10635), (200, 1, 3035)])
+def test_oddness_reaches_a_late_least_colour_class(n, seed, place):
+    # the least colour class is the walk's 10,635th and 3,035th matching;
+    # sent to a full enumeration after the 64th, oddness ran out of a
+    # 1.5 GB address space after 7-17 s of CPU
+    g = _seeded_simple_cubic(n, seed)
+    code, out, cpu = _capped(["-c", "import snarkdefect as sd\n"
+                              f"facts = sd.GraphFacts(sd.CubicGraph({n}, {sorted(g.edges)!r}))\n"
+                              "print(facts.oddness, 'masks' in vars(facts), len(facts._seen))"],
+                             None)
+    assert (code, out, cpu < 2.0) == (0, f"0 False {place}\n", True)
 
 
 def test_oddness_reaches_a_bipartite_double_of_a_double():

@@ -15,7 +15,7 @@ import snarkdefect as sd
 import oracles
 from snarkdefect import certificates, cli, colouring
 from snarkdefect.defect_engine import _scan
-from conftest import petersen_ring
+from conftest import counted_walks, petersen_ring
 from oracles import edge_pairs
 
 
@@ -284,29 +284,26 @@ def test_walk_triple_matches_the_list(monkeypatch, theta, k4, k33, prism, cube):
 
 
 def test_walk_lists_every_matching_of_a_small_snark(monkeypatch, blanusa1, blanusa2):
-    # the analyze-snarks graphs: the walk's matchings become the list, and
-    # nothing enumerates them again
+    # the analyze-snarks graphs: oddness walks every matching once, and
+    # the list is that walk's
     suite = [cli.build_descriptor(name) for name in
              ("petersen", "flower:3", "flower:5", "inflate:petersen:0",
               "inflate-pair:petersen:0:1")] + [blanusa1, blanusa2]
     enumerate_all = colouring.perfect_matching_masks
     want = [(enumerate_all(g), min(colouring._odd_circuits(g, m) for m in enumerate_all(g)))
             for g in suite]
-    enumerations = []
-    monkeypatch.setattr(colouring, "perfect_matching_masks",
-                        lambda g, limit=None: enumerations.append(g) or enumerate_all(g, limit))
+    reads = counted_walks(monkeypatch)
     for g, (masks, least) in zip(suite, want):
         facts = sd.GraphFacts(g)
         assert facts.oddness == least == 2
-        assert vars(facts)["masks"] == masks
-    assert enumerations == []
+        assert facts.masks == masks
+    assert reads == [len(masks) for masks, _ in want]
 
 
-def test_walk_over_its_cap_takes_the_list(monkeypatch):
+def test_walk_past_64_two_factors_keeps_its_certificates(monkeypatch):
     # flower:7 (a snark) and a colourable 40-vertex benchmark-style graph
-    # reach the walk's cap, its 64th tested 2-factor; both then read the
-    # enumerated list, and their certificates are the ones the list alone
-    # gave
+    # test more than 64 2-factors; their certificates are the ones the
+    # enumerated list gave
     inputs = _perfbench_inputs(monkeypatch)
     g40 = sd.parse_graph6(inputs.graph6(40, inputs.random_cubic(40, random.Random(21))))
     for name, g, odd, digest in (
@@ -314,12 +311,14 @@ def test_walk_over_its_cap_takes_the_list(monkeypatch):
              "7609dec827e1ddd4f40a06c1e61e91b10fa1b299cbffe343254c1c4a3ddb7b4e"),
             ("g40", g40, 0,
              "2017ade21492b4b6412d1b6e754e8a75018c8bcd563f1fa24bfed798f3ad0aa1")):
-        assert colouring._first_even(g, colouring._lex_matchings(g), 64) is None
         facts = sd.GraphFacts(g)
         assert facts.oddness == odd
-        assert vars(facts)["masks"] == sd.perfect_matching_masks(g)
+        assert len(facts._seen) > 64
         if odd == 0:
+            assert "masks" not in vars(facts)
             assert facts._colour_triple == _list_triple(g)
+        else:
+            assert facts.masks == sd.perfect_matching_masks(g)
         res, exact = cli.analyze_graph(g, None)
         text = certificates.dump_certificate(
             certificates.make_certificate("analyze", name, g, res, exact, None))
@@ -339,22 +338,21 @@ def test_walk_takes_no_node_cap(monkeypatch):
 
 
 def test_oddness_reads_a_list_already_built(monkeypatch, cube, j5):
-    # a capped prefix that held every matching filled the list: oddness
-    # and the witness read it, with no second search
-    monkeypatch.setattr(colouring, "_lex_matchings", lambda g: pytest.fail("searched again"))
-    for g, odd in ((cube, 0), (j5, 2)):
-        facts = sd.GraphFacts(g)
-        assert facts.prefix(1000)[1]
-        assert facts.oddness == odd
-        if not odd:
-            assert facts._colour_triple == _list_triple(g)
+    # a capped prefix that held every matching ended the walk: oddness
+    # and the witness read its list, with no second walk
+    for g, odd, triple in ((cube, 0, _list_triple(cube)), (j5, 2, None)):
+        facts = sd.GraphFacts(g, 1000)
+        assert facts.prefix()[1]
+        monkeypatch.setattr(colouring, "_lex_matchings", lambda g: pytest.fail("walked again"))
+        assert (facts.oddness, facts._colour_triple) == (odd, triple)
+        monkeypatch.undo()
 
 
 def test_prefix_is_the_same_with_or_without_the_walk(cube, j5):
     for g in (cube, j5, cli.build_descriptor("double:petersen")):
-        walked = sd.GraphFacts(g)
+        walked = sd.GraphFacts(g, 3)
         walked.oddness
-        assert walked.prefix(3) == sd.GraphFacts(g).prefix(3)
+        assert walked.prefix() == sd.GraphFacts(g, 3).prefix()
 
 
 def test_budgeted_certificates_are_unchanged(cube):
@@ -368,7 +366,7 @@ def test_budgeted_certificates_are_unchanged(cube):
             ("cube", cube,
              "20aced757619c4c0a3194993009ac4ed9ae044d8be86a0bc2ae661479b3166e4"),
             ("flower:5", cli.build_descriptor("flower:5"),
-             "2290468822f62c6466c9eb1b6205bf8d6228ed0be33f2705e27ffba6c80fca33")):
+             "cbf45ea80e652af844e1d57733a76c9d088c65831e533e25255f28971c18d0f2")):
         lines = []
         for budget in budgets:
             res, exact = cli.analyze_graph(g, budget)
@@ -378,12 +376,13 @@ def test_budgeted_certificates_are_unchanged(cube):
 
 
 def test_colour_triple_after_a_capped_prefix(cube):
-    # a capped prefix before the oddness walk leaves the uncapped witness
+    # a capped scan before the colour triple leaves the uncapped witness
     # as the scan gives it
-    facts = sd.GraphFacts(cube)
+    facts = sd.GraphFacts(cube, 2)
     capped = sd.defect(cube, budget=sd.SearchBudget(max_matchings=2), facts=facts)
     assert not capped.exhaustive
-    assert sd.defect(cube, facts=facts).witness == sd.defect(cube, budget=SCAN).witness
+    members = (colouring.edge_set(m) for m in facts._colour_triple)
+    assert sd.ThreeArray.of(*members) == sd.defect(cube, budget=SCAN).witness
 
 
 def test_triple_budget_keeps_the_scan_on_colourable_graphs():
@@ -460,62 +459,44 @@ def test_budget_truncation_is_reported(petersen, k4):
     assert not res.exhaustive
 
 
-def test_budget_with_lower_bound_hit_stays_exact(petersen):
-    # a snark cannot go below 3, so finding 3 is proof even when capped
+def test_budget_with_lower_bound_hit_stays_exact(petersen, cube):
+    # a colourable graph cannot go below 0, so a capped list that holds a
+    # partition is proof: the cube has 9 matchings
+    res = sd.defect(cube, budget=sd.SearchBudget(max_matchings=7))
+    assert (res.value, res.exhaustive, res.status) == (0, True, "EXACT")
+    # a snark cannot go below 3, but 3 matchings of Petersen's 6 do not
+    # settle its oddness: 3 is then an upper bound
     res = sd.defect(petersen, budget=sd.SearchBudget(max_matchings=3))
-    assert res.value == 3
-    assert res.exhaustive
-    assert res.status == "EXACT"
+    assert (res.value, res.exhaustive, res.status) == (3, False, "UPPER_BOUND")
+    # once oddness is known, it is proof
+    facts = sd.GraphFacts(petersen, 6)
+    res = sd.defect(petersen, budget=sd.SearchBudget(max_matchings=6), facts=facts)
+    assert (facts.oddness, res.value, res.exhaustive) == (2, 3, True)
 
 
 def test_matching_cap_on_colourable_graph_enumerates_only_the_prefix(monkeypatch, cube):
     # an all-even 2-factor among the capped matchings proves colourability,
-    # so the capped search never enumerates every matching
-    from snarkdefect import colouring, defect_engine
-    limits = []
-
-    def counted(g, limit=None):
-        limits.append(limit)
-        return enumerate_all(g, limit)
-
-    enumerate_all = colouring.perfect_matching_masks
-    monkeypatch.setattr(colouring, "perfect_matching_masks", counted)
+    # so the capped search never walks to every matching
+    reads = counted_walks(monkeypatch)
     sd.defect(cube, budget=sd.SearchBudget(max_matchings=2))
-    assert limits == [3]
+    assert reads == [3]
 
 
 def test_matching_cap_holding_every_matching_enumerates_once(monkeypatch, petersen):
     # the capped prefix is the whole list, so colourability reuses it
-    from snarkdefect import colouring
-    limits = []
-    enumerate_all = colouring.perfect_matching_masks
-
-    def counted(g, limit=None):
-        limits.append(limit)
-        return enumerate_all(g, limit)
-
-    monkeypatch.setattr(colouring, "perfect_matching_masks", counted)
+    reads = counted_walks(monkeypatch)
     res = sd.defect(petersen, budget=sd.SearchBudget(max_matchings=6))
-    assert limits == [7]
+    assert reads == [6]
     assert (res.value, res.exhaustive) == (3, True)
 
 
 def test_analyze_searches_each_matching_cap_once(monkeypatch):
-    # df and rdf read the same capped prefix; oddness walks every matching
-    # of flower:5 in order and keeps them, with no enumeration
-    from snarkdefect import cli, colouring
-    limits = []
-    enumerate_all = colouring.perfect_matching_masks
-
-    def counted(g, limit=None):
-        limits.append(limit)
-        return enumerate_all(g, limit)
-
-    monkeypatch.setattr(colouring, "perfect_matching_masks", counted)
+    # oddness, df and rdf read the same capped prefix of one walk
+    reads = counted_walks(monkeypatch)
     code = cli.main(["analyze", "--construct", "flower:5", "--max-matchings", "10",
                      "--json", "--quiet"])
     assert code == 2
-    assert limits == [11]
+    assert reads == [11]
 
 
 def test_threads_do_not_change_results(petersen, j5):
