@@ -21,7 +21,7 @@ import time
 from . import certificates as certs
 from .colouring import GraphFacts, oddness
 from .constructions import flower_snark, inflate_pair_theorem_check, inflate_to_triangle, petersen
-from .defect_engine import BudgetError, SearchBudget, defect, regular_defect
+from .defect_engine import BudgetError, SearchBudget, _require_bridgeless, defect, regular_defect
 from .fulkerson import find_cover
 from .graph_core import (
     CubicGraph,
@@ -112,10 +112,7 @@ def _defect_word(sec: dict) -> str:
 def analyze_graph(g: CubicGraph, budget, threads=None) -> tuple[dict, bool]:
     """The analyze result and whether it is exact; ``threads`` is ignored."""
     facts = GraphFacts(g, budget.max_matchings if budget else None)
-    if not facts.bridgeless and facts._reach(0):
-        # defect refuses a graph with a bridge: ask it after one matching,
-        # not a whole walk; with no matching, oddness reports that
-        defect(g, facts=facts)
+    _require_bridgeless(facts)  # after one matching, not the walk oddness makes
     odd = oddness(g, facts=facts)
     d = defect(g, budget=budget, facts=facts)
     r = regular_defect(g, budget=budget, facts=facts)

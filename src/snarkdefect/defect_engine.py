@@ -8,28 +8,28 @@ Search contract
 ---------------
 
 Matchings are listed at most once, in lexicographic order, by the one
-walk of the graph's ``GraphFacts``, and only as far as a scan needs
+walk of the graph's ``GraphFacts``, and only as far as a search needs
 them: a matching cap takes the first ``max_matchings`` of that list,
-and colourability and oddness then read no further.  Triples
-(i, j, k) with i <= j <= k are scanned in lexicographic index order,
-which equals lexicographic order on the sorted triples of sorted edge
-lists.  The reported witness is the first triple attaining the minimum,
-i.e. the lexicographically least optimal 3-array.  Sound pruning (a
-pair bound on the uncovered count, and early stop once a proven global
-lower bound is attained: 0 for colourable graphs and for graphs whose oddness a
-matching cap left open, 3 for snarks, and for rdf an exact df, since
-rdf >= df whenever a regular array exists) never changes the
-value or the witness.  The scan keeps nothing: it yields each triple at
-or below the running minimum, df and rdf keep one witness, and
-``enumerate_optimal_arrays`` keeps the ties at the final minimum.
+and colourability and oddness then read no further.
 
-A colourable graph does not scan for df or rdf: their witness is the
-least triple of matchings that partitions the edges, built by
-``GraphFacts`` from the least colour class (a partition has no common
-edge, so it is regular).  With no matching cap the list then stops at
-the least colour class.  The scan stays for a triple budget, which
-counts inspected triples, for a capped matching list, and for
-``enumerate_optimal_arrays``, which needs every tie.
+A graph known to be colourable has df = rdf = 0, exact under any
+budget, witnessed by the least triple of matchings that partitions the
+edges (regular: a partition has no common edge).  ``GraphFacts`` builds
+it from the least colour class M1, where the oddness walk stops, and
+reads M2 and M3 off M1's 2-factor without listing them, so a cap bounds
+the matchings listed and a triple budget inspects no triple.
+
+The scan serves snarks, graphs whose oddness a cap left open, and
+``enumerate_optimal_arrays``, which needs every tie.  Triples (i, j, k)
+with i <= j <= k go in lexicographic index order, which is
+lexicographic order on sorted triples of sorted edge lists, and the
+witness is the first triple at the minimum: the lexicographically least
+optimal 3-array.  Sound pruning (a pair bound on the uncovered count,
+and a stop at a proven lower bound: 3 for snarks, and for rdf an exact
+df, as rdf >= df whenever a regular array exists) changes neither.  The
+scan keeps nothing: it yields each triple at or below the running
+minimum; df and rdf keep one witness, ``enumerate_optimal_arrays`` the
+ties at the final minimum.
 
 The scan runs on one thread, so a triple budget's cutoff point is
 reproducible; a negative budget is an input error.  The ``threads``
@@ -265,7 +265,10 @@ def _scan(masks: list[int], m: int, half: int, regular: bool,
 
 
 def _require_bridgeless(facts: GraphFacts) -> None:
+    """Refuse a graph with a bridge; one with no perfect matching says so first."""
     if not facts.bridgeless:
+        if not facts._reach(0):
+            raise GraphError("graph has no perfect matching")
         raise GraphError("defect is undefined for graphs with bridges "
                          f"(found {bridges(facts.graph) or 'disconnected'})")
 
@@ -274,46 +277,40 @@ def _defect_impl(g: CubicGraph, regular: bool, budget: SearchBudget | None,
                  facts: GraphFacts | None) -> DefectResult:
     facts = _facts_for(g, facts, budget.max_matchings if budget else None)
     _require_bridgeless(facts)
-    # with no cap, a colourable graph's witness needs no list: leave it unbuilt
-    masks, complete = facts.prefix() if facts.cap is not None else (None, True)
-    # a snark's df is at least 3 (bridgeless + uncolourable = snark); 0 when
-    # the graph is colourable or the cap leaves oddness open
-    lower = 3 if facts.oddness else 0
-    if regular and facts._exact_df is not None:
-        lower = facts._exact_df  # rdf >= df whenever a regular array exists
-
     mt = budget.max_triples if budget else None
     if mt is not None and mt < 0:
         raise GraphError("max_triples must be at least 0")
-    best = None  # (value, members): the first triple at the least value
+    if facts.colourable:  # the least partition into colour classes
+        return DefectResult(0, ThreeArray.of(*map(edge_set, facts._colour_triple)), True, regular)
+
+    masks, complete = facts.prefix()
+    # a snark's df is at least 3 (bridgeless + uncolourable = snark); a cap
+    # that leaves oddness open leaves no bound above 0
+    lower = 3 if facts.oddness else 0
+    if regular and facts._exact_df is not None:
+        lower = facts._exact_df  # rdf >= df whenever a regular array exists
+    best = None  # (value, (i, j, k)): the first triple at the least value
     scanned_all = True
-    if mt is None and complete and facts.colourable:
-        best = 0, facts._colour_triple
-    else:
-        if masks is None:
-            masks = facts.masks
-        for hit in _scan(masks, g.edge_count, g.vertex_count // 2, regular, mt):
-            if hit is None:
-                scanned_all = False
-                break
-            if best is None or hit[0] < best[0]:
-                best = hit
-            if best[0] <= lower:
-                break
-        if best is not None:
-            best = best[0], [masks[x] for x in best[1]]
+    for hit in _scan(masks, g.edge_count, g.vertex_count // 2, regular, mt):
+        if hit is None:
+            scanned_all = False
+            break
+        if best is None or hit[0] < best[0]:
+            best = hit
+        if best[0] <= lower:
+            break
 
     if best is None:
         if regular and complete and scanned_all:
             return DefectResult(NONE_FOUND, None, True, True)
         return DefectResult(UNKNOWN, None, False, regular)
-    val, members = best
+    val, triple = best
     # a witness attaining the proven lower bound is exact even if the
     # matching list was truncated
     exhaustive = (complete and scanned_all) or val == lower
     if exhaustive and not regular:
         facts._exact_df = val
-    witness = ThreeArray.of(*(edge_set(m) for m in members))
+    witness = ThreeArray.of(*(edge_set(masks[x]) for x in triple))
     return DefectResult(val, witness, exhaustive, regular)
 
 

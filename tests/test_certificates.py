@@ -2,13 +2,14 @@
 
 import contextlib
 import io
+import itertools
 import json
 
 import pytest
 
 import snarkdefect as sd
 from snarkdefect import certificates as ce
-from snarkdefect.cli import analyze_graph, main
+from snarkdefect.cli import analyze_graph, build_descriptor, main
 
 
 def fresh_cert(g, source="petersen"):
@@ -73,6 +74,37 @@ def test_forged_value_is_caught(petersen):
     problems = ce.verify_certificate(cert)
     assert "df: value 2 does not match witness (3 uncovered edges)" in problems
     assert "snark with exact df 2 < 3" in problems
+
+
+def _df_leaving_five_uncovered(g, sec):
+    """A df claim of 5 with a witness that leaves 5 edges uncovered."""
+    ms = sd.enumerate_perfect_matchings(g)
+    arr = next(a for a in itertools.starmap(sd.ThreeArray.of,
+                                            itertools.combinations_with_replacement(ms, 3))
+               if len(sd.coverage(g, a).uncovered) == 5)
+    sec.update(value=5, witness=ce.array_json(arr))
+
+
+@pytest.mark.parametrize("source, key, tamper, problem", [
+    ("inflate-pair:petersen:0:1", "rdf",
+     lambda g, sec: sec.update(value=4, witness=ce.array_json(
+         sd.inflate_pair_theorem_check(sd.petersen(), 0, 1)[1])),
+     "rdf: witness is not regular (edges [0] triply covered)"),
+    ("petersen", "df", lambda g, sec: sec.update(witness=None),
+     "df: value 3 claimed without witness"),
+    ("petersen", "df", lambda g, sec: sec.update(value="unknown"),
+     "df: witness present but value is 'unknown'"),
+    ("petersen", "df", lambda g, sec: sec.update(value="none_found", witness=None),
+     "df: none_found is only meaningful for regular search"),
+    ("flower:5", "df", _df_leaving_five_uncovered, "df 5 exceeds rdf 3"),
+], ids=["irregular-rdf", "value-without-witness", "witness-without-value",
+        "df-none-found", "df-above-rdf"])
+def test_forged_defect_claims_are_caught(source, key, tamper, problem):
+    g = build_descriptor(source)
+    cert = reparse(fresh_cert(g, source))
+    assert cert["result"]["df"]["exhaustive"] and cert["result"]["rdf"]["exhaustive"]
+    tamper(g, cert["result"][key])
+    assert problem in ce.verify_certificate(cert)
 
 
 def test_open_oddness_verifies_only_beside_inexact_searches(petersen):

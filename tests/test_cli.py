@@ -181,6 +181,12 @@ def test_missing_matching_is_reported_before_bridges(tmp_path):
     code, out, _ = run(["analyze", "--edge-list", str(path), "--json", "--quiet"])
     assert code == 1
     assert json.loads(out)["error"] == "graph has no perfect matching"
+    # the library says the same, before it looks at the bridges
+    g = sd.parse_edge_list(path.read_text())
+    for search in (sd.defect, sd.regular_defect, sd.oddness,
+                   lambda g: sd.enumerate_optimal_arrays(g, False)):
+        with pytest.raises(sd.GraphError, match="^graph has no perfect matching$"):
+            search(g)
 
 
 def _bridged_blobs(k):

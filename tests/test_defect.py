@@ -1,5 +1,6 @@
 """Defect search: values, witnesses, cores, budgets, and the girth bound."""
 
+import ast
 import hashlib
 import importlib.util
 import itertools
@@ -207,7 +208,8 @@ def test_df_and_rdf_keep_one_witness_not_every_optimum():
 # colourable graphs: the colour-class triple instead of the scan
 # --------------------------------------------------------------------------
 
-# a triple budget keeps df and rdf on the scan; this one never runs out
+# a triple budget that never runs out: a colourable graph's df and rdf
+# are its colour triple under it, as under no budget
 SCAN = sd.SearchBudget(max_triples=10 ** 12)
 
 
@@ -357,14 +359,16 @@ def test_prefix_is_the_same_with_or_without_the_walk(cube, j5):
 
 def test_budgeted_certificates_are_unchanged(cube):
     # sha256 of the six certificates per graph, one per line, as the list
-    # alone gave them: --max-matchings 1, 2, 7 and --max-triples 1, 5, 40
+    # alone gave them: --max-matchings 1, 2, 7 and --max-triples 1, 5, 40.
+    # Each budget leaves double:petersen and the cube their colour triple,
+    # so theirs are six copies of the unbudgeted certificate
     budgets = [sd.SearchBudget(max_matchings=m) for m in (1, 2, 7)] + \
               [sd.SearchBudget(max_triples=t) for t in (1, 5, 40)]
     for name, g, digest in (
             ("double:petersen", cli.build_descriptor("double:petersen"),
-             "b39f6dfc9be62854292e9c775138dd03218267f5bd925207eee7fe5edd4433fe"),
+             "2f3d95f4c261ae1cddc18d26711e7f18f3f9095150f368675f4f793a981c76ae"),
             ("cube", cube,
-             "20aced757619c4c0a3194993009ac4ed9ae044d8be86a0bc2ae661479b3166e4"),
+             "0d0b014a46b58300ec570153353fbf40581a2e27c4d76ac759b24f6ff3c66632"),
             ("flower:5", cli.build_descriptor("flower:5"),
              "cbf45ea80e652af844e1d57733a76c9d088c65831e533e25255f28971c18d0f2")):
         lines = []
@@ -376,30 +380,26 @@ def test_budgeted_certificates_are_unchanged(cube):
 
 
 def test_colour_triple_after_a_capped_prefix(cube):
-    # a capped scan before the colour triple leaves the uncapped witness
-    # as the scan gives it
+    # a capped prefix taken before the colour triple leaves df and rdf the
+    # triple the full list gives
     facts = sd.GraphFacts(cube, 2)
-    capped = sd.defect(cube, budget=sd.SearchBudget(max_matchings=2), facts=facts)
-    assert not capped.exhaustive
-    members = (colouring.edge_set(m) for m in facts._colour_triple)
-    assert sd.ThreeArray.of(*members) == sd.defect(cube, budget=SCAN).witness
+    assert facts.prefix() == (sd.perfect_matching_masks(cube, 2), False)
+    want = sd.ThreeArray.of(*(colouring.edge_set(m) for m in _list_triple(cube)))
+    for search in (sd.defect, sd.regular_defect):
+        res = search(cube, budget=sd.SearchBudget(max_matchings=2), facts=facts)
+        assert (res.value, res.exhaustive, res.witness) == (0, True, want)
 
 
-def test_triple_budget_keeps_the_scan_on_colourable_graphs():
-    # values, flags and witnesses as the scan gave them before the
-    # colour-class triple existed
+def test_triple_budget_keeps_the_colour_triple_on_colourable_graphs():
+    # a triple budget inspects no triple of a colourable graph: df and rdf
+    # are its colour triple, exact
     g = cli.build_descriptor("double:petersen")
-    first = (0, 1, 10, 11, 18, 19, 20, 21, 24, 25)
-    second = (0, 1, 12, 13, 14, 15, 22, 23, 26, 27)
-    for triples, want_df in ((1, (20, False, (first, first, first))),
-                             (5, (12, False, (first, first, second))),
-                             (40, (12, False, (first, first, second)))):
+    want = sd.defect(g).witness
+    for triples in (0, 1, 5, 40, 1000):
         budget = sd.SearchBudget(max_triples=triples)
-        d, r = sd.defect(g, budget=budget), sd.regular_defect(g, budget=budget)
-        assert (d.value, d.exhaustive, d.witness.sorted_lists()) == want_df
-        assert (r.value, r.exhaustive, r.witness) == (sd.UNKNOWN, False, None)
-    d = sd.defect(g, budget=sd.SearchBudget(max_triples=1000))
-    assert (d.value, d.exhaustive, d.witness) == (0, True, sd.defect(g).witness)
+        for search in (sd.defect, sd.regular_defect):
+            res = search(g, budget=budget)
+            assert (res.value, res.exhaustive, res.witness) == (0, True, want)
 
 
 def test_analyze_reaches_double_flower_7():
@@ -454,14 +454,17 @@ def test_budget_truncation_is_reported(petersen, k4):
     assert res.value == 6
     assert not res.exhaustive
     assert res.status == "UPPER_BOUND"
+    # K4's first matching is a colour class, so a cap of 1 settles it
     res = sd.defect(k4, budget=sd.SearchBudget(max_matchings=1))
-    assert res.value == 4  # one matching repeated thrice covers two edges
+    assert (res.value, res.exhaustive) == (0, True)
+    res = sd.defect(petersen, budget=sd.SearchBudget(max_matchings=1))
+    assert res.value == 10  # one matching repeated thrice covers five edges
     assert not res.exhaustive
 
 
 def test_budget_with_lower_bound_hit_stays_exact(petersen, cube):
-    # a colourable graph cannot go below 0, so a capped list that holds a
-    # partition is proof: the cube has 9 matchings
+    # a cap that reaches the least colour class proves colourability, and
+    # df is the colour triple's 0: the cube has 9 matchings
     res = sd.defect(cube, budget=sd.SearchBudget(max_matchings=7))
     assert (res.value, res.exhaustive, res.status) == (0, True, "EXACT")
     # a snark cannot go below 3, but 3 matchings of Petersen's 6 do not
@@ -476,10 +479,71 @@ def test_budget_with_lower_bound_hit_stays_exact(petersen, cube):
 
 def test_matching_cap_on_colourable_graph_enumerates_only_the_prefix(monkeypatch, cube):
     # an all-even 2-factor among the capped matchings proves colourability,
-    # so the capped search never walks to every matching
+    # so the capped search reads no matching past it: the cube's first
     reads = counted_walks(monkeypatch)
     sd.defect(cube, budget=sd.SearchBudget(max_matchings=2))
-    assert reads == [3]
+    assert reads == [1]
+
+
+def _late_colour_class():
+    """A simple bridgeless graph on 8 vertices whose least colour class is
+    the third of its five matchings."""
+    return sd.CubicGraph(8, ((0, 1), (0, 3), (0, 5), (1, 4), (1, 7), (2, 4), (2, 5),
+                             (2, 6), (3, 5), (3, 6), (4, 7), (6, 7)))
+
+
+# sha256 of the late graph's certificates under caps that stop before its
+# least colour class: oddness stays open, so df and rdf scan the capped
+# prefix, and the certificates are those the scan gave for every budget
+BELOW_THE_LEAST_CLASS = {
+    sd.SearchBudget(max_matchings=1):
+        "89238b13359b94a1f4dcc4680b0634088023f7646d19fde5220f060a91da2477",
+    sd.SearchBudget(max_matchings=2):
+        "7cff31ae7cfb500ec739a8f6d447f5873c8b57342040ddbc7924d28ad475471c",
+    sd.SearchBudget(max_matchings=1, max_triples=0):
+        "a5bf48ca1f29ba0767e3b2855bfa6bb9e47d2aed5d204485461650ba8ec5a5cd",
+    sd.SearchBudget(max_matchings=2, max_triples=5):
+        "7cff31ae7cfb500ec739a8f6d447f5873c8b57342040ddbc7924d28ad475471c",
+}
+
+
+@pytest.mark.parametrize("name", ["k4", "k33", "prism", "cube", "theta", "double:petersen",
+                                  "double:flower:7", "late"])
+def test_budgets_keep_the_colour_triple(monkeypatch, request, name):
+    # once a cap reaches the least colour class M1, or with no cap, df and
+    # rdf are the colour triple, exact, whatever the budget: the
+    # certificate is the unbudgeted one, and no walk reads past M1
+    if name == "late":
+        g = _late_colour_class()
+    elif name.startswith("double:"):
+        g = cli.build_descriptor(name)
+    else:
+        g = request.getfixturevalue(name)
+    masks = sd.perfect_matching_masks(g)
+    first = 1 + next(i for i, m in enumerate(masks) if not colouring._odd_circuits(g, m))
+
+    def cert(budget):
+        res, exact = cli.analyze_graph(g, budget)
+        text = certificates.dump_certificate(
+            certificates.make_certificate("analyze", name, g, res, exact, None))
+        return exact, text
+
+    want = cert(None)
+    assert want[0]
+    caps = sorted({*range(first, first + 64), len(masks), len(masks) + 1})
+    budgets = [sd.SearchBudget(max_triples=t) for t in (0, 1, 5, 50)]
+    budgets += [sd.SearchBudget(max_matchings=c) for c in caps]
+    budgets += [sd.SearchBudget(max_matchings=first, max_triples=0)]
+    reads = counted_walks(monkeypatch)
+    for budget in budgets:
+        assert cert(budget) == want, budget
+    assert reads == [first] * len(budgets)
+    below = BELOW_THE_LEAST_CLASS if name == "late" else {}
+    assert {b.max_matchings for b in below} == set(range(1, first))
+    for budget, digest in below.items():
+        exact, text = cert(budget)
+        assert not exact
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, budget
 
 
 def test_matching_cap_holding_every_matching_enumerates_once(monkeypatch, petersen):
@@ -608,3 +672,31 @@ def test_sentinels():
     assert repr(sd.UNKNOWN) == "UNKNOWN"
     assert repr(sd.NONE_FOUND) == "NONE_FOUND"
     assert sd.UNKNOWN is not sd.NONE_FOUND
+
+
+# --------------------------------------------------------------------------
+# documentation
+# --------------------------------------------------------------------------
+
+def test_readme_library_block_runs_as_documented():
+    # the README's Library example runs, and each bare expression in it
+    # gives the value its comment starts with
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    ns, checked = {}, []
+    for stmt in ast.parse(block).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), ns)
+            continue
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), ns)
+        comment = lines[stmt.lineno - 1].partition("#")[2].partition(":")[0].strip()
+        try:
+            want = ast.literal_eval(comment)
+        except (ValueError, SyntaxError):
+            continue  # prose, not a value
+        assert value == want, lines[stmt.lineno - 1]
+        checked.append(want)
+    assert checked == [True, (2, False), 5665, None]
+    assert (ns["res"].value, ns["res"].exhaustive, ns["res"].regular_required) == (3, True, True)
+    assert ns["facts"].masks[0] == sum(1 << e for e in (0, 5, 9, 10, 12))

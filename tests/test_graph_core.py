@@ -441,14 +441,24 @@ def test_wiring_spec_parse_matches_of():
     assert parsed == built
 
 
-def test_junction_two_tripoles_make_theta(theta):
+# a trivial tripole's connector r<k> is the free end 1 of its edge k
+END_REFS = {"connector": lambda p, k: sd.EndRef.conn(p, f"r{k}", 0),
+            "edge-end": lambda p, k: sd.EndRef.edge_end(p, k, 1)}
+
+
+@pytest.mark.parametrize("ref", END_REFS.values(), ids=END_REFS.keys())
+def test_junction_two_tripoles_make_theta(theta, ref):
     t0, t1 = sd.trivial_tripole(), sd.trivial_tripole()
-    w = sd.WiringSpec.of(*[
-        (sd.EndRef.conn(0, f"r{k}", 0), sd.EndRef.conn(1, f"r{k}", 0))
-        for k in range(3)
-    ])
+    w = sd.WiringSpec.of(*[(ref(0, k), ref(1, k)) for k in range(3)])
     joined = sd.junction((t0, t1), w).to_graph()
     assert sd.canonical_form(joined) == sd.canonical_form(theta)
+
+
+def test_junction_rejects_an_edge_past_the_part():
+    t0, t1 = sd.trivial_tripole(), sd.trivial_tripole()
+    w = sd.WiringSpec.of((sd.EndRef.edge_end(0, 0, 1), sd.EndRef.edge_end(1, 3, 1)))
+    with pytest.raises(sd.WiringError, match="^part 1: edge 3 out of range$"):
+        sd.junction((t0, t1), w)
 
 
 def test_junction_rejects_vertex_free_circle():
