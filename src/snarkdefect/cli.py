@@ -50,6 +50,8 @@ def build_descriptor(desc: str) -> CubicGraph:
             sub, _, v = rest.rpartition(":")
             return inflate_to_triangle(build_descriptor(sub), int(v))
         if head == "inflate-pair":
+            if rest.count(":") < 2:
+                raise ValueError("expected inflate-pair:GRAPH:U:V")
             sub, u, v = rest.rsplit(":", 2)
             gg, _ = inflate_pair_theorem_check(build_descriptor(sub), int(u), int(v))
             return gg

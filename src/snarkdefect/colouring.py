@@ -61,11 +61,10 @@ def enumerate_perfect_matchings(g: CubicGraph, limit: int | None = None) -> list
 def perfect_matching_masks(g: CubicGraph, limit: int | None = None) -> list[int]:
     """All perfect matchings as edge bitmasks (bit e set for edge e),
     sorted lexicographically by sorted edge list, or with ``limit`` the
-    first ``limit`` of them: the matchings of ``_lex_matchings``."""
+    first ``limit`` of them: the list ``_lex_matchings`` fills."""
     found: list[int] = []
     if not _no_room(limit):
-        for m in _lex_matchings(g):
-            found.append(m)
+        for _ in _lex_matchings(g, found):
             if len(found) == limit:
                 break
     return found
@@ -230,11 +229,6 @@ def two_factor_circuits(g: CubicGraph, matching: frozenset[int]) -> list[list[in
     return _circuits(g, sum(1 << e for e in matching))
 
 
-def odd_circuit_count(g: CubicGraph, matching: frozenset[int]) -> int:
-    """Number of odd circuits in the 2-factor complementary to a perfect matching."""
-    return sum(len(c) & 1 for c in two_factor_circuits(g, matching))
-
-
 def _circuits(g: CubicGraph, mask: int) -> list[list[int]]:
     """Circuits (as edge-id lists) of the 2-factor complementary to the
     perfect matching with edge bitmask ``mask``.
@@ -272,9 +266,9 @@ def _odd_circuits(g: CubicGraph, mask: int) -> int:
     return sum(len(c) & 1 for c in _circuits(g, mask))
 
 
-def _lex_matchings(g: CubicGraph):
-    """Yield every perfect matching as an edge bitmask, in lexicographic
-    order of sorted edge lists.
+def _lex_matchings(g: CubicGraph, found: list[int]):
+    """Append every perfect matching to ``found``, the caller's list, as
+    an edge bitmask in lexicographic order of sorted edge lists; yield each.
 
     Edges are decided in id order, include before exclude: the matchings
     below a state agree on every edge below the lowest one still open,
@@ -282,7 +276,10 @@ def _lex_matchings(g: CubicGraph):
     decision a vertex left with no open edge ends the branch, and one
     left with a single open edge takes it at once.  Both only drop
     subtrees or decisions that hold no matching, so the order is
-    unchanged.
+    unchanged.  Only vertices that lost an open edge can become dead or
+    forced, so only they are re-checked: the ends of an excluded edge,
+    and for an included edge ab, ``far[ab]``, the far ends of the other
+    edges at a and b.
 
     Every edge chosen below a state is open in it, and its uncovered
     vertices are the ends of its open edges, so the matchings below it
@@ -305,7 +302,7 @@ def _lex_matchings(g: CubicGraph):
             inc[a] |= 1 << e
             inc[b] |= 1 << e
             open_ |= 1 << e
-    nbrs = [[w for w, _ in g.arcs(v)] for v in range(n)]
+    far = [[w for v in (a, b) for w, f in g.arcs(v) if f != e] for e, (a, b) in enumerate(ends)]
     # states still to walk: (open edges, chosen edges, vertices to check),
     # the exclude branch below the include branch, and below both the
     # state again with the index in found where its walk began.  Open
@@ -313,7 +310,6 @@ def _lex_matchings(g: CubicGraph):
     # one after the forced moves, so a state with no open edge is a
     # perfect matching.
     stack = [(open_, 0, list(range(n)))]
-    found: list[int] = []  # every matching yielded, in order
     # open edges -> (start, end, chosen edges): the walk below them found
     # found[start:end] under those chosen edges
     memo: dict[int, tuple[int, int, int]] = {}
@@ -331,10 +327,11 @@ def _lex_matchings(g: CubicGraph):
                 if inc[v] & chosen:
                     continue  # covered
                 break  # uncovered with no open edge: no matching here
-            a, b = ends[live.bit_length() - 1]
+            e = live.bit_length() - 1
+            a, b = ends[e]
             chosen |= live
             open_ &= ~(inc[a] | inc[b])
-            touched += nbrs[a] + nbrs[b]
+            touched += far[e]
         else:
             if not open_:
                 found.append(chosen)
@@ -343,10 +340,12 @@ def _lex_matchings(g: CubicGraph):
             done = memo.get(open_)
             if done is None:
                 low = open_ & -open_
-                a, b = ends[low.bit_length() - 1]
+                e = low.bit_length() - 1
+                a, b = ends[e]
                 stack.append((open_, chosen, len(found)))
                 stack.append((open_ ^ low, chosen, [a, b]))
-                stack.append((open_ & ~(inc[a] | inc[b]), chosen | low, nbrs[a] + nbrs[b]))
+                # a copy: the forced moves pop from it
+                stack.append((open_ & ~(inc[a] | inc[b]), chosen | low, far[e][:]))
                 continue
             start, end, was = done
             for m in found[start:end]:  # a copy: found grows meanwhile
@@ -359,8 +358,9 @@ class GraphFacts:
     use: bridgelessness, oddness, the df/rdf witness of a colourable
     graph and the perfect matchings as edge bitmasks.
 
-    All of them read one list: the matchings of one lexicographic walk
-    (``_lex_matchings``), kept as far as the walk has gone.  Oddness
+    All but bridgelessness read one list, which the one lexicographic
+    walk (``_lex_matchings``) fills as far as it has gone; ``masks`` is
+    that list once the walk is over, not a copy of it.  Oddness
     tests the 2-factors in that order and stops at the first all-even
     one, the least colour class, so a colourable graph walks no further;
     a snark walks to the end.
@@ -380,8 +380,8 @@ class GraphFacts:
             raise GraphError("max_matchings must be at least 1")
         self.graph = g
         self.cap = cap
-        self._walk = _lex_matchings(g)
-        self._seen: list[int] = []  # the walk's matchings so far
+        self._seen: list[int] = []  # the walk's matchings so far, filled by the walk
+        self._walk = _lex_matchings(g, self._seen)
         self._least_class: int | None = None  # set by the oddness walk
         self._exact_df: int | None = None  # set by defect once df is exact
 
@@ -390,8 +390,7 @@ class GraphFacts:
         walking on to it if it has not got there yet."""
         seen = self._seen
         if i >= len(seen):
-            for m in self._walk:
-                seen.append(m)
+            for _ in self._walk:
                 if i < len(seen):
                     break
         return i < len(seen)
@@ -406,13 +405,9 @@ class GraphFacts:
     def masks(self) -> list[int]:
         """All perfect matchings as edge bitmasks, in lexicographic
         order, whatever the cap."""
-        self._seen += self._walk
+        for _ in self._walk:  # the walk appends each one to the list
+            pass
         return self._seen
-
-    @cached_property
-    def matchings(self) -> list[frozenset[int]]:
-        """The matchings as edge sets, in the same order."""
-        return [edge_set(m) for m in self.masks]
 
     def prefix(self) -> tuple[list[int], bool]:
         """(masks, complete): the first ``cap`` matchings, or all of them

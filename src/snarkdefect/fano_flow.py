@@ -113,12 +113,13 @@ class CharacteristicFlow:
 
 def characteristic_flow(g: CubicGraph, a: ThreeArray) -> CharacteristicFlow:
     """x_i(e) = 0 iff e lies in the i-th matching of the (regular) array."""
+    m1, m2, m3 = a.matchings
     vals = []
     for e in range(g.edge_count):
-        bits = tuple(0 if e in mm else 1 for mm in a.matchings)
-        if bits == (0, 0, 0):
+        k = 4 * (e not in m1) + 2 * (e not in m2) + (e not in m3)
+        if not k:
             raise IrregularArrayError(f"edge {e} is triply covered; its value would be 000")
-        vals.append(FanoPoint(*bits))
+        vals.append(_POINTS[k - 1])  # _POINTS[4*x1 + 2*x2 + x3 - 1] is (x1, x2, x3)
     return CharacteristicFlow(tuple(vals))
 
 

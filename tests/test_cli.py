@@ -105,6 +105,36 @@ def test_bad_input_gives_error_certificate_and_exit_1(tmp_path):
     assert second["result"]["df"]["value"] == 3
 
 
+def test_bad_descriptor_values_are_error_lines():
+    code, out, _ = run(["analyze", "--construct", "flower:x",
+                        "--construct", "inflate-pair:petersen:0", "--construct", "petersen"])
+    assert code == 1
+    bad_int, short_pair, good = out.splitlines()
+    assert bad_int == ("flower:x: ERROR bad construction descriptor 'flower:x': "
+                       "invalid literal for int() with base 10: 'x'")
+    # the error names the form, as the --construct help does
+    assert short_pair == ("inflate-pair:petersen:0: ERROR bad construction descriptor "
+                          "'inflate-pair:petersen:0': expected inflate-pair:GRAPH:U:V")
+    assert good.startswith("petersen: girth=5 snark=yes")
+
+
+def test_blank_graph6_lines_are_skipped_and_keep_line_numbers(tmp_path):
+    path = tmp_path / "gaps.g6"
+    path.write_text("\n   \n" + sd.write_graph6(sd.petersen()) + "\n\n")
+    code, out, _ = run(["analyze", "--graph6", str(path)])
+    assert code == 0
+    assert out.splitlines() == [f"{path}:3: girth=5 snark=yes oddness=2 df=3 rdf=3 "
+                                "core=3u/3d/0t in 1 component(s) girth-bound=ok"]
+
+
+def test_edge_list_with_free_ends_is_a_parse_error(tmp_path):
+    path = tmp_path / "claw.txt"
+    path.write_text("vertices 1\n0 -\n0 -\n0 -\n")
+    code, out, _ = run(["analyze", "--edge-list", str(path)])
+    assert code == 1
+    assert out == f"{path}: ERROR parse error: multipole has 3 free ends, not a graph\n"
+
+
 @pytest.mark.parametrize("flag, data", [
     ("--graph6", b"IheA@GUAo\n\xff\n"),   # a non-ASCII byte in the file
     ("--graph6", "\u00e9\n"),               # a non-ASCII line on stdin
@@ -600,6 +630,19 @@ def test_verify_command_catches_forgery(tmp_path):
     assert lines[2] == "verified 2 certificate(s): 1 pass, 1 fail"
 
 
+def test_verify_skips_blank_lines_and_rejects_an_unknown_command(tmp_path):
+    _, out, _ = run(["analyze", "--construct", "petersen", "--json", "--quiet"])
+    cert = json.loads(out)
+    cert["command"] = "zap"
+    path = tmp_path / "gaps.jsonl"
+    path.write_text("\n" + out + "  \n" + json.dumps(cert) + "\n\n")
+    code, vout, _ = run(["verify", str(path)])
+    assert code == 1
+    assert vout.splitlines() == [f"PASS {path}:2 (petersen)",
+                                 f"FAIL {path}:4 (petersen): unknown command 'zap'",
+                                 "verified 2 certificate(s): 1 pass, 1 fail"]
+
+
 def test_verify_quiet_prints_failures_only(tmp_path):
     _, out, _ = run(["analyze", "--construct", "petersen", "--json", "--quiet"])
     path = tmp_path / "ok.jsonl"
@@ -903,10 +946,11 @@ def test_import_footprint_is_pinned():
     assert dataclasses == 16
 
 
-def test_every_private_module_name_is_used():
-    """A private name bound at module level (a def, a class or an
-    assignment) that no other top-level statement of the package reads
-    is dead code, and an assignment still runs at import."""
+def _unread_module_names(counted):
+    """(defined, unread): the names bound at module level (a def, a class
+    or an assignment) for which ``counted(module, name)`` holds, and
+    those of them that no other top-level statement of the package
+    reads.  ``__init__``'s imports read the names it re-exports."""
     defined, reads = {}, []
     for path in sorted(SRC.glob("snarkdefect/*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -927,11 +971,30 @@ def test_every_private_module_name_is_used():
                     names.add(node.name)
             reads.append(names)
             for name in bound:
-                if name.startswith("_") and not name.startswith("__"):
+                if counted(path.stem, name):
                     defined[f"{path.stem}.{name}"] = name, len(reads) - 1
     unread = [where for where, (name, own) in defined.items()
               if not any(name in names for i, names in enumerate(reads) if i != own)]
+    return defined, unread
+
+
+def test_every_private_module_name_is_used():
+    """A private name bound at module level that no other top-level
+    statement of the package reads is dead code, and an assignment still
+    runs at import."""
+    defined, unread = _unread_module_names(
+        lambda module, name: name.startswith("_") and not name.startswith("__"))
     assert len(defined) > 30
+    assert unread == []
+
+
+def test_every_public_module_name_is_exported_or_used():
+    """A public name bound at module level outside ``cli.py``, the entry
+    point, is API only when ``__init__`` re-exports it; one that it does
+    not re-export and that no other top-level statement reads is dead."""
+    defined, unread = _unread_module_names(
+        lambda module, name: not name.startswith("_") and module != "cli")
+    assert len(defined) > 100
     assert unread == []
 
 

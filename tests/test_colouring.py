@@ -246,7 +246,8 @@ def test_odd_circuit_walk_counts_the_odd_two_factor_circuits(theta, dumbbell):
     for g in [theta, dumbbell] + _random_multigraphs(20261020, 304):
         for m in sd.enumerate_perfect_matchings(g):
             odd = sum(len(c) % 2 for c in sd.two_factor_circuits(g, m))
-            assert colouring.odd_circuit_count(g, m) == odd, (g.edges, m)
+            mask = sum(1 << e for e in m)
+            assert colouring._odd_circuits(g, mask) == odd, (g.edges, m)
             checked += 1
     assert checked > 1000
 
@@ -327,7 +328,7 @@ def test_graph_facts_colourability_matches_colourer_and_oracle(
 def test_graph_facts_reports_missing_matching():
     # a claw whose three leaves carry loops: matching the centre strands two leaves
     facts = sd.GraphFacts(sd.CubicGraph(4, ((0, 1), (0, 2), (0, 3), (1, 1), (2, 2), (3, 3))))
-    assert facts.matchings == []
+    assert facts.masks == []
     assert not facts.colourable
     with pytest.raises(sd.GraphError, match="no perfect matching"):
         facts.oddness

@@ -233,11 +233,11 @@ def test_colour_triple_matches_the_scan(theta, k4, k33, prism, cube):
         zero = next(t for v, t in _scan(facts.masks, g.edge_count, g.vertex_count // 2, False)
                     if v == 0)
         assert triple == tuple(facts.masks[x] for x in zero), g.edges
+        want = sd.ThreeArray.of(*(colouring.edge_set(facts.masks[x]) for x in zero))
         for search in (sd.defect, sd.regular_defect):
             direct, scanned = search(g), search(g, budget=SCAN)
             assert (direct.value, direct.witness, direct.exhaustive) == \
-                (scanned.value, scanned.witness, scanned.exhaustive) == \
-                (0, sd.ThreeArray.of(*(facts.matchings[x] for x in zero)), True), g.edges
+                (scanned.value, scanned.witness, scanned.exhaustive) == (0, want, True), g.edges
     assert walked == len(suite)  # every triple came from the walk, none from the list
 
 
@@ -345,7 +345,7 @@ def test_oddness_reads_a_list_already_built(monkeypatch, cube, j5):
     for g, odd, triple in ((cube, 0, _list_triple(cube)), (j5, 2, None)):
         facts = sd.GraphFacts(g, 1000)
         assert facts.prefix()[1]
-        monkeypatch.setattr(colouring, "_lex_matchings", lambda g: pytest.fail("walked again"))
+        monkeypatch.setattr(colouring, "_lex_matchings", lambda *a: pytest.fail("walked again"))
         assert (facts.oddness, facts._colour_triple) == (odd, triple)
         monkeypatch.undo()
 
@@ -668,10 +668,14 @@ def test_corollary_rdf3(petersen, k4, j3, j5, blanusa1, blanusa2):
         assert sd.verify_corollary_rdf3(g)
 
 
-def test_sentinels():
+def test_sentinels(petersen):
     assert repr(sd.UNKNOWN) == "UNKNOWN"
     assert repr(sd.NONE_FOUND) == "NONE_FOUND"
     assert sd.UNKNOWN is not sd.NONE_FOUND
+    # a result's status names its sentinel; no triple inspected leaves rdf unknown
+    cut = sd.regular_defect(petersen, budget=sd.SearchBudget(None, 0))
+    assert (cut.value, cut.status) == (sd.UNKNOWN, "UNKNOWN")
+    assert sd.DefectResult(sd.NONE_FOUND, None, True, True).status == "NONE_FOUND"
 
 
 # --------------------------------------------------------------------------
