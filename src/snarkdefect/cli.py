@@ -47,6 +47,8 @@ def build_descriptor(desc: str) -> CubicGraph:
         if head == "double":
             return bipartite_double(build_descriptor(rest))
         if head == "inflate":
+            if ":" not in rest:
+                raise ValueError("expected inflate:GRAPH:V")
             sub, _, v = rest.rpartition(":")
             return inflate_to_triangle(build_descriptor(sub), int(v))
         if head == "inflate-pair":

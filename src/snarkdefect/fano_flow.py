@@ -142,18 +142,20 @@ def verify_flow(g: CubicGraph, f: CharacteristicFlow) -> FlowCheck:
     """
     if len(f.values) != g.edge_count:
         return FlowCheck(False, f"flow covers {len(f.values)} edges, graph has {g.edge_count}")
-    for e, p in enumerate(f.values):
-        if p.is_zero:
+    # point (x1, x2, x3) as the 3-bit code 4*x1 + 2*x2 + x3; XOR adds points
+    codes = [4 * p.x1 + 2 * p.x2 + p.x3 for p in f.values]
+    for e, k in enumerate(codes):
+        if not k:
             return FlowCheck(False, f"edge {e} carries 000 (nowhere-zero violation)")
-    catalogue = four_line_catalogue()
     for v in range(g.vertex_count):
-        pts = [f.values[e] for e, _ in g.incident_ends(v)]
-        if len({str(p) for p in pts}) != 3:
+        (_, x), (_, y), (_, z) = g.arcs(v)
+        a, b, c = codes[x], codes[y], codes[z]
+        if a == b or a == c or b == c:
             return FlowCheck(False, f"vertex {v}: repeated value (not a proper colouring)")
-        total = pts[0] + pts[1] + pts[2]
-        if not total.is_zero:
+        if a ^ b ^ c:
             return FlowCheck(False, f"vertex {v}: values do not sum to zero")
-        if frozenset(pts) not in catalogue:
-            return FlowCheck(False, f"vertex {v}: line {{{', '.join(sorted(map(str, pts)))}}} "
+        if 7 not in (a, b, c) and {a, b, c} != {3, 5, 6}:  # not via 111, not weight 2
+            line = ", ".join(sorted(format(q, "03b") for q in (a, b, c)))
+            return FlowCheck(False, f"vertex {v}: line {{{line}}} "
                                     "is outside the four-line catalogue")
     return FlowCheck(True)

@@ -80,15 +80,17 @@ def find_cover(g: CubicGraph, max_matchings: int | None = None,
     bitsets of candidate indices (those at or after the last pick that
     avoid every doubly covered edge), and a candidate ends its level once
     some edge still short of two covers lies in no matching at or after
-    it.  The last two members are found, not searched: with ``m0`` the
-    uncovered edges and ``need`` the edges not yet covered twice, they
-    are a pair ``a <= b`` with ``a & b == m0`` and ``a | b == need``, so
-    each candidate ``a`` fixes ``b = (need ^ a) | m0`` and one lookup
-    settles it.
+    it.  The last two members are counted, not searched.  With ``m0``
+    the uncovered edges and ``need`` the edges not yet covered twice,
+    take any candidate ``a`` holding all of ``m0``.  After it each edge
+    is covered once or twice and each vertex meets five members, so one
+    edge at each vertex is covered once: those edges, ``b = (need ^ a) |
+    m0``, are a perfect matching that closes the cover.  So the first
+    such ``a`` closes, and a level with none fails.
 
     One node of ``max_nodes`` is one member placed: each of the first
-    four picks, each closing candidate ``a`` and each ``b`` found for it.
-    A node costs polynomial work (bitset updates and one lookup).
+    four picks, the closing ``a`` and its ``b``.  A node costs
+    polynomial work (bitset updates).
     NONE_FOUND means the space was exhausted; running out of
     ``max_nodes`` (or the matching cap) raises BudgetError instead,
     because a truncated search cannot certify absence.  A negative
@@ -112,7 +114,6 @@ def find_cover(g: CubicGraph, max_matchings: int | None = None,
     suffix = [0] * (len(masks) + 1)  # suffix[i]: union of masks[i:]
     for idx in range(len(masks) - 1, -1, -1):
         suffix[idx] = suffix[idx + 1] | masks[idx]
-    index = {mask: idx for idx, mask in enumerate(masks)}
 
     nodes = 0
     chosen: list[int] = []
@@ -124,7 +125,7 @@ def find_cover(g: CubicGraph, max_matchings: int | None = None,
         nodes += 1
 
     # dfs refers to itself through its closure cell; the del below empties
-    # the cell, so no reference cycle keeps has, suffix and index alive
+    # the cell, so no reference cycle keeps has and suffix alive
     def dfs(allowed: int, m1: int, m2: int) -> tuple[int, ...] | None:
         need = full & ~m2
         if len(chosen) == 4:
@@ -134,20 +135,12 @@ def find_cover(g: CubicGraph, max_matchings: int | None = None,
                 low = rest & -rest
                 allowed &= has[low.bit_length() - 1]
                 rest ^= low
-            while allowed:
-                low = allowed & -allowed
-                a = low.bit_length() - 1
-                place()
-                # b >= a whenever b exists: a lower b at or after the last
-                # pick was tried first and found a as its partner, and one
-                # before it would complete a lexicographically smaller
-                # cover, which the search would have returned already
-                b = index.get((need ^ masks[a]) | m0)
-                if b is not None:
-                    place()
-                    return (*chosen, a, b)
-                allowed ^= low
-            return None
+            if not allowed:
+                return None
+            a = masks[(allowed & -allowed).bit_length() - 1]
+            place()
+            place()
+            return (*chosen, a, (need ^ a) | m0)
         while allowed:
             low = allowed & -allowed
             idx = low.bit_length() - 1
@@ -162,7 +155,7 @@ def find_cover(g: CubicGraph, max_matchings: int | None = None,
                 bit = rest & -rest
                 child &= ~has[bit.bit_length() - 1]
                 rest ^= bit
-            chosen.append(idx)
+            chosen.append(mask)
             got = dfs(child, (m1 | mask) & ~doubled, m2 | doubled)
             chosen.pop()
             if got is not None:
@@ -176,7 +169,7 @@ def find_cover(g: CubicGraph, max_matchings: int | None = None,
         del dfs, place
     if found is None:
         return NONE_FOUND
-    return FulkersonCover.of(g, [edge_set(masks[i]) for i in found])
+    return FulkersonCover.of(g, [edge_set(mask) for mask in found])
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,12 @@ Text formats
 ------------
 
 graph6 (simple graphs only) follows the published format: optional
-``>>graph6<<`` header, 6-bit big-endian packing of the upper adjacency
-triangle in column-major order.  Parsed edges are re-ordered
-lexicographically by (min endpoint, max endpoint), which is also the
-order the writer emits, so parse/serialize round-trips on canonical
-edge lists.
+``>>graph6<<`` header, then bytes 63..126 whose 6-bit groups, big end
+first, read as one bit string.  A long size field is a binary number;
+body bit j(j-1)/2 + i is set when i < j are adjacent, then zero padding.
+Parsed edges are re-ordered lexicographically by (min endpoint, max
+endpoint), which is also the order the writer emits, so parse/serialize
+round-trips on canonical edge lists.
 
 The edge-list format handles multigraphs and multipoles::
 
@@ -242,13 +243,12 @@ class CubicGraph(Multipole):
     """A cubic multigraph: a multipole with no free ends.
 
     Satisfies the handshake identity 3*vertex_count == 2*edge_count,
-    checked on every construction.
+    checked on every construction.  A free end raises ConnectorError,
+    since the empty connector list covers none.
     """
 
     def __init__(self, vertex_count: int, endpoints: Iterable[tuple[int | None, int | None]]):
         super().__init__(vertex_count, endpoints, connectors=())
-        if self._free:
-            raise GraphError("CubicGraph cannot have free ends")
         assert 3 * self._n == 2 * self.edge_count
 
     def adjacency(self) -> list[list[tuple[int, int]]]:
@@ -263,10 +263,16 @@ class CubicGraph(Multipole):
 _G6_HEADER = ">>graph6<<"
 
 
+def _g6_bits(data: bytes) -> str:
+    """The 6-bit groups of graph6 bytes as one string of '0' and '1'."""
+    for c in data:
+        if not 63 <= c <= 126:
+            raise FormatError(f"invalid graph6 byte {c}")
+    return "".join([format(c - 63, "06b") for c in data])
+
+
 def _g6_read_n(data: bytes) -> tuple[int, int]:
-    """Decode the vertex count; returns (n, bytes consumed)."""
-    if not data:
-        raise FormatError("empty graph6 line")
+    """Decode the vertex count of a non-empty line; returns (n, bytes consumed)."""
     if data[0] != 126:
         n = data[0] - 63
         if not 0 <= n <= 62:
@@ -276,12 +282,7 @@ def _g6_read_n(data: bytes) -> tuple[int, int]:
     start, width = (2, 6) if data[1:2] == b"~" else (1, 3)
     if len(data) < start + width:
         raise FormatError("truncated graph6 size field")
-    bits = 0
-    for c in data[start:start + width]:
-        if not 63 <= c <= 126:
-            raise FormatError(f"invalid graph6 byte {c}")
-        bits = (bits << 6) | (c - 63)
-    return bits, start + width
+    return int(_g6_bits(data[start:start + width]), 2), start + width
 
 
 def parse_graph6(text: str) -> CubicGraph:
@@ -305,21 +306,19 @@ def parse_graph6(text: str) -> CubicGraph:
     nbytes = (nbits + 5) // 6
     if len(body) != nbytes:
         raise FormatError(f"graph6 body has {len(body)} bytes, expected {nbytes} for n={n}")
-    bits: list[int] = []
-    for c in body:
-        if not 63 <= c <= 126:
-            raise FormatError(f"invalid graph6 byte {c}")
-        x = c - 63
-        bits.extend((x >> k) & 1 for k in range(5, -1, -1))
-    if any(bits[nbits:]):
+    bits = _g6_bits(body)
+    if "1" in bits[nbits:]:
         raise FormatError("nonzero padding bits in graph6 body")
+    # column j holds bits top .. top + j - 1, with top = j(j-1)/2
     edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
+    j = top = 0
+    k = bits.find("1")
+    while k >= 0:
+        while k >= top + j:
+            top += j
+            j += 1
+        edges.append((k - top, j))
+        k = bits.find("1", k + 1)
     edges.sort()
     return CubicGraph(n, edges)
 
@@ -334,17 +333,17 @@ def write_graph6(g: CubicGraph) -> str:
     else:
         raise FormatError("graph too large for this writer")
     # bit j(j-1)/2 + i stands for the pair i < j (column-major upper triangle)
-    bits = [0] * ((n * (n - 1) // 2 + 5) // 6 * 6)
+    bits = ["0"] * ((n * (n - 1) // 2 + 5) // 6 * 6)
     for e, (a, b) in enumerate(g.edges):
         if a == b:
             raise FormatError(f"graph6 cannot encode loop (edge {e})")
         i, j = min(a, b), max(a, b)
         k = j * (j - 1) // 2 + i
-        if bits[k]:
+        if bits[k] == "1":
             raise FormatError(f"graph6 cannot encode parallel edge (edge {e})")
-        bits[k] = 1
-    body = bytes(sum(b << (5 - k) for k, b in enumerate(bits[i:i + 6])) + 63
-                 for i in range(0, len(bits), 6))
+        bits[k] = "1"
+    s = "".join(bits)
+    body = bytes([int(s[i:i + 6], 2) + 63 for i in range(0, len(s), 6)])
     return (head + body).decode("ascii")
 
 

@@ -107,14 +107,17 @@ def test_bad_input_gives_error_certificate_and_exit_1(tmp_path):
 
 def test_bad_descriptor_values_are_error_lines():
     code, out, _ = run(["analyze", "--construct", "flower:x",
-                        "--construct", "inflate-pair:petersen:0", "--construct", "petersen"])
+                        "--construct", "inflate-pair:petersen:0", "--construct", "inflate:petersen",
+                        "--construct", "petersen"])
     assert code == 1
-    bad_int, short_pair, good = out.splitlines()
+    bad_int, short_pair, short_inflate, good = out.splitlines()
     assert bad_int == ("flower:x: ERROR bad construction descriptor 'flower:x': "
                        "invalid literal for int() with base 10: 'x'")
     # the error names the form, as the --construct help does
     assert short_pair == ("inflate-pair:petersen:0: ERROR bad construction descriptor "
                           "'inflate-pair:petersen:0': expected inflate-pair:GRAPH:U:V")
+    assert short_inflate == ("inflate:petersen: ERROR bad construction descriptor "
+                             "'inflate:petersen': expected inflate:GRAPH:V")
     assert good.startswith("petersen: girth=5 snark=yes")
 
 
@@ -467,7 +470,7 @@ def test_analyze_is_deterministic_across_runs_and_threads():
 # fulkerson
 # --------------------------------------------------------------------------
 
-def test_fulkerson_find():
+def test_fulkerson_find(monkeypatch):
     code, out, _ = run(["fulkerson", "--construct", "petersen"])
     assert code == 0
     assert out == "petersen: cover with 6 matchings\n"
@@ -476,6 +479,12 @@ def test_fulkerson_find():
     assert cert["result"]["cover"] == [
         [0, 5, 9, 10, 12], [0, 6, 7, 11, 13], [1, 3, 8, 10, 13],
         [1, 4, 5, 11, 14], [2, 3, 7, 12, 14], [2, 4, 6, 8, 9]]
+    # an exhausted search: no known bridgeless graph gives one, so stub it
+    monkeypatch.setattr(cli, "find_cover", lambda *a: sd.NONE_FOUND)
+    code, out, _ = run(["fulkerson", "--construct", "petersen"])
+    assert (code, out) == (0, "petersen: no cover exists\n")
+    code, out, _ = run(["fulkerson", "--construct", "petersen", "--json", "--quiet"])
+    assert json.loads(out)["result"] == {"mode": "find", "cover": "none_found"}
 
 
 def test_fulkerson_roundtrip():
@@ -771,6 +780,15 @@ def _malform(cert, shape):
         cert["error"] = ""
     elif shape == "extra-top-key":
         cert["foo"] = 1
+    elif shape == "graph-empty":  # 0 vertices, with claims that fit it
+        cert["graph"] = certificates.graph_payload(sd.CubicGraph(0, []))
+        cert["result"].update(colourable=True, snark=False, oddness=0)
+        for key in ("df", "rdf"):
+            cert["result"][key].update(value=0, witness=[[], [], []])
+    elif shape == "vertices-bool":
+        cert["graph"]["vertices"] = True
+    elif shape == "witness-two-lists":
+        del cert["result"]["df"]["witness"][2]
     elif shape == "timing-string":
         cert["timing"] = "fast"
     elif shape == "timing-seconds-string":
@@ -787,6 +805,13 @@ def _malform(cert, shape):
         cert = [cert]
     return cert
 
+
+# shapes whose whole failure line is pinned
+MALFORMED_MESSAGES = {
+    "graph-empty": "verification error: girth of the empty graph is undefined",
+    "vertices-bool": "graph payload: vertices is not an int",
+    "witness-two-lists": "df: bad witness: a 3-array has three matchings, got 2",
+}
 
 ROUNDTRIP_SHAPES = ["roundtrip-no-rebuilt", "rebuilt-int", "flows-ints", "flows-removed-int",
                     "flows-dict", "roundtrip-vertex-bool"]
@@ -807,7 +832,7 @@ ROUNDTRIP_SHAPES = ["roundtrip-no-rebuilt", "rebuilt-int", "flows-ints", "flows-
                                    "error-beside-result", "error-not-string",
                                    "vertex-bool", "cover-vertex-bool", "extra-top-key",
                                    "timing-string", "timing-seconds-string", "timing-missing",
-                                   "source-list", "graph-extra-key"])
+                                   "source-list", "graph-extra-key", *MALFORMED_MESSAGES])
 def test_verify_fails_malformed_certificate(tmp_path, shape):
     if shape in ROUNDTRIP_SHAPES:
         command = ["fulkerson", "--roundtrip"]
@@ -823,6 +848,8 @@ def test_verify_fails_malformed_certificate(tmp_path, shape):
     assert lines[1] == "verified 1 certificate(s): 0 pass, 1 fail"
     if shape.endswith("vertex-bool"):
         assert "graph payload: " in lines[0]
+    if shape in MALFORMED_MESSAGES:
+        assert lines[0] == f"FAIL {path}:1 (petersen): {MALFORMED_MESSAGES[shape]}"
 
 
 def test_verified_fulkerson_roundtrip_certificate(tmp_path):

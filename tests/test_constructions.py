@@ -76,6 +76,8 @@ def test_inflate_preserves_uncolourability(petersen):
 def test_inflate_rejects_loops(dumbbell):
     with pytest.raises(sd.GraphError, match="loop"):
         sd.inflate_to_triangle(dumbbell, 0)
+    with pytest.raises(sd.GraphError, match="^vertex 2 out of range$"):
+        sd.inflate_to_triangle(dumbbell, 2)
 
 
 def test_inflate_then_contract_is_identity(petersen, k4, j5):
@@ -274,6 +276,10 @@ def test_superpose_validates_connector_counts(petersen):
         sd.superpose(petersen, {0: sd.trivial_dipole()}, None, w)
     with pytest.raises((sd.GraphError, sd.WiringError), match="connector"):
         sd.superpose(petersen, None, {0: sd.trivial_tripole()}, w)
+    with pytest.raises(sd.GraphError, match="^substituted vertex 10 out of range$"):
+        sd.superpose(petersen, {10: sd.trivial_tripole()}, None, w)
+    with pytest.raises(sd.GraphError, match="^substituted edge -1 out of range$"):
+        sd.superpose(petersen, None, {-1: sd.trivial_dipole()}, w)
 
 
 def test_superpose_rejects_unwired_ends(petersen):

@@ -158,6 +158,13 @@ def test_verify_flow_flags_repeated_point(theta):
     assert "repeated value" in chk.violation
 
 
+def test_verify_flow_flags_a_short_flow_and_a_nonzero_sum(theta):
+    f = CharacteristicFlow.deserialize({"0": "011", "1": "101"}, 2)
+    assert sd.verify_flow(theta, f).violation == "flow covers 2 edges, graph has 3"
+    f = CharacteristicFlow.deserialize({"0": "001", "1": "010", "2": "100"}, 3)
+    assert sd.verify_flow(theta, f).violation == "vertex 0: values do not sum to zero"
+
+
 def test_verify_flow_accepts_valid_catalogue_assignment(theta):
     # two vertices sharing the all-weight-2 line
     f = CharacteristicFlow.deserialize({"0": "011", "1": "101", "2": "110"}, 3)

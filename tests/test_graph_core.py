@@ -67,7 +67,7 @@ def test_vertex_out_of_range_rejected():
 
 
 def test_cubic_graph_rejects_free_ends():
-    with pytest.raises((sd.NotCubicError, sd.ConnectorError)):
+    with pytest.raises(sd.ConnectorError, match="^free ends not covered by any connector"):
         sd.CubicGraph(1, [(0, None)] * 3)
 
 
@@ -124,6 +124,13 @@ def test_graph6_rejects_junk():
         sd.parse_graph6("I" + "\x1f" * 9)
     with pytest.raises(sd.NotCubicError):
         sd.parse_graph6("A_")  # a single edge: degree 1
+    with pytest.raises(sd.FormatError, match="^empty graph6 line$"):
+        sd.parse_graph6(">>graph6<<")
+    with pytest.raises(sd.FormatError, match="^invalid graph6 byte 127$"):
+        sd.parse_graph6(PETERSEN_G6[:4] + "\x7f" + PETERSEN_G6[5:])
+    # "o" ends the body in 110000; "s" (110100) sets bit 45, the first padding bit
+    with pytest.raises(sd.FormatError, match="^nonzero padding bits in graph6 body$"):
+        sd.parse_graph6(PETERSEN_G6[:-1] + "s")
 
 
 def test_graph6_cannot_encode_multigraphs(theta, dumbbell):
@@ -134,9 +141,20 @@ def test_graph6_cannot_encode_multigraphs(theta, dumbbell):
 
 
 def test_graph6_matches_networkx(petersen, j5, blanusa1):
-    for g in (petersen, j5, blanusa1):
+    """Both directions agree with networkx on named snarks and on seeded
+    simple cubic graphs, a third of them past the one-byte size field."""
+    graphs = [petersen, j5, blanusa1]
+    rng = random.Random(20261020)
+    while len(graphs) < 123:
+        n = rng.choice([4, 10, 30, 62] if len(graphs) % 3 else [64, 100, 130])
+        edges = oracles.random_cubic_edges(rng, n)  # a multigraph: keep only simple ones
+        if len(set(edges)) == len(edges) and all(a != b for a, b in edges):
+            graphs.append(sd.CubicGraph(n, edges))
+    for g in graphs:
         h = nx.from_graph6_bytes(sd.write_graph6(g).encode())
         assert sorted(map(tuple, map(sorted, h.edges()))) == sorted(g.edges)
+        text = nx.to_graph6_bytes(h, header=False).decode("ascii").strip()
+        assert sd.parse_graph6(text).edges == tuple(sorted(map(tuple, map(sorted, g.edges))))
 
 
 def test_graph6_long_size_fields():
@@ -156,6 +174,8 @@ def test_graph6_long_size_fields():
     for text in ("~", "~??", "~~???"):
         with pytest.raises(sd.FormatError, match="^truncated graph6 size field$"):
             sd.parse_graph6(text)
+    with pytest.raises(sd.FormatError, match="^invalid graph6 byte 32$"):
+        sd.parse_graph6("~? ?")
 
 
 # --------------------------------------------------------------------------
@@ -209,6 +229,8 @@ def test_edge_list_comments_and_errors():
     assert m.vertex_count == 2 and m.edge_count == 3
     with pytest.raises(sd.FormatError, match="line 2"):
         sd.parse_edge_list("vertices 2\n0 nope\n")
+    with pytest.raises(sd.FormatError, match="^missing 'vertices N' line$"):
+        sd.parse_edge_list("0 1\n0 1\n0 1\n")
 
 
 # --------------------------------------------------------------------------
@@ -435,10 +457,12 @@ def test_endref_parse():
 
 
 def test_wiring_spec_parse_matches_of():
-    text = "join 0:e0.1 1:e0.0"
+    text = "# weld one pair\njoin 0:e0.1 1:e0.0  # across the parts"
     parsed = sd.WiringSpec.parse(text)
     built = sd.WiringSpec.of((sd.EndRef.edge_end(0, 0, 1), sd.EndRef.edge_end(1, 0, 0)))
     assert parsed == built
+    with pytest.raises(sd.WiringError, match="^line 2: expected 'join A B'$"):
+        sd.WiringSpec.parse("join 0:e0.1 1:e0.0\nweld 0:e1.1 1:e1.0")
 
 
 # a trivial tripole's connector r<k> is the free end 1 of its edge k
@@ -456,9 +480,13 @@ def test_junction_two_tripoles_make_theta(theta, ref):
 
 def test_junction_rejects_an_edge_past_the_part():
     t0, t1 = sd.trivial_tripole(), sd.trivial_tripole()
-    w = sd.WiringSpec.of((sd.EndRef.edge_end(0, 0, 1), sd.EndRef.edge_end(1, 3, 1)))
-    with pytest.raises(sd.WiringError, match="^part 1: edge 3 out of range$"):
-        sd.junction((t0, t1), w)
+    for far, message in [(sd.EndRef.edge_end(1, 3, 1), "part 1: edge 3 out of range"),
+                         (sd.EndRef.edge_end(2, 0, 1), "part 2 out of range"),
+                         (sd.EndRef.conn(1, "zz", 0), "part 1: no connector 'zz'"),
+                         (sd.EndRef.conn(1, "r0", 1), "part 1: connector 'r0' has no index 1")]:
+        w = sd.WiringSpec.of((sd.EndRef.edge_end(0, 0, 1), far))
+        with pytest.raises(sd.WiringError, match=f"^{message}$"):
+            sd.junction((t0, t1), w)
 
 
 def test_junction_rejects_vertex_free_circle():
@@ -477,8 +505,15 @@ def test_junction_rejects_reused_end():
         (sd.EndRef.conn(0, "r0", 0), sd.EndRef.conn(1, "r0", 0)),
         (sd.EndRef.conn(0, "r0", 0), sd.EndRef.conn(2, "r0", 0)),
     )
-    with pytest.raises(sd.WiringError):
+    with pytest.raises(sd.WiringError, match="used by more than one directive"):
         sd.junction((t0, t1, t2), w)
+    anchored = sd.EndRef.edge_end(0, 0, 0)  # end 0 of a tripole edge sits on its vertex
+    w = sd.WiringSpec.of((anchored, sd.EndRef.conn(1, "r0", 0)))
+    with pytest.raises(sd.WiringError, match="is not a free end$"):
+        sd.junction((t0, t1), w)
+    w = sd.WiringSpec.of((sd.EndRef.conn(0, "r0", 0), sd.EndRef.edge_end(0, 0, 1)))
+    with pytest.raises(sd.WiringError, match="^directive welds an end to itself: "):
+        sd.junction((t0, t1), w)
 
 
 def test_junction_keeps_unwired_ends_free():
