@@ -99,14 +99,13 @@ def defect_json(r: DefectResult) -> dict:
 
 
 def core_json(core) -> dict:
+    """A ``core_of`` result, whose components and their parts are in order."""
     return {
         "uncovered": sorted(core.uncovered),
         "doubly": sorted(core.doubly),
         "triply": sorted(core.triply),
-        "components": [
-            {"kind": c.kind, "vertices": sorted(c.vertices), "edges": sorted(c.edges)}
-            for c in sorted(core.components, key=lambda c: min(c.edges))
-        ],
+        "components": [{"kind": c.kind, "vertices": list(c.vertices), "edges": list(c.edges)}
+                       for c in core.components],
     }
 
 

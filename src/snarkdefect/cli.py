@@ -21,7 +21,7 @@ import time
 from . import certificates as certs
 from .colouring import GraphFacts, oddness
 from .constructions import flower_snark, inflate_pair_theorem_check, inflate_to_triangle, petersen
-from .defect_engine import BudgetError, SearchBudget, _require_bridgeless, defect, regular_defect
+from .defect_engine import BudgetError, SearchBudget, defect, regular_defect
 from .fulkerson import find_cover
 from .graph_core import (
     CubicGraph,
@@ -62,20 +62,25 @@ def build_descriptor(desc: str) -> CubicGraph:
     raise GraphError(f"unknown construction descriptor {desc!r}")
 
 
+def _read_text(name: str, encoding: str) -> str:
+    """A file's text, or stdin's for '-', with the newlines text mode
+    reads from a file: \\r\\n and \\r become \\n."""
+    if name == "-":
+        return sys.stdin.read().replace("\r\n", "\n").replace("\r", "\n")
+    with open(name, encoding=encoding) as fh:
+        return fh.read()
+
+
 def iter_inputs(args):
     """Yield (source_label, graph_or_error) in a stable order."""
     if args.graph6:
         name = args.graph6
         try:
-            if name == "-":
-                text = sys.stdin.read()
-            else:
-                with open(name, encoding="ascii") as fh:
-                    text = fh.read()
+            text = _read_text(name, "ascii")
         except (OSError, UnicodeDecodeError) as exc:
             yield name, GraphError(f"cannot read {name}: {exc}")
             text = ""
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(text.split("\n"), start=1):
             line = line.strip()
             if not line:
                 continue
@@ -116,11 +121,9 @@ def _defect_word(sec: dict) -> str:
 def analyze_graph(g: CubicGraph, budget, threads=None) -> tuple[dict, bool]:
     """The analyze result and whether it is exact; ``threads`` is ignored."""
     facts = GraphFacts(g, budget.max_matchings if budget else None)
-    _require_bridgeless(facts)  # after one matching, not the walk oddness makes
-    odd = oddness(g, facts=facts)
     d = defect(g, budget=budget, facts=facts)
     r = regular_defect(g, budget=budget, facts=facts)
-    res = certs.analyze_json(g, odd, d, r)
+    res = certs.analyze_json(g, oddness(g, facts=facts), d, r)
     return res, certs.result_exact("analyze", res)
 
 
@@ -210,7 +213,7 @@ def cmd_analyze(args) -> int:
 def _load_cover_members(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.loads((fh.read().splitlines() or [""])[0])
+            data = json.loads(fh.read().split("\n", 1)[0])
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise GraphError(f"{path}: cannot read a cover: {exc}") from None
     if isinstance(data, dict) and "matchings" in data:
@@ -264,15 +267,11 @@ def cmd_fulkerson(args) -> int:
 def cmd_verify(args) -> int:
     passed = failed = 0
     try:
-        if args.certificates == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.certificates, encoding="utf-8") as fh:
-                text = fh.read()
+        text = _read_text(args.certificates, "utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"FAIL {args.certificates}: cannot read: {exc}")
         failed, text = 1, ""
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line:
             continue

@@ -261,11 +261,6 @@ def _circuits(g: CubicGraph, mask: int) -> list[list[int]]:
     return circuits
 
 
-def _odd_circuits(g: CubicGraph, mask: int) -> int:
-    """Number of odd circuits in the 2-factor of ``_circuits``."""
-    return sum(len(c) & 1 for c in _circuits(g, mask))
-
-
 def _lex_matchings(g: CubicGraph, found: list[int]):
     """Append every perfect matching to ``found``, the caller's list, as
     an edge bitmask in lexicographic order of sorted edge lists; yield each.
@@ -363,7 +358,11 @@ class GraphFacts:
     that list once the walk is over, not a copy of it.  Oddness
     tests the 2-factors in that order and stops at the first all-even
     one, the least colour class, so a colourable graph walks no further;
-    a snark walks to the end.
+    a snark walks to the end.  It keeps that matching with the circuits
+    of its 2-factor (``_least_class``), from which ``_colour_triple``
+    reads M2 and M3, so that 2-factor is walked once.  ``defect`` keeps
+    its result once df is exact (``_exact_df``), and ``regular_defect``
+    returns it without a scan when its witness is regular.
 
     ``cap`` is a run's matching cap: the capped list, oddness and
     colourability read at most its first ``cap`` matchings, and one more
@@ -382,8 +381,8 @@ class GraphFacts:
         self.cap = cap
         self._seen: list[int] = []  # the walk's matchings so far, filled by the walk
         self._walk = _lex_matchings(g, self._seen)
-        self._least_class: int | None = None  # set by the oddness walk
-        self._exact_df: int | None = None  # set by defect once df is exact
+        self._least_class = None  # (M1, its 2-factor's circuits), set by the oddness walk
+        self._exact_df = None  # set by defect: df's DefectResult once it is exact
 
     def _reach(self, i: int) -> bool:
         """Whether the walk has an i-th matching (counting from 0),
@@ -421,15 +420,16 @@ class GraphFacts:
     def oddness(self) -> int | None:
         """Minimum number of odd circuits over all 2-factors: the
         2-factors in the walk's order, up to the first all-even one, whose
-        matching is kept as the least colour class for ``_colour_triple``.
-        None when the cap cuts the walk off first."""
+        matching and circuits are kept for ``_colour_triple``.  None when
+        the cap cuts the walk off first."""
         best, i = None, 0
         while i != self.cap and self._reach(i):
-            odd = _odd_circuits(self.graph, self._seen[i])
+            circuits = _circuits(self.graph, self._seen[i])
+            odd = sum(len(c) & 1 for c in circuits)
             if best is None or odd < best:
                 best = odd
                 if not odd:
-                    self._least_class = self._seen[i]
+                    self._least_class = self._seen[i], circuits
                     return 0
             i += 1
         if self._reach(i):  # the cap cut the walk off
@@ -457,13 +457,12 @@ class GraphFacts:
         """
         if not self.colourable:
             return None
-        g = self.graph
-        m1 = self._least_class
+        m1, circuits = self._least_class
         m2 = 0
-        for circuit in _circuits(g, m1):  # each walked from its lowest edge
+        for circuit in circuits:  # each walked from its lowest edge
             for e in circuit[::2]:
                 m2 |= 1 << e
-        return m1, m2, ((1 << g.edge_count) - 1) ^ m1 ^ m2
+        return m1, m2, ((1 << self.graph.edge_count) - 1) ^ m1 ^ m2
 
     @property
     def colourable(self) -> bool | None:

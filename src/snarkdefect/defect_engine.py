@@ -25,11 +25,17 @@ with i <= j <= k go in lexicographic index order, which is
 lexicographic order on sorted triples of sorted edge lists, and the
 witness is the first triple at the minimum: the lexicographically least
 optimal 3-array.  Sound pruning (a pair bound on the uncovered count,
-and a stop at a proven lower bound: 3 for snarks, and for rdf an exact
-df, as rdf >= df whenever a regular array exists) changes neither.  The
+and a stop at a proven lower bound, 3 for snarks) changes neither.  The
 scan keeps nothing: it yields each triple at or below the running
 minimum; df and rdf keep one witness, ``enumerate_optimal_arrays`` the
 ties at the final minimum.
+
+rdf reads an exact df found on the same facts, as rdf >= df.  df's
+witness is the first triple at the least value, df; when it is regular,
+no regular triple comes before it at a value <= df, so it is rdf's
+witness, exact, and rdf scans nothing.  This holds on a capped prefix
+too, because df and rdf scan the same prefix in the same order.  An
+irregular witness leaves df as the rdf scan's lower bound.
 
 The scan runs on one thread, so a triple budget's cutoff point is
 reproducible; a negative budget is an input error.  The ``threads``
@@ -176,21 +182,17 @@ def core_of(g: CubicGraph, a: ThreeArray) -> Core:
     """Subgraph of not-simply-covered edges, with component classification.
 
     Read off the graph's arc table, keeping the edges not covered exactly
-    once.  The local structure is asserted: a core vertex meets either
-    one doubly covered and one uncovered edge-end, or one triply covered
-    and two uncovered edge-ends.  So a component is a circuit exactly
-    when it has no triply covered edge, and circuit components alternate
-    and have even length, which is asserted too.  A violation is a bug,
-    not an input condition.
+    once.  ``coverage`` checks that all three members are perfect
+    matchings, so at each vertex each member takes one edge-end: the
+    ends not covered exactly once are none, {0, 2} or {0, 0, 3}.  So a
+    core vertex has degree 2 or 3 in the core, a component is a circuit
+    exactly when it has no triply covered edge, and a circuit's edges
+    alternate between 0 and 2, so it has even length.  Components come
+    by least edge, each with its vertices and edges sorted.
     """
     prof = coverage(g, a)
     mult = prof.multiplicity
     core_edges = frozenset(e for e in range(g.edge_count) if mult[e] != 1)
-
-    for v in range(g.vertex_count):
-        kinds = sorted(mult[e] for _, e in g.arcs(v) if mult[e] != 1)
-        assert not kinds or kinds in ([0, 2], [0, 0, 3]), \
-            f"core vertex {v} has multiplicity pattern {kinds}"
 
     comps: list[CoreComponent] = []
     seen: set[int] = set()
@@ -206,12 +208,8 @@ def core_of(g: CubicGraph, a: ThreeArray) -> Core:
                     stack.append(w)
         seen |= comp_edges
         verts = sorted({v for e in comp_edges for v in g.endpoints(e)})
-        if any(mult[e] == 3 for e in comp_edges):
-            kind = CUBIC_SUBDIVISION
-        else:
-            kind = EVEN_ALTERNATING_CIRCUIT
-            zeros = sum(1 for e in comp_edges if mult[e] == 0)
-            assert 2 * zeros == len(comp_edges), "circuit component fails to alternate"
+        kind = CUBIC_SUBDIVISION if any(mult[e] == 3 for e in comp_edges) \
+            else EVEN_ALTERNATING_CIRCUIT
         comps.append(CoreComponent(tuple(verts), tuple(sorted(comp_edges)), kind))
 
     return Core(core_edges, prof.uncovered, prof.doubly, prof.triply, tuple(comps))
@@ -280,15 +278,19 @@ def _defect_impl(g: CubicGraph, regular: bool, budget: SearchBudget | None,
     mt = budget.max_triples if budget else None
     if mt is not None and mt < 0:
         raise GraphError("max_triples must be at least 0")
-    if facts.colourable:  # the least partition into colour classes
-        return DefectResult(0, ThreeArray.of(*map(edge_set, facts._colour_triple)), True, regular)
+    if facts.colourable:  # the least partition into colour classes, in order
+        return DefectResult(0, ThreeArray(tuple(map(edge_set, facts._colour_triple))),
+                            True, regular)
 
-    masks, complete = facts.prefix()
     # a snark's df is at least 3 (bridgeless + uncolourable = snark); a cap
     # that leaves oddness open leaves no bound above 0
     lower = 3 if facts.oddness else 0
-    if regular and facts._exact_df is not None:
-        lower = facts._exact_df  # rdf >= df whenever a regular array exists
+    d = facts._exact_df
+    if regular and d is not None:  # see the module docstring
+        if d.witness.is_regular:
+            return DefectResult(d.value, d.witness, True, True)
+        lower = d.value
+    masks, complete = facts.prefix()
     best = None  # (value, (i, j, k)): the first triple at the least value
     scanned_all = True
     for hit in _scan(masks, g.edge_count, g.vertex_count // 2, regular, mt):
@@ -308,10 +310,11 @@ def _defect_impl(g: CubicGraph, regular: bool, budget: SearchBudget | None,
     # a witness attaining the proven lower bound is exact even if the
     # matching list was truncated
     exhaustive = (complete and scanned_all) or val == lower
+    res = DefectResult(val, ThreeArray(tuple(edge_set(masks[x]) for x in triple)),
+                       exhaustive, regular)
     if exhaustive and not regular:
-        facts._exact_df = val
-    witness = ThreeArray.of(*(edge_set(masks[x]) for x in triple))
-    return DefectResult(val, witness, exhaustive, regular)
+        facts._exact_df = res
+    return res
 
 
 def defect(g: CubicGraph, budget: SearchBudget | None = None,
@@ -351,7 +354,7 @@ def enumerate_optimal_arrays(g: CubicGraph, regular: bool, target: int | None = 
         raise GraphError(f"no optimum to enumerate: {NONE_FOUND!r}")
     if target is not None and target != val:
         return []
-    return [ThreeArray.of(*(edge_set(facts.masks[x]) for x in t)) for t in optimal]
+    return [ThreeArray(tuple(edge_set(facts.masks[x]) for x in t)) for t in optimal]
 
 
 # ---------------------------------------------------------------------------

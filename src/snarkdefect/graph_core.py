@@ -33,7 +33,8 @@ Each edge line gives the two endpoint slots in end order (end 0 first);
 free ends using ``e<edge>.<end>`` tokens.  If no connector line is
 present, all free ends form a single connector named ``free`` in
 (edge, end) order.  Every free end must lie in exactly one connector,
-and no two connectors share a name.
+and no two connectors share a name.  Counts and ids are ASCII digits,
+``vertices`` comes once, and a line ends at '\\n' only.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class Multipole:
     Immutable after construction; safe to share freely.
     """
 
-    __slots__ = ("_n", "_endpoints", "_connectors", "_incidence", "_arcs", "_free", "_hash")
+    __slots__ = ("_n", "_endpoints", "_connectors", "_incidence", "_arcs", "_free")
 
     def __init__(
         self,
@@ -161,8 +162,7 @@ class Multipole:
         self._connectors = conns
         self._incidence = tuple(map(tuple, incidence))
         self._arcs = tuple(map(tuple, arcs))
-        self._free = tuple(sorted(free))
-        self._hash = hash((vertex_count, eps, conns))
+        self._free = tuple(free)  # in (edge, end) order, as filled
 
     # -- basic queries ---------------------------------------------------
 
@@ -232,7 +232,7 @@ class Multipole:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self._n, self._endpoints, self._connectors))
 
     def __repr__(self) -> str:
         kind = type(self).__name__
@@ -242,14 +242,13 @@ class Multipole:
 class CubicGraph(Multipole):
     """A cubic multigraph: a multipole with no free ends.
 
-    Satisfies the handshake identity 3*vertex_count == 2*edge_count,
-    checked on every construction.  A free end raises ConnectorError,
-    since the empty connector list covers none.
+    Satisfies the handshake identity 3*vertex_count == 2*edge_count, as
+    every vertex meets three edge-ends and no end is free.  A free end
+    raises ConnectorError, since the empty connector list covers none.
     """
 
     def __init__(self, vertex_count: int, endpoints: Iterable[tuple[int | None, int | None]]):
         super().__init__(vertex_count, endpoints, connectors=())
-        assert 3 * self._n == 2 * self.edge_count
 
     def adjacency(self) -> list[list[tuple[int, int]]]:
         """Per-vertex list of (neighbour, edge id); loops contribute twice."""
@@ -351,7 +350,7 @@ def write_graph6(g: CubicGraph) -> str:
 # edge-list format
 # ---------------------------------------------------------------------------
 
-_END_TOKEN = re.compile(r"^e(\d+)\.([01])$")
+_END_TOKEN = re.compile(r"^e(\d+)\.([01])$", re.ASCII)
 
 
 def parse_edge_list(text: str) -> Multipole:
@@ -363,23 +362,22 @@ def parse_edge_list(text: str) -> Multipole:
     def slot(tok: str, lineno: int) -> int | None:
         if tok == "-":
             return None
-        try:
-            return int(tok)
-        except ValueError:
-            raise FormatError(f"line {lineno}: bad endpoint token {tok!r}") from None
+        if not (tok.isascii() and tok.isdigit()):
+            raise FormatError(f"line {lineno}: bad endpoint token {tok!r}")
+        return int(tok)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("vertices"):
             parts = line.split()
-            if len(parts) != 2:
+            if (len(parts) != 2 or parts[0] != "vertices"
+                    or not (parts[1].isascii() and parts[1].isdigit())):
                 raise FormatError(f"line {lineno}: malformed vertices line")
-            try:
-                vertex_count = int(parts[1])
-            except ValueError:
-                raise FormatError(f"line {lineno}: malformed vertices line") from None
+            if vertex_count is not None:
+                raise FormatError(f"line {lineno}: second vertices line")
+            vertex_count = int(parts[1])
             continue
         if line.startswith("connector"):
             m = re.match(r"^connector\s+(\S+)\s*:\s*(.*)$", line)
@@ -660,18 +658,14 @@ class EndRef:
     @staticmethod
     def parse(token: str) -> "EndRef":
         part_s, _, rest = token.partition(":")
-        if not rest:
-            raise WiringError(f"bad end reference {token!r}")
-        try:
+        if part_s.isascii() and part_s.isdigit():
             part = int(part_s)
-        except ValueError:
-            raise WiringError(f"bad end reference {token!r}") from None
-        m = _END_TOKEN.match(rest)
-        if m:
-            return EndRef(part, edge=int(m.group(1)), end=int(m.group(2)))
-        m = re.match(r"^(\S+)\[(\d+)\]$", rest)
-        if m:
-            return EndRef(part, connector=m.group(1), index=int(m.group(2)))
+            m = _END_TOKEN.match(rest)
+            if m:
+                return EndRef(part, edge=int(m.group(1)), end=int(m.group(2)))
+            m = re.match(r"^(\S+)\[(\d+)\]$", rest, re.ASCII)
+            if m:
+                return EndRef(part, connector=m.group(1), index=int(m.group(2)))
         raise WiringError(f"bad end reference {token!r}")
 
     def resolve(self, parts: Sequence[Multipole]) -> tuple[int, int]:
@@ -707,7 +701,7 @@ class WiringSpec:
     def parse(text: str) -> "WiringSpec":
         """Parse ``join A B`` lines (comments with #)."""
         joins = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(text.split("\n"), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -808,15 +802,17 @@ def junction(parts: Sequence[Multipole], wiring: WiringSpec) -> Multipole:
 def remove_vertices(g: CubicGraph, vs: Iterable[int], connector_name: str = "cut"):
     """Delete a vertex set; severed edge-ends become free ends.
 
-    Edges with both endpoints deleted disappear.  Kept vertices and
-    edges are renumbered densely preserving order.  Returns
+    Each id must be an int vertex of g (a bool is not one).  Edges
+    with both endpoints deleted disappear.  Kept vertices and edges are
+    renumbered densely preserving order.  Returns
     (multipole, vertex_map, edge_map) with old->new maps for kept items;
     all new free ends land in one connector, in (edge, end) order.
     """
-    dead = set(vs)
-    for v in dead:
-        if not 0 <= v < g.vertex_count:
-            raise GraphError(f"vertex {v} out of range")
+    dead = set()
+    for v in vs:
+        if type(v) is not int or not 0 <= v < g.vertex_count:
+            raise GraphError(f"vertex {v!r} out of range")
+        dead.add(v)
     kept_v = [v for v in range(g.vertex_count) if v not in dead]
     vmap = {v: i for i, v in enumerate(kept_v)}
     eps = []
@@ -828,7 +824,7 @@ def remove_vertices(g: CubicGraph, vs: Iterable[int], connector_name: str = "cut
             continue
         emap[e] = len(eps)
         eps.append((na, nb))
-    free = sorted((e, i) for e, (a, b) in enumerate(eps) for i, s in enumerate((a, b)) if s is None)
+    free = [(e, i) for e, ends in enumerate(eps) for i, s in enumerate(ends) if s is None]
     conns = [(connector_name, free)] if free else None
     return Multipole(len(kept_v), eps, conns), vmap, emap
 

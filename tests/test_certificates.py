@@ -199,6 +199,12 @@ def test_fulkerson_certificates(petersen):
     bad = reparse(cert)
     bad["result"]["cover"][0][0] = 7
     assert ce.verify_certificate(bad)
+    # none_found needs a search to refute, so it is taken at face value
+    none = ce.make_certificate("fulkerson", "petersen", petersen,
+                               {"mode": "find", "cover": "none_found"}, True, None)
+    assert ce.verify_certificate(reparse(none)) == []
+    none["exact"] = False
+    assert ce.verify_certificate(reparse(none)) == ["exact: does not match the rebuilt result"]
 
 
 def bridged():

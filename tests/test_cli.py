@@ -85,6 +85,11 @@ def test_analyze_graph6_stdin(monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(sd.write_graph6(sd.petersen()) + "\n"))
     code, out, _ = run(["analyze", "--graph6", "-"])
     assert code == 0 and "df=3" in out
+    # stdin ends lines as a file read in text mode does: at \r\n and \r too
+    p6 = sd.write_graph6(sd.petersen())
+    monkeypatch.setattr("sys.stdin", io.StringIO(p6 + "\r\n" + p6 + "\r" + p6))
+    code, out, _ = run(["analyze", "--graph6", "-"])
+    assert code == 0 and [line[:4] for line in out.splitlines()] == ["-:1:", "-:2:", "-:3:"]
 
 
 def test_analyze_edge_list_file(tmp_path, k33):
@@ -128,6 +133,19 @@ def test_blank_graph6_lines_are_skipped_and_keep_line_numbers(tmp_path):
     assert code == 0
     assert out.splitlines() == [f"{path}:3: girth=5 snark=yes oddness=2 df=3 rdf=3 "
                                 "core=3u/3d/0t in 1 component(s) girth-bound=ok"]
+
+
+def test_a_graph6_line_ends_at_a_newline_only(tmp_path):
+    # a form feed inside a line does not end it, so the next graph keeps
+    # its line number
+    p6 = sd.write_graph6(sd.petersen())
+    path = tmp_path / "ff.g6"
+    path.write_text(p6 + "\f" + p6 + "\n" + p6 + "\n")
+    code, out, _ = run(["analyze", "--graph6", str(path)])
+    assert code == 1
+    first, second = out.splitlines()
+    assert first.startswith(f"{path}:1: ERROR parse error: ")
+    assert second.startswith(f"{path}:2: girth=5 snark=yes")
 
 
 def test_edge_list_with_free_ends_is_a_parse_error(tmp_path):
@@ -506,6 +524,12 @@ def test_fulkerson_verify_cover_file(tmp_path):
     path2.write_text(cert_text)
     code, out, _ = run(["fulkerson", "--construct", "petersen", "--verify", str(path2)])
     assert code == 0 and "PASS" in out
+    # the first line ends at a newline, not at a raw U+2028 inside a string
+    path.write_text(json.dumps({"matchings": [sorted(m) for m in cover.matchings],
+                                "note": "a\u2028b"}, ensure_ascii=False) + "\n[]\n",
+                    encoding="utf-8")
+    code, out, _ = run(["fulkerson", "--construct", "petersen", "--verify", str(path)])
+    assert code == 0 and "PASS" in out
 
 
 def test_fulkerson_verify_rejects_bad_cover(tmp_path):
@@ -580,7 +604,7 @@ def test_fulkerson_verify_rejects_bool_edge_ids(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["bad-json", "edge-out-of-range", "edge-string",
-                                  "edge-negative"])
+                                  "edge-negative", "neither-form"])
 def test_fulkerson_verify_malformed_cover_is_an_error(tmp_path, case):
     members = [sorted(m) for m in sd.find_cover(sd.petersen()).matchings]
     if case == "edge-out-of-range":
@@ -590,7 +614,8 @@ def test_fulkerson_verify_malformed_cover_is_an_error(tmp_path, case):
     elif case == "edge-negative":  # edge 14 written as -1 aliases the real edge
         members = [[-1 if e == 14 else e for e in m] for m in members]
     path = tmp_path / "cover.json"
-    path.write_text("{not json" if case == "bad-json" else json.dumps({"matchings": members}))
+    text = {"bad-json": "{not json", "neither-form": "[1]"}.get(case)
+    path.write_text(text or json.dumps({"matchings": members}))
     code, out, _ = run(["fulkerson", "--construct", "petersen", "--verify", str(path),
                         "--json", "--quiet"])
     assert code == 1
@@ -611,7 +636,7 @@ def test_fulkerson_verify_certificate_without_a_result_object_is_an_error(tmp_pa
 # verify
 # --------------------------------------------------------------------------
 
-def test_verify_command_passes_genuine(tmp_path):
+def test_verify_command_passes_genuine(monkeypatch, tmp_path):
     _, out, _ = run(["analyze", "--construct", "petersen", "--construct", "flower:5",
                      "--json", "--quiet"])
     path = tmp_path / "certs.jsonl"
@@ -622,6 +647,25 @@ def test_verify_command_passes_genuine(tmp_path):
     assert lines[0] == f"PASS {path}:1 (petersen)"
     assert lines[1] == f"PASS {path}:2 (flower:5)"
     assert lines[2] == "verified 2 certificate(s): 2 pass, 0 fail"
+    # and from stdin, where \r ends a line as it does in a file read in text mode
+    monkeypatch.setattr("sys.stdin", io.StringIO(out.replace("\n", "\r")))
+    code, vout, _ = run(["verify", "-"])
+    assert code == 0
+    assert vout.splitlines() == ["PASS -:1 (petersen)", "PASS -:2 (flower:5)",
+                                 "verified 2 certificate(s): 2 pass, 0 fail"]
+
+
+def test_a_certificate_line_ends_at_a_newline_only(tmp_path):
+    # a raw U+2028 in a JSON string is valid JSON and does not end the line
+    _, out, _ = run(["analyze", "--construct", "petersen", "--json", "--quiet"])
+    cert = json.loads(out)
+    cert["source"] = "a\u2028b"
+    path = tmp_path / "ls.jsonl"
+    path.write_text(json.dumps(cert, ensure_ascii=False) + "\n" + out, encoding="utf-8")
+    code, vout, _ = run(["verify", str(path)])
+    assert code == 0
+    assert vout.split("\n") == [f"PASS {path}:1 (a\u2028b)", f"PASS {path}:2 (petersen)",
+                                 "verified 2 certificate(s): 2 pass, 0 fail", ""]
 
 
 def test_verify_command_catches_forgery(tmp_path):
@@ -971,6 +1015,16 @@ def test_import_footprint_is_pinned():
         "__future__", "argparse", "dataclasses", "functools", "hashlib", "itertools", "json",
         "os", "re", "sys", "time", "typing", "warnings"}
     assert dataclasses == 16
+
+
+def test_no_text_reader_splits_lines_at_other_breaks():
+    """A line of every text input ends at '\\n' only: ``str.splitlines``
+    also breaks at \\v, \\f, \\x1c-\\x1e, \\x85, U+2028 and U+2029."""
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("snarkdefect/*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "splitlines"]
+    assert calls == []
 
 
 def _unread_module_names(counted):

@@ -143,6 +143,8 @@ def test_colour_classes_are_matchings(k4, theta):
         assert sd.is_perfect_matching(k4, cls)
     for cls in sd.colour_classes(theta, sd.three_edge_colour(theta)):
         assert sd.is_perfect_matching(theta, cls)
+    with pytest.raises(sd.GraphError, match="^vertex 2: incident colours"):
+        sd.colour_classes(k4, {0: 1, 1: 2, 2: 3, 3: 3, 4: 2, 5: 2})
 
 
 # --------------------------------------------------------------------------
@@ -247,7 +249,7 @@ def test_odd_circuit_walk_counts_the_odd_two_factor_circuits(theta, dumbbell):
         for m in sd.enumerate_perfect_matchings(g):
             odd = sum(len(c) % 2 for c in sd.two_factor_circuits(g, m))
             mask = sum(1 << e for e in m)
-            assert colouring._odd_circuits(g, mask) == odd, (g.edges, m)
+            assert sum(len(c) & 1 for c in colouring._circuits(g, mask)) == odd, (g.edges, m)
             checked += 1
     assert checked > 1000
 
@@ -292,6 +294,8 @@ def test_two_factor_circuits(petersen, k4, theta, dumbbell):
     assert [len(c) for c in sd.two_factor_circuits(theta, frozenset({0}))] == [2]
     # dumbbell: the bridge is a matching, the loops are 1-circuits
     assert sd.two_factor_circuits(dumbbell, frozenset({1})) == [[0], [2]]
+    with pytest.raises(sd.GraphError, match="^not a perfect matching$"):
+        sd.two_factor_circuits(petersen, frozenset({0, 5}))
 
 
 def test_oddness(petersen, k4, k33, prism, cube, j3, j5, j7, blanusa1, blanusa2):
@@ -386,6 +390,20 @@ def test_parity_rejects_invalid_colouring(petersen):
     col[0] = 9
     with pytest.raises(sd.GraphError, match="invalid colouring"):
         sd.verify_parity(pole, col)
+
+
+def test_parity_failure_is_reported(monkeypatch, petersen):
+    # the parity lemma holds for every valid colouring, so only a
+    # colouring the check lets through can break it
+    pole, _, _ = sd.remove_vertices(petersen, (0, 1))
+    col = sd.three_edge_colour(pole)
+    e, _ = pole.free_ends[0]
+    col[e] = col[e] % 3 + 1
+    monkeypatch.setattr(colouring, "check_colouring", lambda m, c: None)
+    rep = sd.verify_parity(pole, col)
+    assert not rep and not rep.ok
+    assert rep.message == (f"colour(s) {[t + 1 for t in range(3) if rep.counts[t] % 2]} "
+                           f"break parity: counts {rep.counts} vs 4 free ends")
 
 
 def test_parity_lemma_on_seeded_multipoles(petersen, j5, k33, cube, prism):

@@ -183,6 +183,9 @@ def test_is_induced_circuit(k4):
     quad = sd.CoreComponent(kind="EVEN_ALTERNATING_CIRCUIT",
                             vertices=(0, 1, 2, 3), edges=(0, 2, 3, 5))
     assert not sd.is_induced_circuit(k4, quad)
+    # only a circuit component can be an induced circuit
+    claw = sd.CoreComponent(kind="CUBIC_SUBDIVISION", vertices=(0, 1, 2), edges=(0, 1, 3))
+    assert not sd.is_induced_circuit(k4, claw)
 
 
 def test_df_and_rdf_keep_one_witness_not_every_optimum():
@@ -211,6 +214,25 @@ def test_df_and_rdf_keep_one_witness_not_every_optimum():
 # a triple budget that never runs out: a colourable graph's df and rdf
 # are its colour triple under it, as under no budget
 SCAN = sd.SearchBudget(max_triples=10 ** 12)
+
+
+def test_the_least_colour_class_is_walked_once(monkeypatch, k33, cube):
+    # oddness keeps M1's circuits, and the colour triple reads them
+    walked = []
+    circuits = colouring._circuits
+
+    def counted(g, mask):
+        walked.append(mask)
+        return circuits(g, mask)
+
+    monkeypatch.setattr(colouring, "_circuits", counted)
+    for g in (k33, cube, sd.bipartite_double(sd.petersen())):
+        walked.clear()
+        facts = sd.GraphFacts(g)
+        res = sd.defect(g, facts=facts)
+        assert sd.regular_defect(g, facts=facts) == sd.DefectResult(0, res.witness, True, True)
+        m1 = facts._colour_triple[0]
+        assert walked.count(m1) == 1 and walked[-1] == m1
 
 
 def test_colour_triple_matches_the_scan(theta, k4, k33, prism, cube):
@@ -257,7 +279,8 @@ def _list_triple(g):
     """The colour triple as the full list gives it: the first value-0
     triple of the scan, which starts at the first all-even 2-factor."""
     masks = sd.perfect_matching_masks(g)
-    first_even = next(i for i, m in enumerate(masks) if not colouring._odd_circuits(g, m))
+    first_even = next(i for i, m in enumerate(masks)
+                      if not sum(len(c) & 1 for c in colouring._circuits(g, m)))
     zero = next(t for v, t in _scan(masks, g.edge_count, g.vertex_count // 2, False) if v == 0)
     assert zero[0] == first_even
     return tuple(masks[x] for x in zero)
@@ -292,7 +315,8 @@ def test_walk_lists_every_matching_of_a_small_snark(monkeypatch, blanusa1, blanu
              ("petersen", "flower:3", "flower:5", "inflate:petersen:0",
               "inflate-pair:petersen:0:1")] + [blanusa1, blanusa2]
     enumerate_all = colouring.perfect_matching_masks
-    want = [(enumerate_all(g), min(colouring._odd_circuits(g, m) for m in enumerate_all(g)))
+    want = [(enumerate_all(g), min(sum(len(c) & 1 for c in colouring._circuits(g, m))
+                                   for m in enumerate_all(g)))
             for g in suite]
     reads = counted_walks(monkeypatch)
     for g, (masks, least) in zip(suite, want):
@@ -445,6 +469,41 @@ def test_exact_df_makes_a_budgeted_rdf_exact():
     assert (after.value, after.exhaustive, after.witness) == (6, True, alone.witness)
 
 
+def test_rdf_takes_a_regular_df_witness_without_a_scan(monkeypatch):
+    # df's witness is the first triple at the least value; when it is
+    # regular it is rdf's, and rdf scans nothing
+    from snarkdefect import defect_engine
+    g = sd.flower_snark(5)
+    want = sd.regular_defect(g)
+    scans = []
+
+    def counted(*args, **kwargs):
+        scans.append(args)
+        return _scan(*args, **kwargs)
+
+    monkeypatch.setattr(defect_engine, "_scan", counted)
+    facts = sd.GraphFacts(g)
+    d = sd.defect(g, facts=facts)
+    assert d.witness.is_regular and len(scans) == 1
+    r = sd.regular_defect(g, facts=facts)
+    assert len(scans) == 1
+    assert r == want and (r.value, r.exhaustive, r.witness) == (3, True, d.witness)
+
+
+def test_g24_rdf_scans_above_an_irregular_df_witness():
+    # G24: df = 4 has only irregular witnesses, so df is the rdf scan's
+    # lower bound and rdf = 6 comes from the scan
+    from test_colouring import G24
+    g = sd.parse_graph6(G24)
+    facts = sd.GraphFacts(g)
+    d = sd.defect(g, facts=facts)
+    r = sd.regular_defect(g, facts=facts)
+    assert (d.value, d.exhaustive, d.witness.is_regular) == (4, True, False)
+    assert (r.value, r.exhaustive, r.witness.is_regular) == (6, True, True)
+    assert r == sd.regular_defect(g)
+    assert r.witness == sd.enumerate_optimal_arrays(g, True)[0]
+
+
 # --------------------------------------------------------------------------
 # budgets, threads, determinism
 # --------------------------------------------------------------------------
@@ -520,7 +579,8 @@ def test_budgets_keep_the_colour_triple(monkeypatch, request, name):
     else:
         g = request.getfixturevalue(name)
     masks = sd.perfect_matching_masks(g)
-    first = 1 + next(i for i, m in enumerate(masks) if not colouring._odd_circuits(g, m))
+    first = 1 + next(i for i, m in enumerate(masks)
+                     if not sum(len(c) & 1 for c in colouring._circuits(g, m)))
 
     def cert(budget):
         res, exact = cli.analyze_graph(g, budget)

@@ -42,6 +42,8 @@ def test_verify_cover_flags_wrong_multiplicity(petersen):
     assert not chk.ok
     assert chk.violation == "edge 0 is covered 3 times, expected 2"
     assert chk.multiplicities[0] == 3
+    with pytest.raises(sd.GraphError, match="^invalid cover: edge 0 is covered 3 times"):
+        sd.cover_to_complementary(tampered)
 
 
 def test_verify_cover_rejects_non_matching_member(petersen):
@@ -55,6 +57,8 @@ def test_cover_of_needs_six(petersen):
     ms = sd.enumerate_perfect_matchings(petersen)
     with pytest.raises(sd.GraphError, match="six"):
         sd.FulkersonCover.of(petersen, ms[:5])
+    with pytest.raises(sd.GraphError, match="^expected six matchings, got 5$"):
+        sd.verify_cover(petersen, ms[:5])
 
 
 def test_cover_of_canonicalises(petersen):
@@ -226,6 +230,11 @@ def test_check_complementary_messages(petersen):
     arr = sd.regular_defect(petersen).witness
     triply = sd.ThreeArray.of(ms[0], ms[0], ms[0])
     assert "regular" in sd.check_complementary(petersen, triply, arr)
+    assert sd.check_complementary(petersen, arr, triply) == "second array is not regular"
+    assert sd.check_complementary(petersen, arr, arr) == \
+        "uncovered sets intersect in [2, 4, 14]"
+    with pytest.raises(sd.GraphError, match="^invalid complementary pair: uncovered sets"):
+        sd.complementary_to_flows(petersen, sd.ComplementaryPair(petersen, arr, arr))
     # a regular pair that is not complementary
     other = sd.ThreeArray.of(ms[0], ms[2], ms[4])
     msg = sd.check_complementary(petersen, arr, other)
@@ -244,6 +253,8 @@ def test_complementary_to_flows_petersen(petersen):
     assert f1.removed == p1 and f2.removed == p2
     assert sd.verify_group_flow(f1).ok
     assert sd.verify_group_flow(f2).ok
+    with pytest.raises(KeyError, match="edge 2 is not in the flow's subgraph"):
+        f1.value(2)
     # simply covered edge: the flow names its member matching
     for e in range(15):
         if f1.values[e] is None:
@@ -300,6 +311,15 @@ def test_flows_to_cover_validates_inputs(petersen):
             sd.flows_to_cover(petersen, p1 | {bad}, p2, f1, f2)
     with pytest.raises(sd.GraphError, match="circuits"):  # P1 and P2 meet different vertices
         sd.flows_to_cover(petersen, frozenset(sorted(p1)[1:]), p2, f1, f2)
+    # two edges at vertex 2 that P2 does not hold
+    at_2 = frozenset(e for e, _ in petersen.incident_ends(2) if e not in p2)
+    with pytest.raises(sd.GraphError, match="^P1/P2 is not a matching$"):
+        sd.flows_to_cover(petersen, at_2, p2, f1, f2)
+    with pytest.raises(sd.GraphError, match="^flow domain does not match its matching$"):
+        sd.flows_to_cover(petersen, p1, p2, f2, f1)
+    dumbbell = sd.CubicGraph(2, [(0, 0), (0, 1), (1, 1)])
+    with pytest.raises(sd.GraphError, match="^edge 0 is a loop, not a matching edge$"):
+        sd.flows_to_cover(dumbbell, frozenset({0}), frozenset(), f1, f2)
 
 
 # --------------------------------------------------------------------------
@@ -379,6 +399,8 @@ def test_nz_4flow_rejects_bridgy_subgraph(petersen):
     # cutting two of vertex 0's edges leaves the third as a bridge
     with pytest.raises(sd.GraphError, match="bridge"):
         sd.nz_4flow(petersen, removed=(0, 1))
+    with pytest.raises(sd.GraphError, match="^removed edge 15 out of range$"):
+        sd.nz_4flow(petersen, removed=(15,))
 
 
 def test_nz_4flow_dimension_gate(petersen):

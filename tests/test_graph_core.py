@@ -1,6 +1,7 @@
 """Containers, text formats, and the structural predicates."""
 
 import random
+import re
 import string
 import time
 
@@ -64,6 +65,8 @@ def test_not_cubic_rejected():
 def test_vertex_out_of_range_rejected():
     with pytest.raises(sd.GraphError, match="out of range"):
         sd.Multipole(2, [(0, 1), (0, 1), (0, None), (1, None), (5, None)])
+    with pytest.raises(sd.GraphError, match="^negative vertex count$"):
+        sd.Multipole(-1, [])
 
 
 def test_cubic_graph_rejects_free_ends():
@@ -84,6 +87,8 @@ def test_explicit_connectors_must_cover():
         # an end listed twice
         sd.Multipole(1, [(0, None)] * 3,
                      [("a", [(0, 1), (0, 1)]), ("b", [(1, 1), (2, 1)])])
+    with pytest.raises(sd.ConnectorError, match=r"^connector a: \(0, 0\) is not a free end$"):
+        sd.Multipole(1, [(0, None)] * 3, [("a", [(0, 0), (1, 1), (2, 1)])])
 
 
 def test_connector_names_are_unique():
@@ -231,6 +236,25 @@ def test_edge_list_comments_and_errors():
         sd.parse_edge_list("vertices 2\n0 nope\n")
     with pytest.raises(sd.FormatError, match="^missing 'vertices N' line$"):
         sd.parse_edge_list("0 1\n0 1\n0 1\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("verticesX 2\n0 1\n0 1\n0 1\n", "line 1: malformed vertices line"),
+    ("vertices 3\n0 1\n0 1\n0 1\nvertices 2\n", "line 5: second vertices line"),
+    ("vertices 1_0\n", "line 1: malformed vertices line"),
+    ("vertices \u0662\n", "line 1: malformed vertices line"),
+    ("vertices 2\n+1 0\n0 1\n0 1\n", "line 2: bad endpoint token '+1'"),
+    ("vertices 3\n0_2 1\n", "line 2: bad endpoint token '0_2'"),
+    ("vertices 2\n\u0661 0\n0 1\n0 1\n", "line 2: bad endpoint token '\u0661'"),
+    ("vertices 1\n0 -\n0 -\n0 -\nconnector a: e\u0660.1 e1.1 e2.1\n",
+     "line 5: bad end token 'e\u0660.1'"),
+    ("vertices 2\n0 1\f0 1\n0 1\n", "line 2: expected two endpoint tokens"),
+], ids=["vertices-prefix", "second-vertices", "count-underscore", "count-arabic-digit",
+        "endpoint-plus", "endpoint-underscore", "endpoint-arabic-digit", "end-token-digit",
+        "form-feed-in-line"])
+def test_edge_list_takes_only_what_the_format_says(text, message):
+    with pytest.raises(sd.FormatError, match=f"^{re.escape(message)}$"):
+        sd.parse_edge_list(text)
 
 
 # --------------------------------------------------------------------------
@@ -438,6 +462,13 @@ def test_remove_vertices_out_of_range(petersen):
         sd.remove_vertices(petersen, (0, 99))
 
 
+@pytest.mark.parametrize("vs", [[1.5], [True]], ids=["float", "bool"])
+def test_remove_vertices_takes_only_int_vertices(petersen, vs):
+    # 1.5 would remove nothing, and True vertex 1
+    with pytest.raises(sd.GraphError, match=r"^vertex (1\.5|True) out of range$"):
+        sd.remove_vertices(petersen, vs)
+
+
 # --------------------------------------------------------------------------
 # end references and junctions
 # --------------------------------------------------------------------------
@@ -449,11 +480,15 @@ def test_endref_parse():
     assert (r.part, r.connector, r.index) == (2, "cut", 3)
     with pytest.raises(sd.WiringError):
         sd.EndRef.parse("garbage")
-    for token in ("x:e1.0", ":e1.0"):
+    for token in ("x:e1.0", ":e1.0", "0:!", "+0:e1.0", "0_0:e1.0", " 0:e1.0", "-1:e0.0",
+                  "\u0661:e1.0", "0:e\u0661.0", "0:cut[\u0661]"):
         with pytest.raises(sd.WiringError, match="bad end reference"):
             sd.EndRef.parse(token)
     with pytest.raises(sd.WiringError, match="bad end reference"):
         sd.WiringSpec.parse("join x:a[0] 1:b[0]")
+    # a line ends at '\n' only
+    with pytest.raises(sd.WiringError, match="^line 1: expected 'join A B'$"):
+        sd.WiringSpec.parse("join 0:e0.1 1:e0.0\x1cjoin 0:e1.1 1:e1.0")
 
 
 def test_wiring_spec_parse_matches_of():
