@@ -295,7 +295,7 @@ def test_rebuild_respects_membership_rule(petersen):
         assert f2.value(e) + 3 not in slots
 
 
-def test_flows_to_cover_validates_inputs(petersen):
+def test_flows_to_cover_validates_inputs(petersen, dumbbell):
     pair = sd.cover_to_complementary(sd.find_cover(petersen))
     p1, p2, f1, f2 = sd.complementary_to_flows(petersen, pair)
     with pytest.raises(sd.GraphError):
@@ -317,7 +317,6 @@ def test_flows_to_cover_validates_inputs(petersen):
         sd.flows_to_cover(petersen, at_2, p2, f1, f2)
     with pytest.raises(sd.GraphError, match="^flow domain does not match its matching$"):
         sd.flows_to_cover(petersen, p1, p2, f2, f1)
-    dumbbell = sd.CubicGraph(2, [(0, 0), (0, 1), (1, 1)])
     with pytest.raises(sd.GraphError, match="^edge 0 is a loop, not a matching edge$"):
         sd.flows_to_cover(dumbbell, frozenset({0}), frozenset(), f1, f2)
 
