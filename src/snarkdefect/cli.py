@@ -36,6 +36,13 @@ ENV_MAX_MATCHINGS = "SNARKDEFECT_MAX_MATCHINGS"
 ENV_MAX_TRIPLES = "SNARKDEFECT_MAX_TRIPLES"
 
 
+def _number(tok: str) -> int:
+    """A descriptor number: ASCII digits only, rejected in int()'s words."""
+    if not (tok.isascii() and tok.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {tok!r}")
+    return int(tok)
+
+
 def build_descriptor(desc: str) -> CubicGraph:
     """petersen | flower:N | inflate:GRAPH:V | inflate-pair:GRAPH:U:V | double:GRAPH"""
     head, _, rest = desc.partition(":")
@@ -43,19 +50,19 @@ def build_descriptor(desc: str) -> CubicGraph:
         if head == "petersen" and not rest:
             return petersen()
         if head == "flower":
-            return flower_snark(int(rest))
+            return flower_snark(_number(rest))
         if head == "double":
             return bipartite_double(build_descriptor(rest))
         if head == "inflate":
             if ":" not in rest:
                 raise ValueError("expected inflate:GRAPH:V")
             sub, _, v = rest.rpartition(":")
-            return inflate_to_triangle(build_descriptor(sub), int(v))
+            return inflate_to_triangle(build_descriptor(sub), _number(v))
         if head == "inflate-pair":
             if rest.count(":") < 2:
                 raise ValueError("expected inflate-pair:GRAPH:U:V")
             sub, u, v = rest.rsplit(":", 2)
-            gg, _ = inflate_pair_theorem_check(build_descriptor(sub), int(u), int(v))
+            gg, _ = inflate_pair_theorem_check(build_descriptor(sub), _number(u), _number(v))
             return gg
     except ValueError as exc:
         raise GraphError(f"bad construction descriptor {desc!r}: {exc}") from None
@@ -118,8 +125,8 @@ def _defect_word(sec: dict) -> str:
     return f"{v}" + ("" if sec["exhaustive"] else "?")
 
 
-def analyze_graph(g: CubicGraph, budget, threads=None) -> tuple[dict, bool]:
-    """The analyze result and whether it is exact; ``threads`` is ignored."""
+def analyze_graph(g: CubicGraph, budget) -> tuple[dict, bool]:
+    """The analyze result and whether it is exact."""
     facts = GraphFacts(g, budget.max_matchings if budget else None)
     d = defect(g, budget=budget, facts=facts)
     r = regular_defect(g, budget=budget, facts=facts)

@@ -77,10 +77,9 @@ def _removal_colourable(g: CubicGraph, vs) -> bool:
     return three_edge_colour(pole) is not None
 
 
-def find_non_removable_pairs(g: CubicGraph, threads: int | None = None) -> list[tuple[int, int]]:
+def find_non_removable_pairs(g: CubicGraph) -> list[tuple[int, int]]:
     """Adjacent pairs {u,v} whose deletion (dangling ends kept) leaves a
-    3-edge-colourable multipole.  Output sorted; loops never qualify.
-    ``threads`` is accepted and ignored."""
+    3-edge-colourable multipole.  Output sorted; loops never qualify."""
     warn_if_not_snark(g, "non-removable pair scan")
     pairs = sorted({(min(a, b), max(a, b)) for a, b in g.edges if a != b})
     return [p for p in pairs if _removal_colourable(g, p)]
@@ -101,9 +100,9 @@ def five_circuits(g: CubicGraph) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def find_non_removable_5cycles(g: CubicGraph, threads: int | None = None) -> list[tuple[int, ...]]:
+def find_non_removable_5cycles(g: CubicGraph) -> list[tuple[int, ...]]:
     """5-circuits whose vertex deletion (dangling ends kept) leaves a
-    3-edge-colourable multipole.  ``threads`` is accepted and ignored."""
+    3-edge-colourable multipole."""
     return [c for c in five_circuits(g) if _removal_colourable(g, c)]
 
 

@@ -38,9 +38,7 @@ too, because df and rdf scan the same prefix in the same order.  An
 irregular witness leaves df as the rdf scan's lower bound.
 
 The scan runs on one thread, so a triple budget's cutoff point is
-reproducible; a negative budget is an input error.  The ``threads``
-keywords are accepted for compatibility and have no effect: the scan is
-pure Python, which threads cannot overlap under the interpreter lock.
+reproducible; a negative budget is an input error.
 """
 
 from __future__ import annotations
@@ -318,30 +316,29 @@ def _defect_impl(g: CubicGraph, regular: bool, budget: SearchBudget | None,
 
 
 def defect(g: CubicGraph, budget: SearchBudget | None = None,
-           threads: int | None = None, *, facts: GraphFacts | None = None) -> DefectResult:
+           *, facts: GraphFacts | None = None) -> DefectResult:
     """df(g): minimum uncovered count over all 3-arrays, with witness.
 
-    ``threads`` is accepted and ignored.  ``facts`` shares one matching
-    enumeration with other calls on the same graph.
+    ``facts`` shares one matching enumeration with other calls on the
+    same graph.
     """
     return _defect_impl(g, False, budget, facts)
 
 
 def regular_defect(g: CubicGraph, budget: SearchBudget | None = None,
-                   threads: int | None = None, *,
-                   facts: GraphFacts | None = None) -> DefectResult:
+                   *, facts: GraphFacts | None = None) -> DefectResult:
     """rdf(g): as defect but restricted to regular 3-arrays."""
     return _defect_impl(g, True, budget, facts)
 
 
-def enumerate_optimal_arrays(g: CubicGraph, regular: bool, target: int | None = None,
-                             threads: int | None = None) -> list[ThreeArray]:
+def enumerate_optimal_arrays(g: CubicGraph, regular: bool,
+                             target: int | None = None) -> list[ThreeArray]:
     """Every 3-array (regular ones if requested) attaining the optimum,
     in lexicographic order, from one scan with no early stop.
 
     ``target`` is a claimed optimum: if it is not the optimum the result
     is empty, even when it is above it and arrays attain it.  Graphs with
-    bridges are rejected, as by ``defect``.  ``threads`` is ignored.
+    bridges are rejected, as by ``defect``.
     """
     facts = GraphFacts(g)
     _require_bridgeless(facts)
@@ -394,6 +391,4 @@ def verify_corollary_rdf3(g: CubicGraph) -> bool:
     facts = GraphFacts(g)
     d = defect(g, facts=facts)
     r = regular_defect(g, facts=facts)
-    if not (d.exhaustive and r.exhaustive):
-        raise GraphError("corollary check requires exhaustive searches")
     return (d.value == 3) == (r.value == 3)

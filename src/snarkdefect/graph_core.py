@@ -106,6 +106,8 @@ class Multipole:
         connectors: Sequence[tuple[str, Sequence[tuple[int, int]]]] | None = None,
     ):
         eps = tuple((a, b) for a, b in endpoints)
+        if type(vertex_count) is not int:  # a bool is not one
+            raise GraphError(f"vertex count {vertex_count!r} is not an int")
         if vertex_count < 0:
             raise GraphError("negative vertex count")
         # sparse, so a huge stated vertex count fails without a huge list
@@ -115,10 +117,10 @@ class Multipole:
             for end, slot in enumerate((a, b)):
                 if slot is None:
                     free.append((e, end))
-                elif 0 <= slot < vertex_count:
+                elif type(slot) is int and 0 <= slot < vertex_count:
                     ends_per_vertex[slot] = ends_per_vertex.get(slot, 0) + 1
                 else:
-                    raise GraphError(f"edge {e} end {end}: vertex {slot} out of range")
+                    raise GraphError(f"edge {e} end {end}: vertex {slot!r} out of range")
         for v in range(vertex_count):
             k = ends_per_vertex.get(v, 0)
             if k != 3:
@@ -799,14 +801,14 @@ def junction(parts: Sequence[Multipole], wiring: WiringSpec) -> Multipole:
     return Multipole(total_v, eps, conns if conns else None)
 
 
-def remove_vertices(g: CubicGraph, vs: Iterable[int], connector_name: str = "cut"):
+def remove_vertices(g: CubicGraph, vs: Iterable[int]):
     """Delete a vertex set; severed edge-ends become free ends.
 
     Each id must be an int vertex of g (a bool is not one).  Edges
     with both endpoints deleted disappear.  Kept vertices and edges are
     renumbered densely preserving order.  Returns
     (multipole, vertex_map, edge_map) with old->new maps for kept items;
-    all new free ends land in one connector, in (edge, end) order.
+    all new free ends land in one connector, ``cut``, in (edge, end) order.
     """
     dead = set()
     for v in vs:
@@ -825,7 +827,7 @@ def remove_vertices(g: CubicGraph, vs: Iterable[int], connector_name: str = "cut
         emap[e] = len(eps)
         eps.append((na, nb))
     free = [(e, i) for e, ends in enumerate(eps) for i, s in enumerate(ends) if s is None]
-    conns = [(connector_name, free)] if free else None
+    conns = [("cut", free)] if free else None
     return Multipole(len(kept_v), eps, conns), vmap, emap
 
 
@@ -833,19 +835,19 @@ def remove_vertices(g: CubicGraph, vs: Iterable[int], connector_name: str = "cut
 # canonical form (exact, size-gated; for small golden tests)
 # ---------------------------------------------------------------------------
 
-def canonical_form(g: CubicGraph, max_vertices: int = 64) -> tuple:
+def canonical_form(g: CubicGraph) -> tuple:
     """A complete isomorphism invariant: the minimum relabelled edge list.
 
     Iterated degree/neighbourhood refinement plus full backtracking over
     non-singleton cells, on an explicit stack of colourings rather than
-    by recursion; exponential in the worst case, gated by size.
+    by recursion; exponential in the worst case, gated at 64 vertices.
     ``refine`` ranks its colours 0..k-1, so a colouring with no repeated
     colour is itself a relabelling, and the minimum over these leaves
     does not depend on the order they are visited in.
     """
     n = g.vertex_count
-    if n > max_vertices:
-        raise SizeGateError(f"{n} vertices exceeds the canonical-form gate ({max_vertices})")
+    if n > 64:
+        raise SizeGateError(f"{n} vertices exceeds the canonical-form gate (64)")
 
     def refine(colour: tuple[int, ...]) -> tuple[int, ...]:
         while True:

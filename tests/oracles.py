@@ -465,6 +465,29 @@ def _component_count(n, edges, dead=None):
     return comps
 
 
+def two_factor_circuits(n, edges, matching):
+    """The circuits of the 2-factor left when the perfect matching
+    ``matching`` (edge ids) is removed, as sets of edge ids: the
+    components of the remaining edges, by union-find on the vertices.
+    Every vertex keeps two edge-ends, so each component is a circuit."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    rest = [i for i in range(len(edges)) if i not in matching]
+    for i in rest:
+        a, b = edges[i]
+        parent[find(a)] = find(b)
+    circuits = {}
+    for i in rest:
+        circuits.setdefault(find(edges[i][0]), set()).add(i)
+    return list(circuits.values())
+
+
 def two_connected(n, edges):
     """Connected with no cut vertex, by deleting each vertex in turn.
 

@@ -13,7 +13,7 @@ from snarkdefect.cli import analyze_graph, build_descriptor, main
 
 
 def fresh_cert(g, source="petersen"):
-    res, exact = analyze_graph(g, None, 1)
+    res, exact = analyze_graph(g, None)
     return ce.make_certificate("analyze", source, g, res, exact, None)
 
 

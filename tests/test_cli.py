@@ -111,13 +111,22 @@ def test_bad_input_gives_error_certificate_and_exit_1(tmp_path):
 
 
 def test_bad_descriptor_values_are_error_lines():
+    # a number is ASCII digits only, as in the edge-list format: int()
+    # alone reads 1_1 as 11 and takes ' 5', '+0' and Arabic-Indic digits
+    numbers = [("flower:1_1", "1_1"), ("flower: 5", " 5"), ("flower:\u0665", "\u0665"),
+               ("flower:-3", "-3"), ("inflate:petersen:+0", "+0"),
+               ("inflate-pair:petersen:0:1_0", "1_0")]
     code, out, _ = run(["analyze", "--construct", "flower:x",
                         "--construct", "inflate-pair:petersen:0", "--construct", "inflate:petersen",
-                        "--construct", "petersen"])
+                        "--construct", "petersen"]
+                       + [arg for desc, _ in numbers for arg in ("--construct", desc)])
     assert code == 1
-    bad_int, short_pair, short_inflate, good = out.splitlines()
+    bad_int, short_pair, short_inflate, good, *digit_rule = out.splitlines()
     assert bad_int == ("flower:x: ERROR bad construction descriptor 'flower:x': "
                        "invalid literal for int() with base 10: 'x'")
+    assert digit_rule == [f"{desc}: ERROR bad construction descriptor {desc!r}: "
+                          f"invalid literal for int() with base 10: {tok!r}"
+                          for desc, tok in numbers]
     # the error names the form, as the --construct help does
     assert short_pair == ("inflate-pair:petersen:0: ERROR bad construction descriptor "
                           "'inflate-pair:petersen:0': expected inflate-pair:GRAPH:U:V")
@@ -206,11 +215,11 @@ def test_running_out_of_memory_is_an_error_certificate(monkeypatch):
     analyze = cli.analyze_graph
     seen = []
 
-    def first_runs_out(g, budget, threads=None):
+    def first_runs_out(g, budget):
         seen.append(g)
         if len(seen) == 1:
             raise MemoryError
-        return analyze(g, budget, threads)
+        return analyze(g, budget)
 
     monkeypatch.setattr(cli, "analyze_graph", first_runs_out)
     argv = ["analyze", "--construct", "flower:5", "--construct", "petersen"]
@@ -746,11 +755,11 @@ def _malform(cert, shape):
         cert["result"]["df"]["witness"] = 7
     elif shape == "edge-one-endpoint":
         cert["graph"]["edges"][0] = cert["graph"]["edges"][0][:1]
-    elif shape.endswith("vertex-bool"):  # vertex 1 written as true, under a matching digest
+    elif shape.endswith("vertex-bool"):
+        # vertex 1 written as true: read as 1, it is still Petersen, whose
+        # digest the payload keeps
         graph = cert["graph"]
         graph["edges"] = [[True if v == 1 else v for v in p] for p in graph["edges"]]
-        g = sd.CubicGraph(graph["vertices"], [tuple(p) for p in graph["edges"]])
-        graph["sha256"] = certificates.graph_digest(g)
     elif shape == "result-list":
         cert["result"] = [cert["result"]]
     elif shape == "edges-not-list":
@@ -1076,6 +1085,28 @@ def test_every_public_module_name_is_exported_or_used():
     defined, unread = _unread_module_names(
         lambda module, name: not name.startswith("_") and module != "cli")
     assert len(defined) > 100
+    assert unread == []
+
+
+def test_every_public_parameter_is_read():
+    """A parameter of a public function or method that its body never
+    reads is an option that selects nothing."""
+    unread, checked = [], 0
+    for path in sorted(SRC.glob("snarkdefect/*.py")):
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        methods = [(f"{cls.name}.", node) for cls in body if isinstance(cls, ast.ClassDef)
+                   and not cls.name.startswith("_") for node in cls.body]
+        for prefix, fn in [("", node) for node in body] + methods:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name.startswith("_"):
+                continue
+            checked += 1
+            read = {node.id for node in ast.walk(fn)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            a = fn.args
+            unread += [f"{path.stem}.{prefix}{fn.name}({p.arg})"
+                       for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                       if p and p.arg not in read]
+    assert checked > 100
     assert unread == []
 
 

@@ -242,14 +242,17 @@ def test_matching_walk_replays_each_open_edge_set():
     assert time.process_time() - start < 0.3
 
 
-def test_odd_circuit_walk_counts_the_odd_two_factor_circuits(theta, dumbbell):
-    """On every matching of multigraphs with loops and parallel edges."""
+def test_odd_circuit_walk_counts_the_odd_two_factor_circuits(theta, dumbbell, petersen, j5):
+    """On every matching of multigraphs with loops and parallel edges,
+    against the union-find components of the 2-factor."""
     checked = 0
-    for g in [theta, dumbbell] + _random_multigraphs(20261020, 304):
+    for g in [theta, dumbbell, petersen, j5] + _random_multigraphs(20261020, 304):
         for m in sd.enumerate_perfect_matchings(g):
-            odd = sum(len(c) % 2 for c in sd.two_factor_circuits(g, m))
-            mask = sum(1 << e for e in m)
-            assert sum(len(c) & 1 for c in colouring._circuits(g, mask)) == odd, (g.edges, m)
+            want = oracles.two_factor_circuits(g.vertex_count, oracles.edge_pairs(g), m)
+            got = colouring._circuits(g, sum(1 << e for e in m))
+            assert sorted(map(sorted, got)) == sorted(map(sorted, want)), (g.edges, m)
+            odd = sum(len(c) % 2 for c in want)
+            assert sum(len(c) & 1 for c in got) == odd, (g.edges, m)
             checked += 1
     assert checked > 1000
 

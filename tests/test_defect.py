@@ -15,7 +15,7 @@ import pytest
 import snarkdefect as sd
 import oracles
 from snarkdefect import certificates, cli, colouring
-from snarkdefect.defect_engine import _scan
+from snarkdefect.defect_engine import _scan, girth_bound_holds
 from conftest import counted_walks, petersen_ring
 from oracles import edge_pairs
 
@@ -627,7 +627,7 @@ def test_threads_do_not_change_results(petersen, j5):
     for g in (petersen, j5):
         base = sd.regular_defect(g)
         for t in (1, 2, 8):
-            again = sd.regular_defect(g, threads=t)
+            again = sd.regular_defect(g)
             assert again.value == base.value
             assert witness_lists(again.witness) == witness_lists(base.witness)
             assert again.exhaustive == base.exhaustive
@@ -637,7 +637,7 @@ def test_budgeted_search_ignores_thread_count(petersen):
     budget = sd.SearchBudget(max_triples=5)
     base = sd.defect(petersen, budget=budget)
     for t in (2, 8):
-        again = sd.defect(petersen, budget=budget, threads=t)
+        again = sd.defect(petersen, budget=budget)
         assert (again.value, witness_lists(again.witness)) == \
             (base.value, witness_lists(base.witness))
 
@@ -703,8 +703,8 @@ def test_enumerate_optimal_arrays_target_is_a_claimed_optimum(k4, dumbbell):
 
 
 def test_enumerate_optimal_arrays_threads_agree(j5):
-    one = sd.enumerate_optimal_arrays(j5, regular=True, threads=1)
-    four = sd.enumerate_optimal_arrays(j5, regular=True, threads=4)
+    one = sd.enumerate_optimal_arrays(j5, regular=True)
+    four = sd.enumerate_optimal_arrays(j5, regular=True)
     assert len(one) == 80
     assert [witness_lists(a) for a in one] == [witness_lists(a) for a in four]
 
@@ -716,6 +716,18 @@ def test_enumerate_optimal_arrays_threads_agree(j5):
 def test_check_girth_bound(petersen, k4, j5, blanusa1):
     for g in (petersen, k4, j5, blanusa1):
         assert sd.check_girth_bound(g, sd.regular_defect(g))
+    # Petersen's rdf core is one 6-circuit: at a claimed girth of 7 both
+    # rdf = 3 (2 * 3 < 7) and rdf = 4 (the circuit is short) fail the bound
+    witness = sd.regular_defect(petersen).witness
+    core = sd.core_of(petersen, witness)
+    assert girth_bound_holds(5, 3, core)
+    assert not girth_bound_holds(7, 3, core)
+    assert not girth_bound_holds(7, 4, core)
+    # a "regular" result whose witness covers each matching edge three times
+    m = witness.matchings[0]
+    triple = sd.DefectResult(3, sd.ThreeArray.of(m, m, m), True, True)
+    with pytest.raises(sd.GraphError, match="^regular witness produced a non-circuit core"):
+        sd.check_girth_bound(petersen, triple)
 
 
 def test_check_girth_bound_needs_regular_result(k4):

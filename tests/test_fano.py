@@ -36,6 +36,8 @@ def test_point_parse_rejects_junk():
     for bad in ("", "01", "0101", "abc", "012"):
         with pytest.raises((sd.GraphError, ValueError)):
             sd.FanoPoint.parse(bad)
+    with pytest.raises(ValueError, match="^coordinates must be bits, got 2$"):
+        sd.FanoPoint(2, 0, 0)
 
 
 def test_addition_is_xor():
@@ -102,6 +104,8 @@ def test_member_edges_invert_the_construction(petersen):
     # coordinate i is 0 exactly on the i-th matching (1-based index)
     for i in (1, 2, 3):
         assert flow.member_edges(i) == arr.matchings[i - 1]
+    with pytest.raises(ValueError, match="^matching index must be 1, 2, or 3$"):
+        flow.member_edges(4)
     # uncovered edges are those in no matching: all coordinates 1
     for e in range(15):
         expected = "".join("0" if e in arr.matchings[i] else "1" for i in range(3))

@@ -46,6 +46,10 @@ def test_petersen_container_basics(petersen):
     assert g.other_endpoint(0, 0) == 1
     assert g.other_endpoint(0, 1) == 0
     assert g.adjacency()[0] == [(1, 0), (4, 1), (5, 2)]
+    assert repr(g) == "<CubicGraph n=10 m=15 free=0>"
+    twin = sd.CubicGraph(10, PETERSEN_EDGES)
+    assert twin == g and hash(twin) == hash(g)
+    assert (g == 1) is False  # Multipole.__eq__ returns NotImplemented
 
 
 def test_incident_ends_are_darts(petersen):
@@ -62,11 +66,22 @@ def test_not_cubic_rejected():
         sd.Multipole(1, [(0, None)] * 2)
 
 
-def test_vertex_out_of_range_rejected():
+def test_vertex_out_of_range_rejected(petersen):
     with pytest.raises(sd.GraphError, match="out of range"):
         sd.Multipole(2, [(0, 1), (0, 1), (0, None), (1, None), (5, None)])
     with pytest.raises(sd.GraphError, match="^negative vertex count$"):
         sd.Multipole(-1, [])
+    # a vertex id is an int, and a bool is not one: True would pass for
+    # vertex 1 and then fail certificate checks and the edge-list reader
+    as_true = [tuple(True if v == 1 else v for v in p) for p in petersen.edges]
+    with pytest.raises(sd.GraphError, match=r"^edge 0 end 1: vertex True out of range$"):
+        sd.CubicGraph(10, as_true)
+    for slot in (1.0, "1"):
+        with pytest.raises(sd.GraphError, match=rf"^edge 0 end 0: vertex {slot!r} out of range$"):
+            sd.Multipole(2, [(slot, None)] + [(0, None)] * 3 + [(1, None)] * 2)
+    for count in (True, 1.0):
+        with pytest.raises(sd.GraphError, match=rf"^vertex count {count!r} is not an int$"):
+            sd.Multipole(count, [(0, None)] * 3)
 
 
 def test_cubic_graph_rejects_free_ends():
