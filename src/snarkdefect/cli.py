@@ -44,28 +44,40 @@ def _number(tok: str) -> int:
 
 
 def build_descriptor(desc: str) -> CubicGraph:
-    """petersen | flower:N | inflate:GRAPH:V | inflate-pair:GRAPH:U:V | double:GRAPH"""
-    head, _, rest = desc.partition(":")
+    """petersen | flower:N | inflate:GRAPH:V | inflate-pair:GRAPH:U:V | double:GRAPH
+
+    A bad descriptor's error names it once, however deep the bad part
+    is nested, and gives the innermost reason."""
     try:
-        if head == "petersen" and not rest:
-            return petersen()
-        if head == "flower":
-            return flower_snark(_number(rest))
-        if head == "double":
-            return bipartite_double(build_descriptor(rest))
-        if head == "inflate":
-            if ":" not in rest:
-                raise ValueError("expected inflate:GRAPH:V")
-            sub, _, v = rest.rpartition(":")
-            return inflate_to_triangle(build_descriptor(sub), _number(v))
-        if head == "inflate-pair":
-            if rest.count(":") < 2:
-                raise ValueError("expected inflate-pair:GRAPH:U:V")
-            sub, u, v = rest.rsplit(":", 2)
-            gg, _ = inflate_pair_theorem_check(build_descriptor(sub), _number(u), _number(v))
-            return gg
-    except ValueError as exc:
-        raise GraphError(f"bad construction descriptor {desc!r}: {exc}") from None
+        return _build(desc)
+    except RecursionError:
+        reason = "nested too deeply"
+    except ValueError as exc:  # a GraphError is one too
+        if str(exc) == f"unknown construction descriptor {desc!r}":
+            raise  # the whole descriptor, not a nested one, is unknown
+        reason = exc
+    raise GraphError(f"bad construction descriptor {desc!r}: {reason}")
+
+
+def _build(desc: str) -> CubicGraph:
+    """The graph of a descriptor; a bad part raises ValueError with its own reason."""
+    head, _, rest = desc.partition(":")
+    if head == "petersen" and not rest:
+        return petersen()
+    if head == "flower":
+        return flower_snark(_number(rest))
+    if head == "double":
+        return bipartite_double(_build(rest))
+    if head == "inflate":
+        if ":" not in rest:
+            raise ValueError("expected inflate:GRAPH:V")
+        sub, _, v = rest.rpartition(":")
+        return inflate_to_triangle(_build(sub), _number(v))
+    if head == "inflate-pair":
+        if rest.count(":") < 2:
+            raise ValueError("expected inflate-pair:GRAPH:U:V")
+        sub, u, v = rest.rsplit(":", 2)
+        return inflate_pair_theorem_check(_build(sub), _number(u), _number(v))[0]
     raise GraphError(f"unknown construction descriptor {desc!r}")
 
 

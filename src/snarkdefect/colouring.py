@@ -2,12 +2,13 @@
 
 Perfect matchings come from one enumerator, ``_lex_matchings``: a walk
 that lists them in lexicographic order of sorted edge lists, memoised
-on the completions of each set of open edges.  ``perfect_matching_masks``
-is its first ``limit`` matchings, and ``GraphFacts`` keeps one walk per
-graph, whose list its bridge check, capped prefix, oddness and full
-list all extend.  Oddness tests the 2-factors in that order and stops
-at the least colour class; under a matching cap it reads only the
-capped matchings and is None when they do not settle it.
+on the completions of each set of open edges.  ``GraphFacts`` is the
+one driver of that walk: it keeps one walk per graph, whose list its
+bridge check, capped prefix, oddness and full list all extend, and
+``perfect_matching_masks`` is its full list.  Oddness tests the
+2-factors in that order and stops at the least colour class; under a
+matching cap it reads only the capped matchings and is None when they
+do not settle it.
 
 Colours live in {1, 2, 3}, identified with the nonzero elements of
 Z2 x Z2 via 1=(0,1), 2=(1,0), 3=(1,1); the group operation is integer
@@ -25,13 +26,6 @@ from functools import cached_property
 from .graph_core import CubicGraph, GraphError, Multipole, is_bridgeless
 
 COLOURS = (1, 2, 3)
-
-
-def _no_room(limit: int | None) -> bool:
-    """True when ``limit`` asks for nothing; a negative limit is an error."""
-    if limit is not None and limit < 0:
-        raise GraphError(f"limit must not be negative, got {limit}")
-    return limit == 0
 
 
 def is_perfect_matching(g: CubicGraph, edges) -> bool:
@@ -52,22 +46,17 @@ def edge_set(mask: int) -> frozenset[int]:
     return frozenset(e for e, bit in enumerate(format(mask, "b")[::-1]) if bit == "1")
 
 
-def enumerate_perfect_matchings(g: CubicGraph, limit: int | None = None) -> list[frozenset[int]]:
+def enumerate_perfect_matchings(g: CubicGraph) -> list[frozenset[int]]:
     """``perfect_matching_masks`` as edge sets: all perfect matchings,
-    sorted lexicographically by sorted edge list, or the first ``limit``."""
-    return [edge_set(m) for m in perfect_matching_masks(g, limit)]
+    sorted lexicographically by sorted edge list."""
+    return [edge_set(m) for m in perfect_matching_masks(g)]
 
 
-def perfect_matching_masks(g: CubicGraph, limit: int | None = None) -> list[int]:
+def perfect_matching_masks(g: CubicGraph) -> list[int]:
     """All perfect matchings as edge bitmasks (bit e set for edge e),
-    sorted lexicographically by sorted edge list, or with ``limit`` the
-    first ``limit`` of them: the list ``_lex_matchings`` fills."""
-    found: list[int] = []
-    if not _no_room(limit):
-        for _ in _lex_matchings(g, found):
-            if len(found) == limit:
-                break
-    return found
+    sorted lexicographically by sorted edge list: ``GraphFacts.masks``.
+    ``GraphFacts(g, cap).prefix()`` gives the first ``cap`` of them."""
+    return GraphFacts(g).masks
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +75,9 @@ def enumerate_colourings(m: Multipole, limit: int | None = None) -> list[dict[in
     still have a colour left; this cuts dead branches early and never
     changes the order, since it only skips subtrees without colourings.
     """
-    if _no_room(limit):
+    if limit is not None and limit < 0:
+        raise GraphError(f"limit must not be negative, got {limit}")
+    if limit == 0:
         return []
     n = m.vertex_count
     ends = []
@@ -211,15 +202,11 @@ def verify_parity(m: Multipole, colouring: dict[int, int]) -> ParityReport:
     return ParityReport(not bad, tuple(counts), n, msg)
 
 
-def is_snark(g: CubicGraph, *, facts: GraphFacts | None = None) -> bool | None:
+def is_snark(g: CubicGraph) -> bool:
     """Bridgeless (for a cubic graph the same as 2-connected) and not
-    3-edge-colourable; None when ``facts`` carries a matching cap that
-    leaves colourability open."""
-    facts = _facts_for(g, facts)
-    if not facts.bridgeless:
-        return False
-    colourable = facts.colourable
-    return None if colourable is None else not colourable
+    3-edge-colourable."""
+    facts = GraphFacts(g)
+    return facts.bridgeless and not facts.colourable
 
 
 def two_factor_circuits(g: CubicGraph, matching: frozenset[int]) -> list[list[int]]:

@@ -331,14 +331,10 @@ def regular_defect(g: CubicGraph, budget: SearchBudget | None = None,
     return _defect_impl(g, True, budget, facts)
 
 
-def enumerate_optimal_arrays(g: CubicGraph, regular: bool,
-                             target: int | None = None) -> list[ThreeArray]:
+def enumerate_optimal_arrays(g: CubicGraph, regular: bool) -> list[ThreeArray]:
     """Every 3-array (regular ones if requested) attaining the optimum,
-    in lexicographic order, from one scan with no early stop.
-
-    ``target`` is a claimed optimum: if it is not the optimum the result
-    is empty, even when it is above it and arrays attain it.  Graphs with
-    bridges are rejected, as by ``defect``.
+    in lexicographic order, from one scan with no early stop.  Graphs
+    with bridges are rejected, as by ``defect``.
     """
     facts = GraphFacts(g)
     _require_bridgeless(facts)
@@ -347,10 +343,8 @@ def enumerate_optimal_arrays(g: CubicGraph, regular: bool,
         if value != val:
             val, optimal = value, []
         optimal.append(triple)
-    if val is None and target is None:
+    if val is None:
         raise GraphError(f"no optimum to enumerate: {NONE_FOUND!r}")
-    if target is not None and target != val:
-        return []
     return [ThreeArray(tuple(edge_set(facts.masks[x]) for x in t)) for t in optimal]
 
 

@@ -357,8 +357,8 @@ def nz_4flow(g: CubicGraph, removed=(), max_dimension: int = 24) -> GroupFlow | 
     """
     removed = frozenset(removed)
     for e in removed:
-        if not 0 <= e < g.edge_count:
-            raise GraphError(f"removed edge {e} out of range")
+        if not (type(e) is int and 0 <= e < g.edge_count):  # a bool is not an id
+            raise GraphError(f"removed edge {e!r} out of range")
     bad = bridges(g, removed)
     if bad:
         raise GraphError(f"subgraph has bridges {bad}; no nowhere-zero flow exists")

@@ -119,9 +119,11 @@ def test_bad_descriptor_values_are_error_lines():
     code, out, _ = run(["analyze", "--construct", "flower:x",
                         "--construct", "inflate-pair:petersen:0", "--construct", "inflate:petersen",
                         "--construct", "petersen"]
-                       + [arg for desc, _ in numbers for arg in ("--construct", desc)])
+                       + [arg for desc, _ in numbers for arg in ("--construct", desc)]
+                       + ["--construct", "double:double:flower:x",
+                          "--construct", "inflate:double:foo:0"])
     assert code == 1
-    bad_int, short_pair, short_inflate, good, *digit_rule = out.splitlines()
+    bad_int, short_pair, short_inflate, good, *digit_rule, nested, unknown = out.splitlines()
     assert bad_int == ("flower:x: ERROR bad construction descriptor 'flower:x': "
                        "invalid literal for int() with base 10: 'x'")
     assert digit_rule == [f"{desc}: ERROR bad construction descriptor {desc!r}: "
@@ -133,6 +135,17 @@ def test_bad_descriptor_values_are_error_lines():
     assert short_inflate == ("inflate:petersen: ERROR bad construction descriptor "
                              "'inflate:petersen': expected inflate:GRAPH:V")
     assert good.startswith("petersen: girth=5 snark=yes")
+    # a nested error names the whole descriptor once, with the innermost reason
+    assert nested == ("double:double:flower:x: ERROR bad construction descriptor "
+                      "'double:double:flower:x': invalid literal for int() with base 10: 'x'")
+    assert unknown == ("inflate:double:foo:0: ERROR bad construction descriptor "
+                       "'inflate:double:foo:0': unknown construction descriptor 'foo'")
+    # nesting past the recursion limit is an error line too; a matching
+    # cap of 1 keeps the run short were the graph built after all
+    deep = "inflate:" * 1000 + "petersen" + ":0" * 1000
+    code, out, err = run(["analyze", "--construct", deep, "--max-matchings", "1"])
+    assert (code, out, err) == (1, f"{deep}: ERROR bad construction descriptor "
+                                   f"{deep!r}: nested too deeply\n", "")
 
 
 def test_blank_graph6_lines_are_skipped_and_keep_line_numbers(tmp_path):
@@ -1108,6 +1121,48 @@ def test_every_public_parameter_is_read():
                        if p and p.arg not in read]
     assert checked > 100
     assert unread == []
+
+
+def test_every_defaulted_public_parameter_is_passed():
+    """A defaulted parameter of a public function or method that no call
+    in the package or the benchmark passes is an option only tests set.
+    A call counts by the name it calls, its positional count and its
+    keywords.  No program calls nz_4flow or cyclic_edge_connectivity:
+    their gates are the API itself."""
+    sources = sorted(SRC.glob("snarkdefect/*.py")) + sorted(SRC.parent.glob("perfbench/**/*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    passed = {}  # called name -> the positions and keywords some call passes
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                many = any(isinstance(a, ast.Starred) for a in call.args)
+                at = passed.setdefault(name, set())
+                at |= set(range(99 if many else len(call.args)))
+                at |= {k.arg or "**" for k in call.keywords}
+    gates = {"fulkerson.nz_4flow(removed)", "fulkerson.nz_4flow(max_dimension)",
+             "graph_core.cyclic_edge_connectivity(max_vertices)"}
+    unset, checked = [], 0
+    for path, tree in trees.items():
+        if path.parent.name != "snarkdefect":
+            continue
+        methods = [(f"{cls.name}.", node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                   and not cls.name.startswith("_") for node in cls.body]
+        for prefix, fn in [("", node) for node in tree.body] + methods:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name.startswith("_"):
+                continue
+            a = fn.args
+            positional = (a.posonlyargs + a.args)[1 if prefix else 0:]  # a method's self
+            defaulted = [(i, p) for i, p in enumerate(positional)
+                         if i >= len(positional) - len(a.defaults)]
+            defaulted += [(None, p) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            at = passed.get(fn.name, set())
+            for i, p in defaulted:
+                checked += 1
+                if not {i, p.arg, "**"} & at:
+                    unset.append(f"{path.stem}.{prefix}{fn.name}({p.arg})")
+    assert checked > 10
+    assert set(unset) == gates
 
 
 def _capped(argv, cwd):

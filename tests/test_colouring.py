@@ -101,10 +101,8 @@ def test_colourings_match_the_propagating_search(k33, prism, cube, petersen, j5)
 
 def test_colouring_limits(k4):
     assert sd.enumerate_colourings(k4, limit=0) == []
-    assert sd.enumerate_perfect_matchings(k4, limit=0) == []
-    for search in (sd.enumerate_colourings, sd.enumerate_perfect_matchings):
-        with pytest.raises(sd.GraphError, match="negative"):
-            search(k4, limit=-1)
+    with pytest.raises(sd.GraphError, match="negative"):
+        sd.enumerate_colourings(k4, limit=-1)
 
 
 def test_three_edge_colour_on_a_long_prism():
@@ -177,14 +175,16 @@ def test_matching_counts_match_counting_oracle(k33, cube, j5, j7, blanusa1, blan
 
 
 def test_matching_enumeration_limit(petersen):
-    got = sd.enumerate_perfect_matchings(petersen, limit=2)
-    assert [tuple(sorted(m)) for m in got] == PETERSEN_MATCHINGS[:2]
+    got, complete = sd.GraphFacts(petersen, 2).prefix()
+    assert [tuple(sorted(colouring.edge_set(m))) for m in got] == PETERSEN_MATCHINGS[:2]
+    assert not complete
 
 
 def test_enumeration_is_the_search_order_prefix_for_every_limit(
         petersen, k4, k33, theta, dumbbell, prism, cube, j3, j5, j7, blanusa1, blanusa2):
-    """Every ``limit`` gives the first ``limit`` matchings of the full
-    lexicographic list: the unpruned search's matchings, sorted."""
+    """Every cap gives the first ``cap`` matchings of the full
+    lexicographic list, the unpruned search's matchings, sorted, and
+    tells whether they are all."""
     suite = [petersen, k4, k33, theta, dumbbell, prism, cube, j3, j5, j7, blanusa1, blanusa2]
     rng = random.Random(20261018)
     suite += [sd.CubicGraph(n, oracles.random_cubic_edges(rng, n))
@@ -193,8 +193,10 @@ def test_enumeration_is_the_search_order_prefix_for_every_limit(
     for g in suite:
         order = sorted(oracles.search_order_perfect_matchings(g), key=sorted)
         assert sd.enumerate_perfect_matchings(g) == order, g.edges
-        for limit in range(1, len(order) + 2):
-            assert sd.enumerate_perfect_matchings(g, limit) == order[:limit], (g.edges, limit)
+        for cap in range(1, len(order) + 2):
+            masks, complete = sd.GraphFacts(g, cap).prefix()
+            assert [colouring.edge_set(m) for m in masks] == order[:cap], (g.edges, cap)
+            assert complete == (cap >= len(order)), (g.edges, cap)
         loops += any(a == b for a, b in g.edges)
         parallel += len(set(g.edges)) < g.edge_count
         empty += not order
@@ -213,7 +215,7 @@ def _random_multigraphs(seed, count):
 
 def test_mask_kernel_matches_the_pruned_search_it_replaces(petersen, blanusa1, blanusa2):
     """The walk returns the masks of the old pruned search's matchings,
-    sorted, and with ``limit`` the first ``limit`` of them."""
+    sorted, and under a cap the first ``cap`` of them."""
     suite = [petersen, blanusa1, blanusa2, sd.bipartite_double(petersen), sd.parse_graph6(G24)]
     suite += [sd.flower_snark(k) for k in (3, 5, 7, 9)]
     suite += _random_multigraphs(20261019, 304)
@@ -221,9 +223,12 @@ def test_mask_kernel_matches_the_pruned_search_it_replaces(petersen, blanusa1, b
     for g in suite:
         want = [sum(1 << e for e in m)
                 for m in sorted(oracles.search_order_matchings(g), key=sorted)]
-        for limit in (1, 2, 5, 50, None):
-            got = sd.perfect_matching_masks(g, limit)
-            assert got == want[:limit], (g.edges, limit)
+        for cap in (1, 2, 5, 50):
+            masks, complete = sd.GraphFacts(g, cap).prefix()
+            assert masks == want[:cap], (g.edges, cap)
+            assert complete == (cap >= len(want)), (g.edges, cap)
+        got = sd.perfect_matching_masks(g)
+        assert got == want, g.edges
         assert len(got) == oracles.count_perfect_matchings(g.vertex_count, edge_pairs(g))
         assert sd.enumerate_perfect_matchings(g) == [colouring.edge_set(m) for m in got]
         loops += any(a == b for a, b in g.edges)
@@ -346,8 +351,8 @@ def test_graph_facts_prefix_is_kept_per_cap(j5):
     # the one walk, which reads one more to tell that there are others
     facts = sd.GraphFacts(j5, 3)
     three = facts.prefix()
-    assert facts.prefix() == three == (sd.perfect_matching_masks(j5, 3), False)
-    assert facts._seen == sd.perfect_matching_masks(j5, 4)
+    assert facts.prefix() == three == (sd.perfect_matching_masks(j5)[:3], False)
+    assert facts._seen == sd.perfect_matching_masks(j5)[:4]
     assert sd.GraphFacts(j5, 5).prefix()[0] == sd.perfect_matching_masks(j5)[:5]
     with pytest.raises(sd.GraphError, match="at least 1"):
         sd.GraphFacts(j5, 0)
@@ -355,7 +360,7 @@ def test_graph_facts_prefix_is_kept_per_cap(j5):
 
 def test_graph_facts_for_another_graph_are_rejected(petersen, k33):
     facts = sd.GraphFacts(k33)
-    for call in (sd.is_snark, sd.oddness, sd.defect, sd.regular_defect):
+    for call in (sd.oddness, sd.defect, sd.regular_defect):
         with pytest.raises(sd.GraphError, match="different graph"):
             call(petersen, facts=facts)
 
@@ -368,7 +373,7 @@ def test_graph_facts_under_another_cap_are_rejected(petersen):
                       facts=sd.GraphFacts(petersen, facts_cap))
     # a budget with no matching cap reads the facts' own
     assert not sd.regular_defect(petersen, facts=facts).exhaustive
-    assert (sd.oddness(petersen, facts=facts), sd.is_snark(petersen, facts=facts)) == (None, None)
+    assert (sd.oddness(petersen, facts=facts), facts.colourable) == (None, None)
 
 
 # --------------------------------------------------------------------------

@@ -163,18 +163,16 @@ def test_5cycle_scan_on_girth_six_graph_is_empty(j7):
     assert sd.find_non_removable_5cycles(j7) == []
 
 
-def test_5cycle_scan_threads_agree(blanusa2):
-    one = sd.find_non_removable_5cycles(blanusa2)
-    four = sd.find_non_removable_5cycles(blanusa2)
-    assert one == four
-    assert len(one) == 10
+def test_5cycle_scan_of_blanusa2_finds_10(blanusa2):
+    first = sd.find_non_removable_5cycles(blanusa2)
+    assert first == sd.find_non_removable_5cycles(blanusa2)
+    assert len(first) == 10
 
 
-def test_pair_scan_threads_agree(blanusa1):
-    one = sd.find_non_removable_pairs(blanusa1)
-    four = sd.find_non_removable_pairs(blanusa1)
-    assert one == four
-    assert len(one) == 27
+def test_pair_scan_of_blanusa1_finds_27(blanusa1):
+    first = sd.find_non_removable_pairs(blanusa1)
+    assert first == sd.find_non_removable_pairs(blanusa1)
+    assert len(first) == 27
 
 
 # --------------------------------------------------------------------------

@@ -407,7 +407,7 @@ def test_colour_triple_after_a_capped_prefix(cube):
     # a capped prefix taken before the colour triple leaves df and rdf the
     # triple the full list gives
     facts = sd.GraphFacts(cube, 2)
-    assert facts.prefix() == (sd.perfect_matching_masks(cube, 2), False)
+    assert facts.prefix() == (sd.perfect_matching_masks(cube)[:2], False)
     want = sd.ThreeArray.of(*(colouring.edge_set(m) for m in _list_triple(cube)))
     for search in (sd.defect, sd.regular_defect):
         res = search(cube, budget=sd.SearchBudget(max_matchings=2), facts=facts)
@@ -505,7 +505,7 @@ def test_g24_rdf_scans_above_an_irregular_df_witness():
 
 
 # --------------------------------------------------------------------------
-# budgets, threads, determinism
+# budgets, determinism
 # --------------------------------------------------------------------------
 
 def test_budget_truncation_is_reported(petersen, k4):
@@ -623,23 +623,21 @@ def test_analyze_searches_each_matching_cap_once(monkeypatch):
     assert reads == [11]
 
 
-def test_threads_do_not_change_results(petersen, j5):
+def test_repeated_searches_agree(petersen, j5):
     for g in (petersen, j5):
         base = sd.regular_defect(g)
-        for t in (1, 2, 8):
-            again = sd.regular_defect(g)
-            assert again.value == base.value
-            assert witness_lists(again.witness) == witness_lists(base.witness)
-            assert again.exhaustive == base.exhaustive
+        again = sd.regular_defect(g)
+        assert again.value == base.value
+        assert witness_lists(again.witness) == witness_lists(base.witness)
+        assert again.exhaustive == base.exhaustive
 
 
-def test_budgeted_search_ignores_thread_count(petersen):
+def test_repeated_budgeted_searches_agree(petersen):
     budget = sd.SearchBudget(max_triples=5)
     base = sd.defect(petersen, budget=budget)
-    for t in (2, 8):
-        again = sd.defect(petersen, budget=budget)
-        assert (again.value, witness_lists(again.witness)) == \
-            (base.value, witness_lists(base.witness))
+    again = sd.defect(petersen, budget=budget)
+    assert (again.value, witness_lists(again.witness)) == \
+        (base.value, witness_lists(base.witness))
 
 
 # --------------------------------------------------------------------------
@@ -659,19 +657,14 @@ def test_enumerate_optimal_arrays_petersen(petersen):
     assert keys == sorted(keys)
 
 
-def test_enumerate_optimal_arrays_k4(k4):
+def test_enumerate_optimal_arrays_k4(k4, dumbbell):
     regular = sd.enumerate_optimal_arrays(k4, regular=True)
     anykind = sd.enumerate_optimal_arrays(k4, regular=False)
     assert len(regular) == len(anykind) == 1
     # the three colour classes, nothing else, cover K4 perfectly
     assert witness_lists(regular[0]) == [[0, 5], [1, 4], [2, 3]]
-
-
-def test_enumerate_optimal_arrays_explicit_target(petersen):
-    assert len(sd.enumerate_optimal_arrays(petersen, regular=True, target=3)) == 20
-    # Petersen matchings pairwise share one edge: 4 uncovered is unreachable
-    assert sd.enumerate_optimal_arrays(petersen, regular=True, target=4) == []
-    assert sd.enumerate_optimal_arrays(petersen, regular=True, target=2) == []
+    with pytest.raises(sd.GraphError, match="bridge"):
+        sd.enumerate_optimal_arrays(dumbbell, regular=False)
 
 
 @pytest.mark.parametrize("regular", [False, True])
@@ -694,19 +687,11 @@ def test_enumerate_optimal_arrays_matches_brute_force(theta, k4, k33, prism, cub
         assert [[list(t) for t in a.sorted_lists()] for a in got] == want, g.edges
 
 
-def test_enumerate_optimal_arrays_target_is_a_claimed_optimum(k4, dumbbell):
-    assert len(sd.enumerate_optimal_arrays(k4, regular=False, target=0)) == 1
-    # arrays leaving two edges uncovered exist, but 2 is not the optimum
-    assert sd.enumerate_optimal_arrays(k4, regular=False, target=2) == []
-    with pytest.raises(sd.GraphError, match="bridge"):
-        sd.enumerate_optimal_arrays(dumbbell, regular=False, target=0)
-
-
-def test_enumerate_optimal_arrays_threads_agree(j5):
-    one = sd.enumerate_optimal_arrays(j5, regular=True)
-    four = sd.enumerate_optimal_arrays(j5, regular=True)
-    assert len(one) == 80
-    assert [witness_lists(a) for a in one] == [witness_lists(a) for a in four]
+def test_enumerate_optimal_arrays_j5_has_80(j5):
+    first = sd.enumerate_optimal_arrays(j5, regular=True)
+    again = sd.enumerate_optimal_arrays(j5, regular=True)
+    assert len(first) == 80
+    assert [witness_lists(a) for a in first] == [witness_lists(a) for a in again]
 
 
 # --------------------------------------------------------------------------

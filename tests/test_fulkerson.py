@@ -394,12 +394,17 @@ def test_nz_4flow_equivalent_to_colourability(theta, k4, k33, prism, cube,
         assert (sd.nz_4flow(g) is not None) == (sd.three_edge_colour(g) is not None)
 
 
-def test_nz_4flow_rejects_bridgy_subgraph(petersen):
+def test_nz_4flow_rejects_bridgy_subgraph(petersen, k4):
     # cutting two of vertex 0's edges leaves the third as a bridge
     with pytest.raises(sd.GraphError, match="bridge"):
         sd.nz_4flow(petersen, removed=(0, 1))
     with pytest.raises(sd.GraphError, match="^removed edge 15 out of range$"):
         sd.nz_4flow(petersen, removed=(15,))
+    # edge ids are ints: 1.5 would remove nothing, True would alias edge 1
+    with pytest.raises(sd.GraphError, match=r"^removed edge 1\.5 out of range$"):
+        sd.nz_4flow(k4, removed=(1.5,))
+    with pytest.raises(sd.GraphError, match="^removed edge True out of range$"):
+        sd.nz_4flow(petersen, removed=(True,))
 
 
 def test_nz_4flow_dimension_gate(petersen):
