@@ -667,6 +667,26 @@ def test_enumerate_optimal_arrays_k4(k4, dumbbell):
         sd.enumerate_optimal_arrays(dumbbell, regular=False)
 
 
+def test_enumerate_optimal_arrays_explicit_target(petersen):
+    # the optimum the enumeration settles on is the regular defect:
+    # Petersen matchings pairwise share one edge, so no array leaves 4
+    # uncovered, and none of the 20 optima leaves 2
+    arrays = sd.enumerate_optimal_arrays(petersen, regular=True)
+    assert len(arrays) == 20
+    assert sd.regular_defect(petersen).value == 3
+    assert {sd.coverage(petersen, arr).counts[0] for arr in arrays} == {3}
+
+
+def test_enumerate_optimal_arrays_target_is_a_claimed_optimum(k4, dumbbell):
+    # arrays leaving two edges uncovered exist, but only the optimum 0 is listed
+    arrays = sd.enumerate_optimal_arrays(k4, regular=False)
+    assert len(arrays) == 1
+    assert sd.defect(k4).value == 0
+    assert sd.coverage(k4, arrays[0]).counts[0] == 0
+    with pytest.raises(sd.GraphError, match="bridge"):
+        sd.enumerate_optimal_arrays(dumbbell, regular=False)
+
+
 @pytest.mark.parametrize("regular", [False, True])
 def test_enumerate_optimal_arrays_matches_brute_force(theta, k4, k33, prism, cube, petersen,
                                                       j3, regular):
