@@ -21,7 +21,7 @@ import time
 from . import certificates as certs
 from .colouring import GraphFacts, oddness
 from .constructions import flower_snark, inflate_pair_theorem_check, inflate_to_triangle, petersen
-from .defect_engine import BudgetError, SearchBudget, defect, regular_defect
+from .defect_engine import BudgetError, defect, regular_defect
 from .fulkerson import find_cover
 from .graph_core import (
     CubicGraph,
@@ -121,15 +121,12 @@ def iter_inputs(args):
             yield args.edge_list, GraphError(f"parse error: {exc}")
     for desc in args.construct or ():
         try:
-            yield desc, build_descriptor(desc)
+            g = build_descriptor(desc)
         except GraphError as exc:
-            yield desc, exc
-
-
-def budget_from(args) -> SearchBudget | None:
-    if args.max_matchings is None and args.max_triples is None:
-        return None
-    return SearchBudget(args.max_matchings, args.max_triples)
+            g = exc
+        except MemoryError:  # yielded outside the handler, so the partial graph is freed
+            g = GraphError("out of memory")
+        yield desc, g
 
 
 def _defect_word(sec: dict) -> str:
@@ -137,13 +134,14 @@ def _defect_word(sec: dict) -> str:
     return f"{v}" + ("" if sec["exhaustive"] else "?")
 
 
-def analyze_graph(g: CubicGraph, budget) -> tuple[dict, bool]:
-    """The analyze result and whether it is exact."""
-    facts = GraphFacts(g, budget.max_matchings if budget else None)
-    d = defect(g, budget=budget, facts=facts)
-    r = regular_defect(g, budget=budget, facts=facts)
-    res = certs.analyze_json(g, oddness(g, facts=facts), d, r)
-    return res, certs.result_exact("analyze", res)
+def analyze_graph(g: CubicGraph, max_matchings: int | None = None,
+                  max_triples: int | None = None) -> dict:
+    """The analyze result, reading at most ``max_matchings`` matchings
+    and inspecting at most ``max_triples`` triples per search."""
+    facts = GraphFacts(g, max_matchings)
+    d = defect(g, max_triples, facts=facts)
+    r = regular_defect(g, max_triples, facts=facts)
+    return certs.analyze_json(g, oddness(g, facts=facts), d, r)
 
 
 def _human_analyze(src: str, res: dict, cert: dict) -> str:
@@ -225,8 +223,9 @@ def _run_batch(args, command: str, per_graph, human) -> int:
 
 
 def cmd_analyze(args) -> int:
-    budget = budget_from(args)
-    return _run_batch(args, "analyze", lambda g: analyze_graph(g, budget)[0], _human_analyze)
+    return _run_batch(args, "analyze",
+                      lambda g: analyze_graph(g, args.max_matchings, args.max_triples),
+                      _human_analyze)
 
 
 def _load_cover_members(path: str):

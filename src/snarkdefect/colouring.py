@@ -28,6 +28,17 @@ from .graph_core import CubicGraph, GraphError, Multipole, is_bridgeless
 COLOURS = (1, 2, 3)
 
 
+def _check_budget(name: str, value, least: int) -> None:
+    """A search budget is None (unlimited) or an int, as a vertex id is
+    (a bool is not one), of at least ``least``."""
+    if value is None:
+        return
+    if type(value) is not int:
+        raise GraphError(f"{name} {value!r} is not an int")
+    if value < least:
+        raise GraphError(f"{name} must be at least {least}")
+
+
 def is_perfect_matching(g: CubicGraph, edges) -> bool:
     """Every vertex covered exactly once by edges of g; loops never
     qualify, nor do ids that are not edges of g (a bool is not an id)."""
@@ -355,15 +366,15 @@ class GraphFacts:
     colourability read at most its first ``cap`` matchings, and one more
     tells whether there are others.  When the cap cuts the walk off
     before oddness is settled, oddness and colourability are None.  A
-    cap below 1 is an error.
+    cap below 1, or not an int, is an error.  The functions that take
+    ``facts=`` read this cap, and fresh facts have none.
 
     Create one per graph and hand it to the functions that accept
     ``facts=``; nothing is cached beyond the object's own lifetime.
     """
 
     def __init__(self, g: CubicGraph, cap: int | None = None):
-        if cap is not None and cap < 1:
-            raise GraphError("max_matchings must be at least 1")
+        _check_budget("max_matchings", cap, 1)
         self.graph = g
         self.cap = cap
         self._seen: list[int] = []  # the walk's matchings so far, filled by the walk
@@ -463,17 +474,14 @@ class GraphFacts:
         return None if odd is None else odd == 0
 
 
-def _facts_for(g: CubicGraph, facts: GraphFacts | None,
-               cap: int | None = None) -> GraphFacts:
-    """The caller's facts for g, or fresh ones under the matching cap
-    ``cap``; facts about another graph, or under another cap, are an
-    error, not a silent wrong answer."""
+def _facts_for(g: CubicGraph, facts: GraphFacts | None) -> GraphFacts:
+    """The caller's facts for g, with their matching cap, or fresh ones
+    with none; facts about another graph are an error, not a silent
+    wrong answer."""
     if facts is None:
-        return GraphFacts(g, cap)
+        return GraphFacts(g)
     if facts.graph is not g:
         raise GraphError("facts= was built for a different graph")
-    if cap not in (None, facts.cap):
-        raise GraphError(f"facts= was built for a matching cap of {facts.cap}, not {cap}")
     return facts
 
 

@@ -9,8 +9,9 @@ Search contract
 
 Matchings are listed at most once, in lexicographic order, by the one
 walk of the graph's ``GraphFacts``, and only as far as a search needs
-them: a matching cap takes the first ``max_matchings`` of that list,
-and colourability and oddness then read no further.
+them.  The matching cap is the facts' own, ``GraphFacts(g, cap)``: a
+search reads the first ``cap`` matchings of that list, and
+colourability and oddness then read no further.
 
 A graph known to be colourable has df = rdf = 0, exact under any
 budget, witnessed by the least triple of matchings that partitions the
@@ -38,14 +39,14 @@ too, because df and rdf scan the same prefix in the same order.  An
 irregular witness leaves df as the rdf scan's lower bound.
 
 The scan runs on one thread, so a triple budget's cutoff point is
-reproducible; a negative budget is an input error.
+reproducible; a negative or non-int budget is an input error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .colouring import GraphFacts, _facts_for, edge_set, is_perfect_matching
+from .colouring import GraphFacts, _check_budget, _facts_for, edge_set, is_perfect_matching
 from .graph_core import CubicGraph, GraphError, _Sentinel, bridges, girth
 
 
@@ -57,14 +58,6 @@ class BudgetError(GraphError):
 UNKNOWN = _Sentinel("UNKNOWN")
 #: Exhaustive search proved that no regular 3-array exists at all.
 NONE_FOUND = _Sentinel("NONE_FOUND")
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Caps for defect searches; None means unlimited."""
-
-    max_matchings: int | None = None
-    max_triples: int | None = None
 
 
 def _canonical_order(members) -> list[frozenset[int]]:
@@ -269,13 +262,11 @@ def _require_bridgeless(facts: GraphFacts) -> None:
                          f"(found {bridges(facts.graph) or 'disconnected'})")
 
 
-def _defect_impl(g: CubicGraph, regular: bool, budget: SearchBudget | None,
+def _defect_impl(g: CubicGraph, regular: bool, max_triples: int | None,
                  facts: GraphFacts | None) -> DefectResult:
-    facts = _facts_for(g, facts, budget.max_matchings if budget else None)
+    facts = _facts_for(g, facts)
     _require_bridgeless(facts)
-    mt = budget.max_triples if budget else None
-    if mt is not None and mt < 0:
-        raise GraphError("max_triples must be at least 0")
+    _check_budget("max_triples", max_triples, 0)
     if facts.colourable:  # the least partition into colour classes, in order
         return DefectResult(0, ThreeArray(tuple(map(edge_set, facts._colour_triple))),
                             True, regular)
@@ -291,7 +282,7 @@ def _defect_impl(g: CubicGraph, regular: bool, budget: SearchBudget | None,
     masks, complete = facts.prefix()
     best = None  # (value, (i, j, k)): the first triple at the least value
     scanned_all = True
-    for hit in _scan(masks, g.edge_count, g.vertex_count // 2, regular, mt):
+    for hit in _scan(masks, g.edge_count, g.vertex_count // 2, regular, max_triples):
         if hit is None:
             scanned_all = False
             break
@@ -315,20 +306,21 @@ def _defect_impl(g: CubicGraph, regular: bool, budget: SearchBudget | None,
     return res
 
 
-def defect(g: CubicGraph, budget: SearchBudget | None = None,
+def defect(g: CubicGraph, max_triples: int | None = None,
            *, facts: GraphFacts | None = None) -> DefectResult:
-    """df(g): minimum uncovered count over all 3-arrays, with witness.
+    """df(g): minimum uncovered count over all 3-arrays, with witness,
+    inspecting at most ``max_triples`` triples (None: no limit).
 
     ``facts`` shares one matching enumeration with other calls on the
-    same graph.
+    same graph, and carries the matching cap.
     """
-    return _defect_impl(g, False, budget, facts)
+    return _defect_impl(g, False, max_triples, facts)
 
 
-def regular_defect(g: CubicGraph, budget: SearchBudget | None = None,
+def regular_defect(g: CubicGraph, max_triples: int | None = None,
                    *, facts: GraphFacts | None = None) -> DefectResult:
     """rdf(g): as defect but restricted to regular 3-arrays."""
-    return _defect_impl(g, True, budget, facts)
+    return _defect_impl(g, True, max_triples, facts)
 
 
 def enumerate_optimal_arrays(g: CubicGraph, regular: bool) -> list[ThreeArray]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .colouring import GraphFacts, edge_set
+from .colouring import GraphFacts, _check_budget, edge_set
 from .defect_engine import (NONE_FOUND, BudgetError, ThreeArray, _canonical_order,
                             _member_multiplicities, coverage)
 from .fano_flow import FlowCheck
@@ -94,13 +94,12 @@ def find_cover(g: CubicGraph, max_matchings: int | None = None,
     NONE_FOUND means the space was exhausted; running out of
     ``max_nodes`` (or the matching cap) raises BudgetError instead,
     because a truncated search cannot certify absence.  A negative
-    ``max_nodes`` is an input error.
+    ``max_nodes``, or one that is not an int, is an input error.
     """
     facts = GraphFacts(g, max_matchings)
     if not facts.bridgeless:
         raise GraphError("Fulkerson covers are defined for bridgeless graphs")
-    if max_nodes is not None and max_nodes < 0:
-        raise GraphError("max_nodes must be at least 0")
+    _check_budget("max_nodes", max_nodes, 0)
     masks, complete = facts.prefix()
     if not complete:
         raise BudgetError(f"more than {max_matchings} perfect matchings")

@@ -13,8 +13,8 @@ from snarkdefect.cli import analyze_graph, build_descriptor, main
 
 
 def fresh_cert(g, source="petersen"):
-    res, exact = analyze_graph(g, None)
-    return ce.make_certificate("analyze", source, g, res, exact, None)
+    res = analyze_graph(g)
+    return ce.make_certificate("analyze", source, g, res, ce.result_exact("analyze", res), None)
 
 
 def reparse(cert):
@@ -110,7 +110,8 @@ def test_forged_defect_claims_are_caught(source, key, tamper, problem):
 def test_open_oddness_verifies_only_beside_inexact_searches(petersen):
     # a matching cap that cuts the walk off leaves oddness, colourability
     # and snark status null, and then no df or rdf is exhaustive
-    res, exact = analyze_graph(petersen, sd.SearchBudget(max_matchings=3))
+    res = analyze_graph(petersen, 3)
+    exact = ce.result_exact("analyze", res)
     cert = reparse(ce.make_certificate("analyze", "petersen", petersen, res, exact, None))
     assert (res["oddness"], res["colourable"], res["snark"], exact) == (None, None, None, False)
     assert ce.verify_certificate(cert) == []

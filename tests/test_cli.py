@@ -228,11 +228,11 @@ def test_running_out_of_memory_is_an_error_certificate(monkeypatch):
     analyze = cli.analyze_graph
     seen = []
 
-    def first_runs_out(g, budget):
+    def first_runs_out(g, max_matchings, max_triples):
         seen.append(g)
         if len(seen) == 1:
             raise MemoryError
-        return analyze(g, budget)
+        return analyze(g, max_matchings, max_triples)
 
     monkeypatch.setattr(cli, "analyze_graph", first_runs_out)
     argv = ["analyze", "--construct", "flower:5", "--construct", "petersen"]
@@ -320,7 +320,7 @@ def test_analyze_enumerates_once_and_never_backtracks(monkeypatch):
     edge_sets = _count_calls(monkeypatch, colouring.enumerate_perfect_matchings)
     colourings = _count_calls(monkeypatch, colouring.three_edge_colour)
     for g in graphs:
-        cli.analyze_graph(g, None)
+        cli.analyze_graph(g)
     # one walk each: it lists a snark's matchings, and stops at the least
     # colour class of double:petersen
     assert walks == graphs and enumerations == []
@@ -340,7 +340,7 @@ def test_analyze_refuses_a_bridge_after_one_matching(monkeypatch):
     from test_certificates import bridged
     reads = counted_walks(monkeypatch)
     with pytest.raises(sd.GraphError, match="undefined for graphs with bridges"):
-        cli.analyze_graph(bridged(), None)
+        cli.analyze_graph(bridged())
     assert reads == [1]
 
 def test_each_value_is_checked_once(monkeypatch, tmp_path):
@@ -1036,7 +1036,7 @@ def test_import_footprint_is_pinned():
     assert imported - {"snarkdefect"} == {
         "__future__", "argparse", "dataclasses", "functools", "hashlib", "itertools", "json",
         "os", "re", "sys", "time", "typing", "warnings"}
-    assert dataclasses == 16
+    assert dataclasses == 15
 
 
 def test_no_text_reader_splits_lines_at_other_breaks():
@@ -1165,11 +1165,38 @@ def test_every_defaulted_public_parameter_is_passed():
     assert set(unset) == gates
 
 
-def _capped(argv, cwd):
-    """Run ``python`` with argv in a child limited to 1 GB of address
-    space and a minute of wall time: (exit code, stdout, its CPU seconds)."""
+def test_no_search_takes_a_matching_cap_beside_its_facts():
+    """A search's matching cap is the cap of its ``GraphFacts``: no public
+    function or method that takes ``facts`` takes a cap too, and no
+    dataclass carries one, so a cap cannot be set in two places."""
+    both, fields, checked = [], [], 0
+    for path in sorted(SRC.glob("snarkdefect/*.py")):
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        classes = [node for node in body if isinstance(node, ast.ClassDef)]
+        methods = [(f"{cls.name}.", node) for cls in classes
+                   if not cls.name.startswith("_") for node in cls.body]
+        for prefix, fn in [("", node) for node in body] + methods:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name.startswith("_"):
+                continue
+            a = fn.args
+            params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+            checked += "facts" in params
+            if "facts" in params and params & {"cap", "max_matchings"}:
+                both.append(f"{path.stem}.{prefix}{fn.name}")
+        fields += [f"{path.stem}.{cls.name}" for cls in classes
+                   if any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+                   for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
+                   and getattr(stmt.target, "id", None) == "max_matchings"]
+    assert checked >= 3  # oddness, defect, regular_defect
+    assert (both, fields) == ([], [])
+
+
+def _capped(argv, cwd, address_space=1 << 30):
+    """Run ``python`` with argv in a child limited to ``address_space``
+    bytes (1 GB) and a minute of wall time: (exit code, stdout, its CPU
+    seconds)."""
     def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run([sys.executable, *argv], cwd=cwd, env=_fresh_env(), preexec_fn=limit,
@@ -1235,7 +1262,21 @@ def test_oddness_reaches_a_bipartite_double_of_a_double():
                               "print(g.vertex_count, sd.oddness(g), sd.is_snark(g))"], None)
     assert (code, out, cpu < 2.0) == (0, "144 0 False\n", True)
     with pytest.raises(sd.GraphError, match="found disconnected"):
-        cli.analyze_graph(cli.build_descriptor("double:double:flower:9"), None)
+        cli.analyze_graph(cli.build_descriptor("double:double:flower:9"))
+
+
+def test_a_descriptor_too_large_to_build_is_an_error_certificate(tmp_path):
+    # double: x 20 + petersen has about 10 million vertices; building it
+    # ended in a MemoryError traceback from CubicGraph.__init__.  In a
+    # 200 MB address space it runs out in about 1.5 s of CPU, and the
+    # batch goes on to the next input
+    desc = "double:" * 20 + "petersen"
+    code, out, cpu = _capped(["-m", "snarkdefect.cli", "analyze", "--construct", desc,
+                              "--construct", "petersen", "--json"], tmp_path, 200 << 20)
+    assert code == 1 and cpu < 5.0
+    first, second = map(json.loads, out.splitlines())
+    assert first == certificates.error_certificate("analyze", desc, "out of memory")
+    assert second["source"] == "petersen" and second["result"]["df"]["value"] == 3
 
 
 def test_warm_call_prints_what_a_fresh_process_prints(monkeypatch, tmp_path):

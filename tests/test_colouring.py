@@ -365,13 +365,8 @@ def test_graph_facts_for_another_graph_are_rejected(petersen, k33):
             call(petersen, facts=facts)
 
 
-def test_graph_facts_under_another_cap_are_rejected(petersen):
+def test_searches_read_the_cap_of_their_facts(petersen):
     facts = sd.GraphFacts(petersen, 3)
-    for cap, facts_cap in ((4, 3), (3, None)):
-        with pytest.raises(sd.GraphError, match=f"matching cap of {facts_cap}, not {cap}"):
-            sd.defect(petersen, budget=sd.SearchBudget(max_matchings=cap),
-                      facts=sd.GraphFacts(petersen, facts_cap))
-    # a budget with no matching cap reads the facts' own
     assert not sd.regular_defect(petersen, facts=facts).exhaustive
     assert (sd.oddness(petersen, facts=facts), facts.colourable) == (None, None)
 

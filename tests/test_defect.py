@@ -213,7 +213,7 @@ def test_df_and_rdf_keep_one_witness_not_every_optimum():
 
 # a triple budget that never runs out: a colourable graph's df and rdf
 # are its colour triple under it, as under no budget
-SCAN = sd.SearchBudget(max_triples=10 ** 12)
+SCAN = 10 ** 12
 
 
 def test_the_least_colour_class_is_walked_once(monkeypatch, k33, cube):
@@ -257,7 +257,7 @@ def test_colour_triple_matches_the_scan(theta, k4, k33, prism, cube):
         assert triple == tuple(facts.masks[x] for x in zero), g.edges
         want = sd.ThreeArray.of(*(colouring.edge_set(facts.masks[x]) for x in zero))
         for search in (sd.defect, sd.regular_defect):
-            direct, scanned = search(g), search(g, budget=SCAN)
+            direct, scanned = search(g), search(g, SCAN)
             assert (direct.value, direct.witness, direct.exhaustive) == \
                 (scanned.value, scanned.witness, scanned.exhaustive) == (0, want, True), g.edges
     assert walked == len(suite)  # every triple came from the walk, none from the list
@@ -345,7 +345,8 @@ def test_walk_past_64_two_factors_keeps_its_certificates(monkeypatch):
             assert facts._colour_triple == _list_triple(g)
         else:
             assert facts.masks == sd.perfect_matching_masks(g)
-        res, exact = cli.analyze_graph(g, None)
+        res = cli.analyze_graph(g)
+        exact = certificates.result_exact("analyze", res)
         text = certificates.dump_certificate(
             certificates.make_certificate("analyze", name, g, res, exact, None))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, name
@@ -386,8 +387,7 @@ def test_budgeted_certificates_are_unchanged(cube):
     # alone gave them: --max-matchings 1, 2, 7 and --max-triples 1, 5, 40.
     # Each budget leaves double:petersen and the cube their colour triple,
     # so theirs are six copies of the unbudgeted certificate
-    budgets = [sd.SearchBudget(max_matchings=m) for m in (1, 2, 7)] + \
-              [sd.SearchBudget(max_triples=t) for t in (1, 5, 40)]
+    budgets = [(m, None) for m in (1, 2, 7)] + [(None, t) for t in (1, 5, 40)]
     for name, g, digest in (
             ("double:petersen", cli.build_descriptor("double:petersen"),
              "2f3d95f4c261ae1cddc18d26711e7f18f3f9095150f368675f4f793a981c76ae"),
@@ -397,7 +397,8 @@ def test_budgeted_certificates_are_unchanged(cube):
              "cbf45ea80e652af844e1d57733a76c9d088c65831e533e25255f28971c18d0f2")):
         lines = []
         for budget in budgets:
-            res, exact = cli.analyze_graph(g, budget)
+            res = cli.analyze_graph(g, *budget)
+            exact = certificates.result_exact("analyze", res)
             lines.append(certificates.dump_certificate(
                 certificates.make_certificate("analyze", name, g, res, exact, None)))
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest, name
@@ -410,7 +411,7 @@ def test_colour_triple_after_a_capped_prefix(cube):
     assert facts.prefix() == (sd.perfect_matching_masks(cube)[:2], False)
     want = sd.ThreeArray.of(*(colouring.edge_set(m) for m in _list_triple(cube)))
     for search in (sd.defect, sd.regular_defect):
-        res = search(cube, budget=sd.SearchBudget(max_matchings=2), facts=facts)
+        res = search(cube, facts=facts)
         assert (res.value, res.exhaustive, res.witness) == (0, True, want)
 
 
@@ -420,9 +421,8 @@ def test_triple_budget_keeps_the_colour_triple_on_colourable_graphs():
     g = cli.build_descriptor("double:petersen")
     want = sd.defect(g).witness
     for triples in (0, 1, 5, 40, 1000):
-        budget = sd.SearchBudget(max_triples=triples)
         for search in (sd.defect, sd.regular_defect):
-            res = search(g, budget=budget)
+            res = search(g, triples)
             assert (res.value, res.exhaustive, res.witness) == (0, True, want)
 
 
@@ -430,9 +430,10 @@ def test_analyze_reaches_double_flower_7():
     # 20,760 matchings; the scan took about 3 s to reach the partition
     g = cli.build_descriptor("double:flower:7")
     start = time.process_time()
-    res, exact = cli.analyze_graph(g, None)
+    res = cli.analyze_graph(g)
     assert time.process_time() - start < 1.5
-    assert exact and (res["df"]["value"], res["rdf"]["value"]) == (0, 0)
+    assert certificates.result_exact("analyze", res)
+    assert (res["df"]["value"], res["rdf"]["value"]) == (0, 0)
 
 
 def test_rdf_stops_at_an_exact_df(monkeypatch):
@@ -448,8 +449,9 @@ def test_rdf_stops_at_an_exact_df(monkeypatch):
         return res
 
     monkeypatch.setattr(cli, "regular_defect", timed)
-    res, exact = cli.analyze_graph(g, None)
+    res = cli.analyze_graph(g)
     assert spent[0] < 0.1  # 0.3 s when the scan ran to its end
+    exact = certificates.result_exact("analyze", res)
     text = certificates.dump_certificate(
         certificates.make_certificate("analyze", "ring4", g, res, exact, None))
     assert hashlib.sha256(text.encode()).hexdigest() == \
@@ -460,12 +462,11 @@ def test_exact_df_makes_a_budgeted_rdf_exact():
     # the declared change: a triple budget that reaches rdf's witness but
     # not the end of the scan gives an exact rdf once df is exact
     g = petersen_ring(2)
-    budget = sd.SearchBudget(max_triples=100)
-    alone = sd.regular_defect(g, budget=budget)
+    alone = sd.regular_defect(g, 100)
     assert (alone.value, alone.exhaustive) == (6, False)
     facts = sd.GraphFacts(g)
     assert sd.defect(g, facts=facts).value == 6
-    after = sd.regular_defect(g, budget=budget, facts=facts)
+    after = sd.regular_defect(g, 100, facts=facts)
     assert (after.value, after.exhaustive, after.witness) == (6, True, alone.witness)
 
 
@@ -509,14 +510,14 @@ def test_g24_rdf_scans_above_an_irregular_df_witness():
 # --------------------------------------------------------------------------
 
 def test_budget_truncation_is_reported(petersen, k4):
-    res = sd.defect(petersen, budget=sd.SearchBudget(max_triples=5))
+    res = sd.defect(petersen, 5)
     assert res.value == 6
     assert not res.exhaustive
     assert res.status == "UPPER_BOUND"
     # K4's first matching is a colour class, so a cap of 1 settles it
-    res = sd.defect(k4, budget=sd.SearchBudget(max_matchings=1))
+    res = sd.defect(k4, facts=sd.GraphFacts(k4, 1))
     assert (res.value, res.exhaustive) == (0, True)
-    res = sd.defect(petersen, budget=sd.SearchBudget(max_matchings=1))
+    res = sd.defect(petersen, facts=sd.GraphFacts(petersen, 1))
     assert res.value == 10  # one matching repeated thrice covers five edges
     assert not res.exhaustive
 
@@ -524,15 +525,15 @@ def test_budget_truncation_is_reported(petersen, k4):
 def test_budget_with_lower_bound_hit_stays_exact(petersen, cube):
     # a cap that reaches the least colour class proves colourability, and
     # df is the colour triple's 0: the cube has 9 matchings
-    res = sd.defect(cube, budget=sd.SearchBudget(max_matchings=7))
+    res = sd.defect(cube, facts=sd.GraphFacts(cube, 7))
     assert (res.value, res.exhaustive, res.status) == (0, True, "EXACT")
     # a snark cannot go below 3, but 3 matchings of Petersen's 6 do not
     # settle its oddness: 3 is then an upper bound
-    res = sd.defect(petersen, budget=sd.SearchBudget(max_matchings=3))
+    res = sd.defect(petersen, facts=sd.GraphFacts(petersen, 3))
     assert (res.value, res.exhaustive, res.status) == (3, False, "UPPER_BOUND")
     # once oddness is known, it is proof
     facts = sd.GraphFacts(petersen, 6)
-    res = sd.defect(petersen, budget=sd.SearchBudget(max_matchings=6), facts=facts)
+    res = sd.defect(petersen, facts=facts)
     assert (facts.oddness, res.value, res.exhaustive) == (2, 3, True)
 
 
@@ -540,7 +541,7 @@ def test_matching_cap_on_colourable_graph_enumerates_only_the_prefix(monkeypatch
     # an all-even 2-factor among the capped matchings proves colourability,
     # so the capped search reads no matching past it: the cube's first
     reads = counted_walks(monkeypatch)
-    sd.defect(cube, budget=sd.SearchBudget(max_matchings=2))
+    sd.defect(cube, facts=sd.GraphFacts(cube, 2))
     assert reads == [1]
 
 
@@ -554,15 +555,11 @@ def _late_colour_class():
 # sha256 of the late graph's certificates under caps that stop before its
 # least colour class: oddness stays open, so df and rdf scan the capped
 # prefix, and the certificates are those the scan gave for every budget
-BELOW_THE_LEAST_CLASS = {
-    sd.SearchBudget(max_matchings=1):
-        "89238b13359b94a1f4dcc4680b0634088023f7646d19fde5220f060a91da2477",
-    sd.SearchBudget(max_matchings=2):
-        "7cff31ae7cfb500ec739a8f6d447f5873c8b57342040ddbc7924d28ad475471c",
-    sd.SearchBudget(max_matchings=1, max_triples=0):
-        "a5bf48ca1f29ba0767e3b2855bfa6bb9e47d2aed5d204485461650ba8ec5a5cd",
-    sd.SearchBudget(max_matchings=2, max_triples=5):
-        "7cff31ae7cfb500ec739a8f6d447f5873c8b57342040ddbc7924d28ad475471c",
+BELOW_THE_LEAST_CLASS = {  # (matching cap, triple budget): digest
+    (1, None): "89238b13359b94a1f4dcc4680b0634088023f7646d19fde5220f060a91da2477",
+    (2, None): "7cff31ae7cfb500ec739a8f6d447f5873c8b57342040ddbc7924d28ad475471c",
+    (1, 0): "a5bf48ca1f29ba0767e3b2855bfa6bb9e47d2aed5d204485461650ba8ec5a5cd",
+    (2, 5): "7cff31ae7cfb500ec739a8f6d447f5873c8b57342040ddbc7924d28ad475471c",
 }
 
 
@@ -583,23 +580,24 @@ def test_budgets_keep_the_colour_triple(monkeypatch, request, name):
                      if not sum(len(c) & 1 for c in colouring._circuits(g, m)))
 
     def cert(budget):
-        res, exact = cli.analyze_graph(g, budget)
+        res = cli.analyze_graph(g, *budget)
+        exact = certificates.result_exact("analyze", res)
         text = certificates.dump_certificate(
             certificates.make_certificate("analyze", name, g, res, exact, None))
         return exact, text
 
-    want = cert(None)
+    want = cert((None, None))
     assert want[0]
     caps = sorted({*range(first, first + 64), len(masks), len(masks) + 1})
-    budgets = [sd.SearchBudget(max_triples=t) for t in (0, 1, 5, 50)]
-    budgets += [sd.SearchBudget(max_matchings=c) for c in caps]
-    budgets += [sd.SearchBudget(max_matchings=first, max_triples=0)]
+    budgets = [(None, t) for t in (0, 1, 5, 50)]
+    budgets += [(c, None) for c in caps]
+    budgets += [(first, 0)]
     reads = counted_walks(monkeypatch)
     for budget in budgets:
         assert cert(budget) == want, budget
     assert reads == [first] * len(budgets)
     below = BELOW_THE_LEAST_CLASS if name == "late" else {}
-    assert {b.max_matchings for b in below} == set(range(1, first))
+    assert {cap for cap, _ in below} == set(range(1, first))
     for budget, digest in below.items():
         exact, text = cert(budget)
         assert not exact
@@ -609,7 +607,7 @@ def test_budgets_keep_the_colour_triple(monkeypatch, request, name):
 def test_matching_cap_holding_every_matching_enumerates_once(monkeypatch, petersen):
     # the capped prefix is the whole list, so colourability reuses it
     reads = counted_walks(monkeypatch)
-    res = sd.defect(petersen, budget=sd.SearchBudget(max_matchings=6))
+    res = sd.defect(petersen, facts=sd.GraphFacts(petersen, 6))
     assert reads == [6]
     assert (res.value, res.exhaustive) == (3, True)
 
@@ -633,9 +631,8 @@ def test_repeated_searches_agree(petersen, j5):
 
 
 def test_repeated_budgeted_searches_agree(petersen):
-    budget = sd.SearchBudget(max_triples=5)
-    base = sd.defect(petersen, budget=budget)
-    again = sd.defect(petersen, budget=budget)
+    base = sd.defect(petersen, 5)
+    again = sd.defect(petersen, 5)
     assert (again.value, witness_lists(again.witness)) == \
         (base.value, witness_lists(base.witness))
 
@@ -750,7 +747,7 @@ def test_sentinels(petersen):
     assert repr(sd.NONE_FOUND) == "NONE_FOUND"
     assert sd.UNKNOWN is not sd.NONE_FOUND
     # a result's status names its sentinel; no triple inspected leaves rdf unknown
-    cut = sd.regular_defect(petersen, budget=sd.SearchBudget(None, 0))
+    cut = sd.regular_defect(petersen, 0)
     assert (cut.value, cut.status) == (sd.UNKNOWN, "UNKNOWN")
     assert sd.DefectResult(sd.NONE_FOUND, None, True, True).status == "NONE_FOUND"
 
@@ -778,6 +775,6 @@ def test_readme_library_block_runs_as_documented():
             continue  # prose, not a value
         assert value == want, lines[stmt.lineno - 1]
         checked.append(want)
-    assert checked == [True, (2, False), 5665, None]
+    assert checked == [True, (2, False), 5665, None, "UPPER_BOUND"]
     assert (ns["res"].value, ns["res"].exhaustive, ns["res"].regular_required) == (3, True, True)
     assert ns["facts"].masks[0] == sum(1 << e for e in (0, 5, 9, 10, 12))

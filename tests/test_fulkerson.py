@@ -2,6 +2,7 @@
 
 import gc
 import random
+import re
 import time
 import tracemalloc
 
@@ -9,6 +10,7 @@ import pytest
 
 import snarkdefect as sd
 import oracles
+from snarkdefect import cli
 from conftest import SEED
 
 PETERSEN_COVER = [
@@ -137,8 +139,9 @@ def test_find_cover_matching_cap_holds_exactly_that_many(petersen):
 
 @pytest.mark.parametrize("search", [
     lambda g: sd.find_cover(g, max_matchings=0),
-    lambda g: sd.defect(g, budget=sd.SearchBudget(max_matchings=0)),
-    lambda g: sd.regular_defect(g, budget=sd.SearchBudget(max_matchings=-1)),
+    lambda g: sd.defect(g, facts=sd.GraphFacts(g, 0)),
+    lambda g: sd.regular_defect(g, facts=sd.GraphFacts(g, -1)),
+    lambda g: cli.analyze_graph(g, 0),
 ])
 def test_matching_cap_below_one_is_an_input_error(petersen, search):
     with pytest.raises(sd.GraphError, match="max_matchings must be at least 1") as info:
@@ -146,17 +149,38 @@ def test_matching_cap_below_one_is_an_input_error(petersen, search):
     assert not isinstance(info.value, sd.BudgetError)
 
 
-
 @pytest.mark.parametrize("search, message", [
-    (lambda g: sd.defect(g, budget=sd.SearchBudget(max_triples=-5)),
-     "max_triples must be at least 0"),
-    (lambda g: sd.regular_defect(g, budget=sd.SearchBudget(max_triples=-1)),
-     "max_triples must be at least 0"),
+    (lambda g: sd.defect(g, -5), "max_triples must be at least 0"),
+    (lambda g: sd.regular_defect(g, -1), "max_triples must be at least 0"),
     (lambda g: sd.find_cover(g, max_nodes=-1), "max_nodes must be at least 0"),
+    (lambda g: cli.analyze_graph(g, None, -1), "max_triples must be at least 0"),
 ])
 def test_negative_search_budget_is_an_input_error(petersen, search, message):
     with pytest.raises(sd.GraphError, match=message) as info:
         search(petersen)
+    assert not isinstance(info.value, sd.BudgetError)
+
+
+@pytest.mark.parametrize("value", [1.5, True, "3"])
+@pytest.mark.parametrize("search, name", [  # every entry point of a search budget
+    pytest.param(lambda g, b: sd.GraphFacts(g, b), "max_matchings", id="GraphFacts"),
+    pytest.param(lambda g, b: sd.find_cover(g, max_matchings=b), "max_matchings",
+                 id="find_cover-max_matchings"),
+    pytest.param(lambda g, b: cli.analyze_graph(g, b), "max_matchings",
+                 id="analyze_graph-max_matchings"),
+    pytest.param(lambda g, b: sd.defect(g, b), "max_triples", id="defect"),
+    pytest.param(lambda g, b: sd.regular_defect(g, b), "max_triples", id="regular_defect"),
+    pytest.param(lambda g, b: cli.analyze_graph(g, None, b), "max_triples",
+                 id="analyze_graph-max_triples"),
+    pytest.param(lambda g, b: sd.find_cover(g, max_nodes=b), "max_nodes",
+                 id="find_cover-max_nodes"),
+])
+def test_search_budget_that_is_not_an_int_is_an_input_error(petersen, search, name, value):
+    # a bool is not an int here, as it is not a vertex or edge id; a
+    # float or a bool was read as a number, and a cap of 1.5 never
+    # stopped the oddness walk
+    with pytest.raises(sd.GraphError, match=re.escape(f"{name} {value!r} is not an int")) as info:
+        search(petersen, value)
     assert not isinstance(info.value, sd.BudgetError)
 
 def test_find_cover_rejects_bridges(dumbbell):
