@@ -80,17 +80,26 @@ def find_cover(g: CubicGraph, max_matchings: int | None = None,
     bitsets of candidate indices (those at or after the last pick that
     avoid every doubly covered edge), and a candidate ends its level once
     some edge still short of two covers lies in no matching at or after
-    it.  The last two members are counted, not searched.  With ``m0``
-    the uncovered edges and ``need`` the edges not yet covered twice,
-    take any candidate ``a`` holding all of ``m0``.  After it each edge
-    is covered once or twice and each vertex meets five members, so one
+    it.  A candidate is skipped, not placed, when after it some edge
+    still short of two covers lies in none of the candidates it leaves.
+    The skip keeps the result: on the branch of the least cover
+    j1 <= ... <= j6, every member after the pick at j_k, the closing
+    pair included, is at or after j_k and avoids every doubly covered
+    edge, so it is one of the candidates left and the skip never cuts
+    that branch; earlier branches give no cover without the skip, so
+    none with it.
+
+    The last two members are counted, not searched.  With ``m0`` the
+    uncovered edges and ``need`` the edges not yet covered twice, take
+    any candidate ``a`` holding all of ``m0``.  After it each edge is
+    covered once or twice and each vertex meets five members, so one
     edge at each vertex is covered once: those edges, ``b = (need ^ a) |
     m0``, are a perfect matching that closes the cover.  So the first
     such ``a`` closes, and a level with none fails.
 
     One node of ``max_nodes`` is one member placed: each of the first
-    four picks, the closing ``a`` and its ``b``.  A node costs
-    polynomial work (bitset updates).
+    four picks that is not skipped, the closing ``a`` and its ``b``.  A
+    node costs polynomial work (bitset updates).
     NONE_FOUND means the space was exhausted; running out of
     ``max_nodes`` (or the matching cap) raises BudgetError instead,
     because a truncated search cannot certify absence.  A negative
@@ -145,7 +154,6 @@ def find_cover(g: CubicGraph, max_matchings: int | None = None,
             idx = low.bit_length() - 1
             if need & ~suffix[idx]:
                 break  # no member from idx on covers some needed edge
-            place()
             mask = masks[idx]
             doubled = mask & m1
             child = allowed
@@ -154,11 +162,19 @@ def find_cover(g: CubicGraph, max_matchings: int | None = None,
                 bit = rest & -rest
                 child &= ~has[bit.bit_length() - 1]
                 rest ^= bit
-            chosen.append(mask)
-            got = dfs(child, (m1 | mask) & ~doubled, m2 | doubled)
-            chosen.pop()
-            if got is not None:
-                return got
+            rest = need & ~doubled
+            while rest:
+                bit = rest & -rest
+                if not has[bit.bit_length() - 1] & child:
+                    break  # an edge short of two covers has no candidate
+                rest ^= bit
+            else:
+                place()
+                chosen.append(mask)
+                got = dfs(child, (m1 | mask) & ~doubled, m2 | doubled)
+                chosen.pop()
+                if got is not None:
+                    return got
             allowed ^= low
         return None
 

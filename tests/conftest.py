@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 import snarkdefect as sd
+import oracles
 from snarkdefect import colouring
 
 DATA = Path(__file__).parent / "data"
@@ -93,6 +94,16 @@ def petersen_ring(k):
         edges += [(a + 10 * c, b + 10 * c) for a, b in p.edges[1:]]
         edges.append((10 * c + 1, 10 * ((c + 1) % k)))
     return sd.CubicGraph(10 * k, tuple(edges))
+
+
+def simple_bridgeless_cubic(rng, n):
+    """A simple bridgeless cubic graph from the configuration model."""
+    while True:
+        edges = oracles.random_cubic_edges(rng, n)
+        if all(a != b for a, b in edges) and len(set(edges)) == len(edges):
+            g = sd.CubicGraph(n, edges)
+            if sd.is_bridgeless(g):
+                return g
 
 
 def counted_walks(monkeypatch):

@@ -14,9 +14,8 @@ from pathlib import Path
 import pytest
 
 import snarkdefect as sd
-import oracles
 from snarkdefect import certificates, cli
-from conftest import counted_walks
+from conftest import counted_walks, simple_bridgeless_cubic
 
 
 def run(argv, stdin=None):
@@ -1206,24 +1205,13 @@ def _capped(argv, cwd, address_space=1 << 30):
     return proc.returncode, proc.stdout, cpu
 
 
-def _seeded_simple_cubic(n, seed):
-    """A simple bridgeless cubic graph from the configuration model."""
-    rng = random.Random(seed)
-    while True:
-        edges = oracles.random_cubic_edges(rng, n)
-        if all(a != b for a, b in edges) and len(set(edges)) == len(edges):
-            g = sd.CubicGraph(n, edges)
-            if sd.is_bridgeless(g):
-                return g
-
-
 @pytest.mark.parametrize("source", ["double:flower:11", "n100"])
 def test_analyze_reaches_large_colourable_graphs(tmp_path, source):
     # a colourable graph's witness needs no list of its matchings; built
     # from that list, each ran out of a 1 GB address space, after 6 s
     # (double:flower:11, 88 vertices) and 9 s of CPU (the 100-vertex graph)
     if source == "n100":
-        g = _seeded_simple_cubic(100, 1)
+        g = simple_bridgeless_cubic(random.Random(1), 100)
         (tmp_path / "n100.txt").write_text(
             "vertices 100\n" + "".join(f"{a} {b}\n" for a, b in g.edges))
         argv = ["--edge-list", "n100.txt"]
@@ -1244,7 +1232,7 @@ def test_oddness_reaches_a_late_least_colour_class(n, seed, place):
     # the least colour class is the walk's 10,635th and 3,035th matching;
     # sent to a full enumeration after the 64th, oddness ran out of a
     # 1.5 GB address space after 7-17 s of CPU
-    g = _seeded_simple_cubic(n, seed)
+    g = simple_bridgeless_cubic(random.Random(seed), n)
     code, out, cpu = _capped(["-c", "import snarkdefect as sd\n"
                               f"facts = sd.GraphFacts(sd.CubicGraph({n}, {sorted(g.edges)!r}))\n"
                               "print(facts.oddness, 'masks' in vars(facts), len(facts._seen))"],

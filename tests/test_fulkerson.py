@@ -1,6 +1,7 @@
 """Six-matching covers, complementary pairs, and the flow translations."""
 
 import gc
+import itertools
 import random
 import re
 import time
@@ -11,7 +12,7 @@ import pytest
 import snarkdefect as sd
 import oracles
 from snarkdefect import cli
-from conftest import SEED
+from conftest import SEED, simple_bridgeless_cubic
 
 PETERSEN_COVER = [
     [0, 5, 9, 10, 12], [0, 6, 7, 11, 13], [1, 3, 8, 10, 13],
@@ -117,18 +118,43 @@ def test_find_cover_matches_the_reference_search(petersen, k4, theta, j3, j5, j7
         g = sd.CubicGraph(n, oracles.random_cubic_edges(rng, n))
         if sd.is_bridgeless(g):
             randoms.append(g)
-    for g in suite + randoms:
+    # simple graphs of the benchmark's size, where the skip cuts the most
+    # picks, and J11 on 44 vertices
+    rng = random.Random(SEED)
+    larger = [simple_bridgeless_cubic(rng, n) for n in range(28, 41, 2) for _ in range(2)]
+    for g in suite + randoms + larger + [sd.flower_snark(11)]:
         assert cover_lists(sd.find_cover(g)) == [list(t) for t in reference_cover(g)], g.edges
 
 
-@pytest.mark.parametrize("name, nodes", [("j5", 36), ("j7", 70)])
-def test_find_cover_node_count(request, name, nodes):
-    """One node is one member placed; the closing pair is looked up, so
-    the search places few members that lead nowhere."""
-    g = request.getfixturevalue(name)
-    assert sd.verify_cover(g, sd.find_cover(g, max_nodes=nodes)).ok
-    with pytest.raises(sd.BudgetError, match=f"exceeded {nodes - 1} nodes"):
-        sd.find_cover(g, max_nodes=nodes - 1)
+def placed_nodes(g):
+    """The members find_cover places on g: the least max_nodes that lets
+    it finish, and never below 6, the members of a cover."""
+    nodes = 6
+    while True:
+        try:
+            sd.find_cover(g, max_nodes=nodes)
+            return nodes
+        except sd.BudgetError:
+            nodes += 1
+
+
+@pytest.mark.parametrize("k", [5, 7, 9, 11, 13, 15], ids=lambda k: f"j{k}")
+def test_find_cover_node_count(k):
+    """One node is one member placed; the closing pair is looked up and a
+    pick that leaves some edge without a candidate is skipped, so on the
+    flower snarks the search places just the six members of its cover
+    (36 on J5 and 8,560 on J15 without the skip)."""
+    g = sd.flower_snark(k)
+    assert sd.verify_cover(g, sd.find_cover(g, max_nodes=6)).ok
+    with pytest.raises(sd.BudgetError, match="exceeded 5 nodes"):
+        sd.find_cover(g, max_nodes=5)
+
+
+def test_find_cover_node_count_on_random_graphs():
+    # 50 simple bridgeless 30-vertex graphs: 7,976 members placed without
+    # the skip, up to 1,547 on one graph
+    graphs = [simple_bridgeless_cubic(random.Random(seed), 30) for seed in range(50)]
+    assert sum(placed_nodes(g) for g in graphs) == 325
 
 
 def test_find_cover_matching_cap_holds_exactly_that_many(petersen):
@@ -239,7 +265,6 @@ def test_cover_to_complementary_petersen(petersen):
 
 def test_splits_of_a_cover_are_complementary(petersen, k4, j5):
     """Any 3+3 split of a Fulkerson cover gives a complementary pair."""
-    import itertools
     for g in (petersen, k4, j5):
         cover = sd.find_cover(g)
         for picks in itertools.combinations(range(6), 3):
@@ -247,6 +272,26 @@ def test_splits_of_a_cover_are_complementary(petersen, k4, j5):
             a = sd.ThreeArray.of(*(cover.matchings[i] for i in picks))
             b = sd.ThreeArray.of(*(cover.matchings[i] for i in rest))
             assert sd.check_complementary(g, a, b) is None
+
+
+def test_cover_triples_are_regular_arrays_that_bound_rdf(petersen, blanusa1, blanusa2,
+                                                        j5, j7):
+    """Each edge lies in exactly two of a cover's six members, so no three
+    members share an edge and each of the C(6, 3) = 20 member triples is a
+    regular 3-array.  An edge is left uncovered by the C(4, 3) = 4 triples
+    that avoid both of its members, so the 20 uncovered counts sum to 4m
+    and the best triple leaves at most m/5 edges uncovered."""
+    from test_colouring import G24
+    suite = [petersen, blanusa1, blanusa2, j5, j7, sd.flower_snark(9),
+             cli.build_descriptor("double:petersen"),
+             cli.build_descriptor("inflate-pair:petersen:0:1"), sd.parse_graph6(G24)]
+    for g in suite:
+        triples = [sd.ThreeArray.of(*members)
+                   for members in itertools.combinations(sd.find_cover(g).matchings, 3)]
+        assert all(t.is_regular for t in triples)
+        uncovered = [sd.coverage(g, t).counts[0] for t in triples]
+        assert sum(uncovered) == 4 * g.edge_count
+        assert sd.regular_defect(g).value <= min(uncovered) <= g.edge_count // 5, g.edges
 
 
 def test_check_complementary_messages(petersen):
