@@ -23,20 +23,9 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph_core import CubicGraph, GraphError, Multipole, is_bridgeless
+from .graph_core import CubicGraph, GraphError, Multipole, _check_budget, is_bridgeless
 
 COLOURS = (1, 2, 3)
-
-
-def _check_budget(name: str, value, least: int) -> None:
-    """A search budget is None (unlimited) or an int, as a vertex id is
-    (a bool is not one), of at least ``least``."""
-    if value is None:
-        return
-    if type(value) is not int:
-        raise GraphError(f"{name} {value!r} is not an int")
-    if value < least:
-        raise GraphError(f"{name} must be at least {least}")
 
 
 def is_perfect_matching(g: CubicGraph, edges) -> bool:
@@ -86,8 +75,7 @@ def enumerate_colourings(m: Multipole, limit: int | None = None) -> list[dict[in
     still have a colour left; this cuts dead branches early and never
     changes the order, since it only skips subtrees without colourings.
     """
-    if limit is not None and limit < 0:
-        raise GraphError(f"limit must not be negative, got {limit}")
+    _check_budget("limit", limit, 0)
     if limit == 0:
         return []
     n = m.vertex_count
@@ -104,7 +92,7 @@ def enumerate_colourings(m: Multipole, limit: int | None = None) -> list[dict[in
         ends.append((a, b))
     k = len(ends)
     # per edge, the ends of the higher-id edges that share a vertex with it
-    later = [{ends[f] for v in (a, b) if v < n for f, _ in m.incident_ends(v) if f > e}
+    later = [{ends[f] for v in (a, b) if v < n for _, f in m.arcs(v) if f > e}
              for e, (a, b) in enumerate(ends)]
     used = [0] * spare  # per vertex, a bitmask of the colours on its ends
     colour = [0] * k
@@ -160,7 +148,7 @@ def check_colouring(m: Multipole, colouring: dict[int, int]) -> str | None:
     for v in range(m.vertex_count):
         acc = 0
         seen = []
-        for e, i in m.incident_ends(v):
+        for _, e in m.arcs(v):
             acc ^= colouring[e]
             seen.append(colouring[e])
         if acc != 0:

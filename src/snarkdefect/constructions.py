@@ -16,6 +16,7 @@ from .graph_core import (
     GraphError,
     Multipole,
     WiringSpec,
+    _check_index,
     junction,
     remove_vertices,
 )
@@ -38,8 +39,8 @@ def flower_snark(n: int) -> CubicGraph:
     runs 2n+0 .. 2n+(n-1), 3n+0 .. 3n+(n-1) and closes up.  Hub i joins
     n+i, 2n+i and 3n+i.
     """
-    if n < 3 or n % 2 == 0:
-        raise GraphError(f"flower graphs need odd n >= 3, got {n}")
+    if type(n) is not int or n < 3 or n % 2 == 0:
+        raise GraphError(f"flower graphs need odd n >= 3, got {n!r}")
     eps = []
     for i in range(n):
         eps += [(i, n + i), (i, 2 * n + i), (i, 3 * n + i)]
@@ -59,8 +60,7 @@ def inflate_to_triangle(g: CubicGraph, v: int) -> CubicGraph:
     edge ids are unchanged; the triangle edges (v,n), (v,n+1), (n,n+1)
     are appended in that order.
     """
-    if not 0 <= v < g.vertex_count:
-        raise GraphError(f"vertex {v} out of range")
+    _check_index("vertex", v, g.vertex_count)
     slots = g.incident_ends(v)
     if len({e for e, _ in slots}) != 3:
         raise GraphError(f"vertex {v} carries a loop; inflation is undefined")
@@ -132,7 +132,7 @@ def inflate_pair_theorem_check(g: CubicGraph, u: int, v: int) -> tuple[CubicGrap
 
     side_colour = {}
     for w in (u, v):
-        hanging = [e for e, _ in g.incident_ends(w) if e != e_uv]
+        hanging = [e for _, e in g.arcs(w) if e != e_uv]
         a, b = (colour_of[x] for x in hanging)
         if a != b:
             raise GraphError(
@@ -246,13 +246,11 @@ def superpose(base: CubicGraph, vertex_subs: dict | None,
     edge_subs = edge_subs or {}
     n, m = base.vertex_count, base.edge_count
     for v, part in vertex_subs.items():
-        if not 0 <= v < n:
-            raise GraphError(f"substituted vertex {v} out of range")
+        _check_index("substituted vertex", v, n)
         if len(part.connectors) != 3:
             raise GraphError(f"vertex {v}: a tripole needs 3 connectors, got {len(part.connectors)}")
     for e, part in edge_subs.items():
-        if not 0 <= e < m:
-            raise GraphError(f"substituted edge {e} out of range")
+        _check_index("substituted edge", e, m)
         if len(part.connectors) != 2:
             raise GraphError(f"edge {e}: a dipole needs 2 connectors, got {len(part.connectors)}")
     parts = [vertex_subs.get(v) or trivial_tripole() for v in range(n)]

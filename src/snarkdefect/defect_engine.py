@@ -46,8 +46,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .colouring import GraphFacts, _check_budget, _facts_for, edge_set, is_perfect_matching
-from .graph_core import CubicGraph, GraphError, _Sentinel, bridges, girth
+from .colouring import GraphFacts, _facts_for, edge_set, is_perfect_matching
+from .graph_core import CubicGraph, GraphError, _check_budget, _Sentinel, bridges, girth
 
 
 class BudgetError(GraphError):

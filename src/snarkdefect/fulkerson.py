@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .colouring import GraphFacts, _check_budget, edge_set
+from .colouring import GraphFacts, edge_set
 from .defect_engine import (NONE_FOUND, BudgetError, ThreeArray, _canonical_order,
                             _member_multiplicities, coverage)
 from .fano_flow import FlowCheck
-from .graph_core import CubicGraph, GraphError, SizeGateError, bridges
+from .graph_core import CubicGraph, GraphError, SizeGateError, _check_budget, _check_index, bridges
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,7 @@ def verify_group_flow(flow: GroupFlow) -> FlowCheck:
             return FlowCheck(False, f"edge {e} carries {v!r}, expected 1, 2, or 3")
     for vtx in range(g.vertex_count):
         acc = 0
-        for e, _ in g.incident_ends(vtx):
+        for _, e in g.arcs(vtx):
             if e not in flow.removed:
                 acc ^= flow.values[e]
         if acc:
@@ -322,8 +322,7 @@ def flows_to_cover(g: CubicGraph, p1: frozenset[int], p2: frozenset[int],
     for p in (p1, p2):
         ends: list[int] = []
         for e in p:
-            if not (type(e) is int and 0 <= e < g.edge_count):
-                raise GraphError(f"P1/P2 holds {e!r}, which is not an edge id of the graph")
+            _check_index("P1/P2 edge", e, g.edge_count)
             a, b = g.endpoints(e)
             if a == b:
                 raise GraphError(f"edge {e} is a loop, not a matching edge")
@@ -372,8 +371,7 @@ def nz_4flow(g: CubicGraph, removed=(), max_dimension: int = 24) -> GroupFlow | 
     """
     removed = frozenset(removed)
     for e in removed:
-        if not (type(e) is int and 0 <= e < g.edge_count):  # a bool is not an id
-            raise GraphError(f"removed edge {e!r} out of range")
+        _check_index("removed edge", e, g.edge_count)
     bad = bridges(g, removed)
     if bad:
         raise GraphError(f"subgraph has bridges {bad}; no nowhere-zero flow exists")

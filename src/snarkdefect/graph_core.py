@@ -74,6 +74,24 @@ class SizeGateError(GraphError):
     """Input exceeds a documented exact-search size gate."""
 
 
+def _check_budget(name: str, value, least: int) -> None:
+    """A search budget is None (unlimited) or an int, as a vertex id is
+    (a bool is not one), of at least ``least``."""
+    if value is None:
+        return
+    if type(value) is not int:
+        raise GraphError(f"{name} {value!r} is not an int")
+    if value < least:
+        raise GraphError(f"{name} must be at least {least}")
+
+
+def _check_index(what: str, value, bound: int) -> None:
+    """A vertex or edge argument is an int (a bool is not one) in
+    0..bound-1."""
+    if type(value) is not int or not 0 <= value < bound:
+        raise GraphError(f"{what} {value!r} out of range")
+
+
 class _Sentinel:
     """A named marker result, compared by identity; prints its name."""
 
@@ -97,7 +115,7 @@ class Multipole:
     Immutable after construction; safe to share freely.
     """
 
-    __slots__ = ("_n", "_endpoints", "_connectors", "_incidence", "_arcs", "_free")
+    __slots__ = ("_n", "_endpoints", "_connectors", "_arcs", "_free")
 
     def __init__(
         self,
@@ -110,19 +128,21 @@ class Multipole:
             raise GraphError(f"vertex count {vertex_count!r} is not an int")
         if vertex_count < 0:
             raise GraphError("negative vertex count")
-        # sparse, so a huge stated vertex count fails without a huge list
-        ends_per_vertex: dict[int, int] = {}
+        # per vertex, its (neighbour, edge) arcs in (edge, end) order: a
+        # dict while it fills, so a huge stated vertex count fails at its
+        # first short vertex without allocating a huge list
+        at: dict[int, list[tuple[int | None, int]]] = {}
         free: list[tuple[int, int]] = []
         for e, (a, b) in enumerate(eps):
-            for end, slot in enumerate((a, b)):
+            for end, slot, far in ((0, a, b), (1, b, a)):
                 if slot is None:
                     free.append((e, end))
                 elif type(slot) is int and 0 <= slot < vertex_count:
-                    ends_per_vertex[slot] = ends_per_vertex.get(slot, 0) + 1
+                    at.setdefault(slot, []).append((far, e))
                 else:
                     raise GraphError(f"edge {e} end {end}: vertex {slot!r} out of range")
         for v in range(vertex_count):
-            k = ends_per_vertex.get(v, 0)
+            k = len(at.get(v, ()))
             if k != 3:
                 raise NotCubicError(v, k)
 
@@ -147,23 +167,10 @@ class Multipole:
                 missing = sorted(free_set - seen)
                 raise ConnectorError(f"free ends not covered by any connector: {missing}")
 
-        # both tables fill in (edge, end) order, so they are sorted and
-        # position k of arcs(v) is the far end of incident_ends(v)[k]
-        incidence: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
-        arcs: list[list[tuple[int | None, int]]] = [[] for _ in range(vertex_count)]
-        for e, (a, b) in enumerate(eps):
-            if a is not None:
-                incidence[a].append((e, 0))
-                arcs[a].append((b, e))
-            if b is not None:
-                incidence[b].append((e, 1))
-                arcs[b].append((a, e))
-
         self._n = vertex_count
         self._endpoints = eps
         self._connectors = conns
-        self._incidence = tuple(map(tuple, incidence))
-        self._arcs = tuple(map(tuple, arcs))
+        self._arcs = tuple([tuple(at[v]) for v in range(vertex_count)])
         self._free = tuple(free)  # in (edge, end) order, as filled
 
     # -- basic queries ---------------------------------------------------
@@ -187,18 +194,21 @@ class Multipole:
     def endpoints(self, e: int) -> tuple[int | None, int | None]:
         return self._endpoints[e]
 
-    def incident_ends(self, v: int) -> tuple[tuple[int, int], ...]:
-        """The three (edge, end) pairs at v, sorted; a loop appears twice."""
-        return self._incidence[v]
-
     def arcs(self, v: int) -> tuple[tuple[int | None, int], ...]:
-        """The (neighbour, edge) pairs at v in ``incident_ends`` order: a
-        loop appears twice, and a free end has neighbour None.  Built once
-        with the multipole; every graph walk reads it."""
+        """The (neighbour, edge) pairs at v in (edge, end) order: a loop
+        appears twice, and a free end has neighbour None.  The one
+        per-vertex table; every graph walk reads it."""
         return self._arcs[v]
 
+    def incident_ends(self, v: int) -> tuple[tuple[int, int], ...]:
+        """The three (edge, end) pairs at v, sorted; a loop appears twice.
+        Position k is the end whose far end is ``arcs(v)[k]``.  Derived
+        from ``arcs`` on each call, O(degree): walks read ``arcs``."""
+        return tuple(sorted({(e, i) for _, e in self._arcs[v]
+                             for i, s in enumerate(self._endpoints[e]) if s == v}))
+
     def incident_edges(self, v: int) -> tuple[int, ...]:
-        return tuple(e for e, _ in self._incidence[v])
+        return tuple(e for _, e in self._arcs[v])
 
     @property
     def free_ends(self) -> tuple[tuple[int, int], ...]:
@@ -678,6 +688,8 @@ class EndRef:
         if self.edge is not None:
             if not 0 <= self.edge < pole.edge_count:
                 raise WiringError(f"part {self.part}: edge {self.edge} out of range")
+            if type(self.end) is not int or self.end not in (0, 1):  # a bool is not an end
+                raise WiringError(f"part {self.part}: edge {self.edge} has no end {self.end!r}")
             return (self.edge, self.end)
         try:
             ends = pole.connector(self.connector)
@@ -812,8 +824,7 @@ def remove_vertices(g: CubicGraph, vs: Iterable[int]):
     """
     dead = set()
     for v in vs:
-        if type(v) is not int or not 0 <= v < g.vertex_count:
-            raise GraphError(f"vertex {v!r} out of range")
+        _check_index("vertex", v, g.vertex_count)
         dead.add(v)
     kept_v = [v for v in range(g.vertex_count) if v not in dead]
     vmap = {v: i for i, v in enumerate(kept_v)}

@@ -39,9 +39,9 @@ def search_order_perfect_matchings(g, limit=None):
 
     The unpruned backtracking the package used before its forced-move
     kernel, kept without its final sort: branch on the lowest uncovered
-    vertex, try its edges in ``incident_ends`` order, and stop after
-    ``limit`` matchings.  The package must return exactly the sorted
-    ``limit`` prefix of this list.
+    vertex, try its edges in ``arcs`` order, the same order as
+    ``incident_ends``, and stop after ``limit`` matchings.  The package
+    must return exactly the sorted ``limit`` prefix of this list.
     """
     n = g.vertex_count
     if n == 0:
@@ -61,8 +61,7 @@ def search_order_perfect_matchings(g, limit=None):
         if v == -1:
             out.append(tuple(sorted(chosen)))
             return limit is not None and len(out) >= limit
-        for e, i in g.incident_ends(v):
-            w = g.endpoints(e)[1 - i]
+        for w, e in g.arcs(v):
             if w == v or covered[w]:
                 continue  # loop, or partner already matched
             covered[v] = covered[w] = True
@@ -82,7 +81,7 @@ def search_order_matchings(g, limit=None):
     """Perfect matchings of a CubicGraph from the package's earlier
     pruned search, kept as it was, in search order and as frozensets:
     branch on the lowest uncovered vertex, try its edges in
-    ``incident_ends`` order, apply forced moves after each choice, and
+    ``arcs`` order, apply forced moves after each choice, and
     stop after ``limit`` matchings.  Sorted by sorted edge list, it is
     what the package must return, ``limit`` prefixes included."""
     n = g.vertex_count
@@ -349,7 +348,7 @@ class _Colourer:
                     forced = self.acc[slot]
                     if forced == 0:
                         return False  # two equal colours meet at slot
-                    for f, _ in self.pole.incident_ends(slot):
+                    for _, f in self.pole.arcs(slot):
                         if not self.colour[f]:
                             queue.append((f, forced))
                             break

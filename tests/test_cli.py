@@ -1038,6 +1038,13 @@ def test_import_footprint_is_pinned():
     assert dataclasses == 15
 
 
+def test_multipole_slots_are_pinned():
+    """A multipole keeps one per-vertex table, ``_arcs``; a second one is
+    construction work on every parse, so it shows up here as a reviewed
+    change of this test."""
+    assert sd.Multipole.__slots__ == ("_n", "_endpoints", "_connectors", "_arcs", "_free")
+
+
 def test_no_text_reader_splits_lines_at_other_breaks():
     """A line of every text input ends at '\\n' only: ``str.splitlines``
     also breaks at \\v, \\f, \\x1c-\\x1e, \\x85, U+2028 and U+2029."""

@@ -99,10 +99,16 @@ def test_colourings_match_the_propagating_search(k33, prism, cube, petersen, j5)
             assert sd.enumerate_colourings(m, limit) == oracles.search_order_colourings(m, limit)
 
 
-def test_colouring_limits(k4):
+def test_colouring_limits(k4, petersen):
     assert sd.enumerate_colourings(k4, limit=0) == []
-    with pytest.raises(sd.GraphError, match="negative"):
+    with pytest.raises(sd.GraphError, match="^limit must be at least 0$"):
         sd.enumerate_colourings(k4, limit=-1)
+    # a limit is an int, and a bool is not one: 1.5 would list all 18
+    # colourings of this pole, and True would act as 1
+    pole, _, _ = sd.remove_vertices(petersen, (0, 1))
+    for limit in (1.5, True):
+        with pytest.raises(sd.GraphError, match=rf"^limit {limit!r} is not an int$"):
+            sd.enumerate_colourings(pole, limit=limit)
 
 
 def test_three_edge_colour_on_a_long_prism():

@@ -37,7 +37,7 @@ def test_flower_goldens(j3, j5, j7):
 
 
 def test_flower_rejects_bad_order():
-    for n in (1, 4, 0, -3):
+    for n in (1, 4, 0, -3, 5.0, True):
         with pytest.raises(sd.GraphError, match="odd n >= 3"):
             sd.flower_snark(n)
 
@@ -78,6 +78,10 @@ def test_inflate_rejects_loops(dumbbell):
         sd.inflate_to_triangle(dumbbell, 0)
     with pytest.raises(sd.GraphError, match="^vertex 2 out of range$"):
         sd.inflate_to_triangle(dumbbell, 2)
+    # a vertex id is an int, and a bool is not one
+    for v in (1.0, True):
+        with pytest.raises(sd.GraphError, match=rf"^vertex {v!r} out of range$"):
+            sd.inflate_to_triangle(dumbbell, v)
 
 
 def test_inflate_then_contract_is_identity(petersen, k4, j5):
@@ -283,6 +287,11 @@ def test_superpose_validates_connector_counts(petersen):
         sd.superpose(petersen, {10: sd.trivial_tripole()}, None, w)
     with pytest.raises(sd.GraphError, match="^substituted edge -1 out of range$"):
         sd.superpose(petersen, None, {-1: sd.trivial_dipole()}, w)
+    # a key that is not an int would be silently ignored
+    with pytest.raises(sd.GraphError, match=r"^substituted vertex 1\.5 out of range$"):
+        sd.superpose(petersen, {1.5: sd.trivial_tripole()}, None, w)
+    with pytest.raises(sd.GraphError, match="^substituted edge True out of range$"):
+        sd.superpose(petersen, None, {True: sd.trivial_dipole()}, w)
 
 
 def test_superpose_rejects_unwired_ends(petersen):

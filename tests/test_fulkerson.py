@@ -376,7 +376,7 @@ def test_flows_to_cover_validates_inputs(petersen, dumbbell):
     with pytest.raises(sd.GraphError):
         sd.flows_to_cover(petersen, p1, p2, broken, f2)
     for bad in (99, -1):  # ids that are not edges of the graph
-        with pytest.raises(sd.GraphError, match="not an edge id"):
+        with pytest.raises(sd.GraphError, match=f"^P1/P2 edge {bad} out of range$"):
             sd.flows_to_cover(petersen, p1 | {bad}, p2, f1, f2)
     with pytest.raises(sd.GraphError, match="circuits"):  # P1 and P2 meet different vertices
         sd.flows_to_cover(petersen, frozenset(sorted(p1)[1:]), p2, f1, f2)

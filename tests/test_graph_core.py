@@ -59,6 +59,26 @@ def test_incident_ends_are_darts(petersen):
             assert petersen.endpoints(e)[end] == v
 
 
+def test_vertex_tables_match_the_edge_list():
+    """``incident_ends``, ``incident_edges`` and ``arcs`` agree with a
+    derivation from ``edges`` on random multigraphs (loops, parallel
+    edges) and on their poles (free ends)."""
+    rng = random.Random(20261021)
+    checked = 0
+    for _ in range(300):
+        g = sd.CubicGraph(12, oracles.random_cubic_edges(rng, 12))
+        pole, _, _ = sd.remove_vertices(g, rng.sample(range(12), 3))
+        for m in (g, pole):
+            for v in range(m.vertex_count):
+                want = sorted((e, i) for e, ends in enumerate(m.edges)
+                              for i, s in enumerate(ends) if s == v)
+                assert list(m.incident_ends(v)) == want
+                assert m.incident_edges(v) == tuple(e for e, _ in want)
+                assert m.arcs(v) == tuple((m.endpoints(e)[1 - i], e) for e, i in want)
+                checked += 1
+    assert checked == 300 * (12 + 9)
+
+
 def test_not_cubic_rejected():
     with pytest.raises(sd.NotCubicError, match="4 incident"):
         sd.Multipole(1, [(0, None)] * 4)
@@ -532,6 +552,9 @@ def test_junction_rejects_an_edge_past_the_part():
     t0, t1 = sd.trivial_tripole(), sd.trivial_tripole()
     for far, message in [(sd.EndRef.edge_end(1, 3, 1), "part 1: edge 3 out of range"),
                          (sd.EndRef.edge_end(2, 0, 1), "part 2 out of range"),
+                         # an end is 0 or 1, and a bool is not one
+                         (sd.EndRef.edge_end(1, 0, 5), "part 1: edge 0 has no end 5"),
+                         (sd.EndRef.edge_end(1, 0, True), "part 1: edge 0 has no end True"),
                          (sd.EndRef.conn(1, "zz", 0), "part 1: no connector 'zz'"),
                          (sd.EndRef.conn(1, "r0", 1), "part 1: connector 'r0' has no index 1")]:
         w = sd.WiringSpec.of((sd.EndRef.edge_end(0, 0, 1), far))
