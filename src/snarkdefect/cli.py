@@ -274,7 +274,7 @@ def cmd_fulkerson(args) -> int:
             found = cover
         else:
             try:
-                found = find_cover(g, args.max_matchings, args.max_nodes)
+                found = find_cover(g, args.max_nodes, facts=GraphFacts(g, args.max_matchings))
             except BudgetError as exc:
                 found = exc
         return certs.fulkerson_json(g, mode, found)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .colouring import GraphFacts, edge_set
+from .colouring import GraphFacts, _facts_for, edge_set
 from .defect_engine import (NONE_FOUND, BudgetError, ThreeArray, _canonical_order,
                             _member_multiplicities, coverage)
 from .fano_flow import FlowCheck
@@ -69,8 +69,8 @@ def verify_cover(g: CubicGraph, cover) -> CoverCheck:
     return CoverCheck(True, tuple(mult))
 
 
-def find_cover(g: CubicGraph, max_matchings: int | None = None,
-               max_nodes: int | None = None):
+def find_cover(g: CubicGraph, max_nodes: int | None = None,
+               *, facts: GraphFacts | None = None):
     """First Fulkerson cover in canonical order, or NONE_FOUND.
 
     Exact multiset search over the lexicographic matching list: the
@@ -100,18 +100,19 @@ def find_cover(g: CubicGraph, max_matchings: int | None = None,
     One node of ``max_nodes`` is one member placed: each of the first
     four picks that is not skipped, the closing ``a`` and its ``b``.  A
     node costs polynomial work (bitset updates).
-    NONE_FOUND means the space was exhausted; running out of
+    The matchings and their cap are those of ``facts`` (fresh facts have
+    none).  NONE_FOUND means the space was exhausted; running out of
     ``max_nodes`` (or the matching cap) raises BudgetError instead,
     because a truncated search cannot certify absence.  A negative
     ``max_nodes``, or one that is not an int, is an input error.
     """
-    facts = GraphFacts(g, max_matchings)
+    facts = _facts_for(g, facts)
     if not facts.bridgeless:
         raise GraphError("Fulkerson covers are defined for bridgeless graphs")
     _check_budget("max_nodes", max_nodes, 0)
     masks, complete = facts.prefix()
     if not complete:
-        raise BudgetError(f"more than {max_matchings} perfect matchings")
+        raise BudgetError(f"more than {facts.cap} perfect matchings")
     m = g.edge_count
     full = (1 << m) - 1
     # has[e]: bitset of the matchings holding e.  Row i of ``rows`` is
@@ -153,7 +154,7 @@ def find_cover(g: CubicGraph, max_matchings: int | None = None,
             low = allowed & -allowed
             idx = low.bit_length() - 1
             if need & ~suffix[idx]:
-                break  # no member from idx on covers some needed edge
+                break  # the skip would reject each later candidate singly, 2x slower
             mask = masks[idx]
             doubled = mask & m1
             child = allowed
@@ -367,8 +368,9 @@ def nz_4flow(g: CubicGraph, removed=(), max_dimension: int = 24) -> GroupFlow | 
     degree exactly at the odd vertices.  Then S2 = y + (present - S1) is
     even, and every present edge lies in S1 or S2, so its value
     2*[e in S1] + [e in S2] is nonzero and both coordinates XOR to zero
-    at every vertex.
+    at every vertex.  A ``max_dimension`` of None is no gate.
     """
+    _check_budget("max_dimension", max_dimension, 0)
     removed = frozenset(removed)
     for e in removed:
         _check_index("removed edge", e, g.edge_count)
@@ -396,7 +398,7 @@ def nz_4flow(g: CubicGraph, removed=(), max_dimension: int = 24) -> GroupFlow | 
                     queue.append(w)
     nontree = sorted(set(present) - {e for _, _, e in tree})
     d = len(nontree)
-    if d > max_dimension:
+    if max_dimension is not None and d > max_dimension:
         raise SizeGateError(f"cycle space dimension {d} exceeds the gate ({max_dimension})")
 
     # circuit t, of the non-tree edge ab, holds the tree edges with exactly

@@ -567,7 +567,7 @@ def cyclic_edge_connectivity(g: CubicGraph, limit: int, max_vertices: int = 40):
 
     Returns EXCEEDS_LIMIT when every cycle-separating cut is larger than
     ``limit`` or when no such cut exists; refuses graphs larger than
-    ``max_vertices``.  Let S = δ(A) be a least cycle-separating cut:
+    ``max_vertices`` (None: no limit).  Let S = δ(A) be a smallest such cut:
 
     - Both sides are connected: a disconnected side has a component with
       a circuit, and that component's cut is a strict subset of S.  So
@@ -583,14 +583,16 @@ def cyclic_edge_connectivity(g: CubicGraph, limit: int, max_vertices: int = 40):
     first k at which G − (T ∪ {h}) has two components with a circuit:
     about C(m, k − 1)·(n + m) steps for size k.
     """
+    _check_budget("limit", limit, 0)
+    _check_budget("max_vertices", max_vertices, 0)
     n = g.vertex_count
-    if n > max_vertices:
+    if max_vertices is not None and n > max_vertices:
         raise SizeGateError(
             f"{n} vertices exceeds the exact enumeration gate ({max_vertices})")
     if not is_connected(g):
         raise GraphError("cyclic edge connectivity requires a connected graph")
     edges = g.edges
-    for k in range(1, min(limit, n // 2) + 1):
+    for k in range(1, n // 2 + 1 if limit is None else min(limit, n // 2) + 1):
         for t in itertools.combinations(range(g.edge_count), k - 1):
             if len({v for e in t for v in edges[e]}) < 2 * len(t):
                 continue  # not a matching
@@ -682,12 +684,12 @@ class EndRef:
 
     def resolve(self, parts: Sequence[Multipole]) -> tuple[int, int]:
         """Local (edge, end) within the referenced part."""
-        if not 0 <= self.part < len(parts):
-            raise WiringError(f"part {self.part} out of range")
+        if type(self.part) is not int or not 0 <= self.part < len(parts):  # a bool is not a part
+            raise WiringError(f"part {self.part!r} out of range")
         pole = parts[self.part]
         if self.edge is not None:
-            if not 0 <= self.edge < pole.edge_count:
-                raise WiringError(f"part {self.part}: edge {self.edge} out of range")
+            if type(self.edge) is not int or not 0 <= self.edge < pole.edge_count:
+                raise WiringError(f"part {self.part}: edge {self.edge!r} out of range")
             if type(self.end) is not int or self.end not in (0, 1):  # a bool is not an end
                 raise WiringError(f"part {self.part}: edge {self.edge} has no end {self.end!r}")
             return (self.edge, self.end)
@@ -695,9 +697,9 @@ class EndRef:
             ends = pole.connector(self.connector)
         except KeyError:
             raise WiringError(f"part {self.part}: no connector {self.connector!r}") from None
-        if not 0 <= self.index < len(ends):
+        if type(self.index) is not int or not 0 <= self.index < len(ends):
             raise WiringError(
-                f"part {self.part}: connector {self.connector!r} has no index {self.index}")
+                f"part {self.part}: connector {self.connector!r} has no index {self.index!r}")
         return ends[self.index]
 
 

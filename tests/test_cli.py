@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -519,7 +520,7 @@ def test_fulkerson_find(monkeypatch):
         [0, 5, 9, 10, 12], [0, 6, 7, 11, 13], [1, 3, 8, 10, 13],
         [1, 4, 5, 11, 14], [2, 3, 7, 12, 14], [2, 4, 6, 8, 9]]
     # an exhausted search: no known bridgeless graph gives one, so stub it
-    monkeypatch.setattr(cli, "find_cover", lambda *a: sd.NONE_FOUND)
+    monkeypatch.setattr(cli, "find_cover", lambda *a, **k: sd.NONE_FOUND)
     code, out, _ = run(["fulkerson", "--construct", "petersen"])
     assert (code, out) == (0, "petersen: no cover exists\n")
     code, out, _ = run(["fulkerson", "--construct", "petersen", "--json", "--quiet"])
@@ -1173,9 +1174,10 @@ def test_every_defaulted_public_parameter_is_passed():
 
 def test_no_search_takes_a_matching_cap_beside_its_facts():
     """A search's matching cap is the cap of its ``GraphFacts``: no public
-    function or method that takes ``facts`` takes a cap too, and no
-    dataclass carries one, so a cap cannot be set in two places."""
-    both, fields, checked = [], [], 0
+    function or method outside the CLI takes ``max_matchings``, none that
+    takes ``facts`` takes a cap too, and no dataclass carries one, so a
+    cap cannot be set in two places."""
+    both, capped, fields, checked = [], [], [], 0
     for path in sorted(SRC.glob("snarkdefect/*.py")):
         body = ast.parse(path.read_text(encoding="utf-8")).body
         classes = [node for node in body if isinstance(node, ast.ClassDef)]
@@ -1189,12 +1191,15 @@ def test_no_search_takes_a_matching_cap_beside_its_facts():
             checked += "facts" in params
             if "facts" in params and params & {"cap", "max_matchings"}:
                 both.append(f"{path.stem}.{prefix}{fn.name}")
+            if "max_matchings" in params and path.stem != "cli":
+                capped.append(f"{path.stem}.{prefix}{fn.name}")
         fields += [f"{path.stem}.{cls.name}" for cls in classes
                    if any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
                    for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
                    and getattr(stmt.target, "id", None) == "max_matchings"]
-    assert checked >= 3  # oddness, defect, regular_defect
-    assert (both, fields) == ([], [])
+    assert checked >= 4  # oddness, defect, regular_defect, find_cover
+    assert (both, capped, fields) == ([], [], [])
+    assert list(inspect.signature(sd.GraphFacts).parameters) == ["g", "cap"]
 
 
 def _capped(argv, cwd, address_space=1 << 30):

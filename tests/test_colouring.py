@@ -366,7 +366,7 @@ def test_graph_facts_prefix_is_kept_per_cap(j5):
 
 def test_graph_facts_for_another_graph_are_rejected(petersen, k33):
     facts = sd.GraphFacts(k33)
-    for call in (sd.oddness, sd.defect, sd.regular_defect):
+    for call in (sd.oddness, sd.defect, sd.regular_defect, sd.find_cover):
         with pytest.raises(sd.GraphError, match="different graph"):
             call(petersen, facts=facts)
 
@@ -375,6 +375,8 @@ def test_searches_read_the_cap_of_their_facts(petersen):
     facts = sd.GraphFacts(petersen, 3)
     assert not sd.regular_defect(petersen, facts=facts).exhaustive
     assert (sd.oddness(petersen, facts=facts), facts.colourable) == (None, None)
+    with pytest.raises(sd.BudgetError, match="^more than 3 perfect matchings$"):
+        sd.find_cover(petersen, facts=facts)
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 import snarkdefect as sd
 import oracles
 from snarkdefect import cli
-from conftest import SEED, simple_bridgeless_cubic
+from conftest import SEED, counted_walks, simple_bridgeless_cubic
 
 PETERSEN_COVER = [
     [0, 5, 9, 10, 12], [0, 6, 7, 11, 13], [1, 3, 8, 10, 13],
@@ -158,13 +158,23 @@ def test_find_cover_node_count_on_random_graphs():
 
 
 def test_find_cover_matching_cap_holds_exactly_that_many(petersen):
-    assert cover_lists(sd.find_cover(petersen, max_matchings=6)) == PETERSEN_COVER
+    assert cover_lists(sd.find_cover(petersen, facts=sd.GraphFacts(petersen, 6))) == PETERSEN_COVER
     with pytest.raises(sd.BudgetError, match="more than 5 perfect matchings"):
-        sd.find_cover(petersen, max_matchings=5)
+        sd.find_cover(petersen, facts=sd.GraphFacts(petersen, 5))
+
+
+def test_find_cover_shares_the_walk_of_its_facts(monkeypatch, j5):
+    # df, rdf and the cover search on one GraphFacts read one walk
+    reads = counted_walks(monkeypatch)
+    facts = sd.GraphFacts(j5)
+    assert sd.defect(j5, facts=facts).value == 3
+    assert sd.regular_defect(j5, facts=facts).value == 3
+    assert sd.verify_cover(j5, sd.find_cover(j5, facts=facts)).ok
+    assert reads == [len(facts.masks)]
 
 
 @pytest.mark.parametrize("search", [
-    lambda g: sd.find_cover(g, max_matchings=0),
+    lambda g: sd.find_cover(g, facts=sd.GraphFacts(g, 0)),
     lambda g: sd.defect(g, facts=sd.GraphFacts(g, 0)),
     lambda g: sd.regular_defect(g, facts=sd.GraphFacts(g, -1)),
     lambda g: cli.analyze_graph(g, 0),
@@ -180,6 +190,10 @@ def test_matching_cap_below_one_is_an_input_error(petersen, search):
     (lambda g: sd.regular_defect(g, -1), "max_triples must be at least 0"),
     (lambda g: sd.find_cover(g, max_nodes=-1), "max_nodes must be at least 0"),
     (lambda g: cli.analyze_graph(g, None, -1), "max_triples must be at least 0"),
+    # a negative limit read as "every cut is larger" before it was checked
+    (lambda g: sd.cyclic_edge_connectivity(g, -1), "limit must be at least 0"),
+    (lambda g: sd.cyclic_edge_connectivity(g, 6, -1), "max_vertices must be at least 0"),
+    (lambda g: sd.nz_4flow(g, (), -1), "max_dimension must be at least 0"),
 ])
 def test_negative_search_budget_is_an_input_error(petersen, search, message):
     with pytest.raises(sd.GraphError, match=message) as info:
@@ -190,7 +204,7 @@ def test_negative_search_budget_is_an_input_error(petersen, search, message):
 @pytest.mark.parametrize("value", [1.5, True, "3"])
 @pytest.mark.parametrize("search, name", [  # every entry point of a search budget
     pytest.param(lambda g, b: sd.GraphFacts(g, b), "max_matchings", id="GraphFacts"),
-    pytest.param(lambda g, b: sd.find_cover(g, max_matchings=b), "max_matchings",
+    pytest.param(lambda g, b: sd.find_cover(g, facts=sd.GraphFacts(g, b)), "max_matchings",
                  id="find_cover-max_matchings"),
     pytest.param(lambda g, b: cli.analyze_graph(g, b), "max_matchings",
                  id="analyze_graph-max_matchings"),
@@ -200,6 +214,11 @@ def test_negative_search_budget_is_an_input_error(petersen, search, message):
                  id="analyze_graph-max_triples"),
     pytest.param(lambda g, b: sd.find_cover(g, max_nodes=b), "max_nodes",
                  id="find_cover-max_nodes"),
+    pytest.param(lambda g, b: sd.cyclic_edge_connectivity(g, b), "limit",
+                 id="cyclic_edge_connectivity-limit"),
+    pytest.param(lambda g, b: sd.cyclic_edge_connectivity(g, 6, b), "max_vertices",
+                 id="cyclic_edge_connectivity-max_vertices"),
+    pytest.param(lambda g, b: sd.nz_4flow(g, (), b), "max_dimension", id="nz_4flow"),
 ])
 def test_search_budget_that_is_not_an_int_is_an_input_error(petersen, search, name, value):
     # a bool is not an int here, as it is not a vertex or edge id; a
@@ -216,7 +235,7 @@ def test_find_cover_rejects_bridges(dumbbell):
 
 def test_find_cover_budgets(petersen):
     with pytest.raises(sd.BudgetError, match="perfect matchings"):
-        sd.find_cover(petersen, max_matchings=3)
+        sd.find_cover(petersen, facts=sd.GraphFacts(petersen, 3))
     with pytest.raises(sd.BudgetError, match="nodes"):
         sd.find_cover(petersen, max_nodes=1)
 
@@ -479,6 +498,7 @@ def test_nz_4flow_rejects_bridgy_subgraph(petersen, k4):
 def test_nz_4flow_dimension_gate(petersen):
     with pytest.raises(sd.SizeGateError):
         sd.nz_4flow(petersen, max_dimension=2)
+    assert sd.nz_4flow(petersen, max_dimension=None) is None  # no gate
 
 
 def flower_minus_matching(k):

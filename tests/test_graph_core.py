@@ -398,6 +398,7 @@ def test_bipartite(petersen, k4, k33, cube, theta, prism):
 
 def test_cyclic_edge_connectivity(petersen, k4, theta, j5, blanusa1, j7, dumbbell):
     assert sd.cyclic_edge_connectivity(petersen, 6) == 5
+    assert sd.cyclic_edge_connectivity(petersen, None, None) == 5  # no limit, no gate
     # the bridge separates the two loops
     assert sd.cyclic_edge_connectivity(dumbbell, 6) == 1
     assert sd.cyclic_edge_connectivity(j5, 6) == 5
@@ -419,6 +420,8 @@ def _outcome(f, *args, **kw):
 
 
 def _brute_cyclic_edge_connectivity(g, limit, max_vertices=40):
+    if limit < 0:
+        raise sd.GraphError("limit must be at least 0")
     n, pairs = g.vertex_count, edge_pairs(g)
     if n > max_vertices:
         raise sd.SizeGateError(
@@ -556,7 +559,11 @@ def test_junction_rejects_an_edge_past_the_part():
                          (sd.EndRef.edge_end(1, 0, 5), "part 1: edge 0 has no end 5"),
                          (sd.EndRef.edge_end(1, 0, True), "part 1: edge 0 has no end True"),
                          (sd.EndRef.conn(1, "zz", 0), "part 1: no connector 'zz'"),
-                         (sd.EndRef.conn(1, "r0", 1), "part 1: connector 'r0' has no index 1")]:
+                         (sd.EndRef.conn(1, "r0", 1), "part 1: connector 'r0' has no index 1"),
+                         # a part, edge or index is an int, and a bool is not one
+                         (sd.EndRef.edge_end(True, 0, 1), "part True out of range"),
+                         (sd.EndRef.edge_end(1, 1.0, 1), r"part 1: edge 1\.0 out of range"),
+                         (sd.EndRef.conn(1, "r0", 0.0), r"part 1: connector 'r0' has no index 0\.0")]:
         w = sd.WiringSpec.of((sd.EndRef.edge_end(0, 0, 1), far))
         with pytest.raises(sd.WiringError, match=f"^{message}$"):
             sd.junction((t0, t1), w)
