@@ -46,6 +46,21 @@ def edge_set(mask: int) -> frozenset[int]:
     return frozenset(e for e, bit in enumerate(format(mask, "b")[::-1]) if bit == "1")
 
 
+# _BITS[k] maps a byte to b"1" when its bit k is set, else to b"0"
+_BITS = [(b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8)]
+
+
+def _edge_columns(masks: list[int], m: int) -> list[int]:
+    """Per edge e < m, the bitset of the indices of the masks that hold
+    e: bit i of the result's e-th entry is bit e of ``masks[i]``."""
+    w = (m + 7) // 8
+    # row i is masks[-1 - i] in w little-endian bytes, so the bytes
+    # holding bit e, read top down through _BITS[e & 7], spell column e
+    # in binary, last mask first (base 2 has no int digit limit)
+    rows = b"".join([x.to_bytes(w, "little") for x in reversed(masks)])
+    return [int(rows[e >> 3::w].translate(_BITS[e & 7]) or b"0", 2) for e in range(m)]
+
+
 def enumerate_perfect_matchings(g: CubicGraph) -> list[frozenset[int]]:
     """``perfect_matching_masks`` as edge sets: all perfect matchings,
     sorted lexicographically by sorted edge list."""
@@ -257,10 +272,14 @@ def _lex_matchings(g: CubicGraph, found: list[int]):
     decision a vertex left with no open edge ends the branch, and one
     left with a single open edge takes it at once.  Both only drop
     subtrees or decisions that hold no matching, so the order is
-    unchanged.  Only vertices that lost an open edge can become dead or
-    forced, so only they are re-checked: the ends of an excluded edge,
-    and for an included edge ab, ``far[ab]``, the far ends of the other
-    edges at a and b.
+    unchanged.  These forced moves are unit propagation on each vertex's
+    exactly-one constraint: a vertex whose count of open edges did not
+    change cannot become dead or forced, and the state they reach, or
+    the dead end, does not depend on the order of the checks.  So only
+    the vertices that lost an open edge are re-checked: the ends of an
+    excluded edge, and when an edge ab is taken, by the include branch
+    or by a forced move, the far ends of the edges at a and b that were
+    still open.
 
     Every edge chosen below a state is open in it, and its uncovered
     vertices are the ends of its open edges, so the matchings below it
@@ -283,13 +302,13 @@ def _lex_matchings(g: CubicGraph, found: list[int]):
             inc[a] |= 1 << e
             inc[b] |= 1 << e
             open_ |= 1 << e
-    far = [[w for v in (a, b) for w, f in g.arcs(v) if f != e] for e, (a, b) in enumerate(ends)]
     # states still to walk: (open edges, chosen edges, vertices to check),
     # the exclude branch below the include branch, and below both the
-    # state again with the index in found where its walk began.  Open
-    # edges have both ends uncovered, and every uncovered vertex keeps
-    # one after the forced moves, so a state with no open edge is a
-    # perfect matching.
+    # state again with the index in found where its walk began.  The
+    # include branch checks ~e, the edge e it takes, before any vertex.
+    # Open edges have both ends uncovered, and every uncovered vertex
+    # keeps one after the forced moves, so a state with no open edge is
+    # a perfect matching.
     stack = [(open_, 0, list(range(n)))]
     # open edges -> (start, end, chosen edges): the walk below them found
     # found[start:end] under those chosen edges
@@ -301,18 +320,26 @@ def _lex_matchings(g: CubicGraph, found: list[int]):
             continue
         while touched:  # forced moves around the touched vertices
             v = touched.pop()
-            live = inc[v] & open_
-            if live & (live - 1):
-                continue  # two open edges or more
-            if not live:
-                if inc[v] & chosen:
-                    continue  # covered
-                break  # uncovered with no open edge: no matching here
-            e = live.bit_length() - 1
-            a, b = ends[e]
+            if v < 0:  # the include branch takes edge ~v
+                live = 1 << ~v
+            else:
+                live = inc[v] & open_
+                if live & (live - 1):
+                    continue  # two open edges or more
+                if not live:
+                    if inc[v] & chosen:
+                        continue  # covered
+                    break  # uncovered with no open edge: no matching here
+            a, b = ends[live.bit_length() - 1]
             chosen |= live
-            open_ &= ~(inc[a] | inc[b])
-            touched += far[e]
+            cut = (inc[a] | inc[b]) & open_
+            open_ ^= cut
+            cut ^= live  # the other open edges at a and b: check their far ends
+            while cut:
+                f = cut & -cut
+                x, y = ends[f.bit_length() - 1]
+                touched.append(y if x == a or x == b else x)
+                cut ^= f
         else:
             if not open_:
                 found.append(chosen)
@@ -322,16 +349,15 @@ def _lex_matchings(g: CubicGraph, found: list[int]):
             if done is None:
                 low = open_ & -open_
                 e = low.bit_length() - 1
-                a, b = ends[e]
                 stack.append((open_, chosen, len(found)))
-                stack.append((open_ ^ low, chosen, [a, b]))
-                # a copy: the forced moves pop from it
-                stack.append((open_ & ~(inc[a] | inc[b]), chosen | low, far[e][:]))
+                stack.append((open_ ^ low, chosen, list(ends[e])))
+                stack.append((open_, chosen, [~e]))
                 continue
             start, end, was = done
             for m in found[start:end]:  # a copy: found grows meanwhile
-                found.append(m ^ was | chosen)
-                yield found[-1]
+                m = m ^ was | chosen
+                found.append(m)
+                yield m
 
 
 class GraphFacts:

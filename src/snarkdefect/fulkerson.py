@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .colouring import GraphFacts, _facts_for, edge_set
+from .colouring import GraphFacts, _edge_columns, _facts_for, edge_set
 from .defect_engine import (NONE_FOUND, BudgetError, ThreeArray, _canonical_order,
                             _member_multiplicities, coverage)
 from .fano_flow import FlowCheck
@@ -80,8 +80,10 @@ def find_cover(g: CubicGraph, max_nodes: int | None = None,
     bitsets of candidate indices (those at or after the last pick that
     avoid every doubly covered edge), and a candidate ends its level once
     some edge still short of two covers lies in no matching at or after
-    it.  A candidate is skipped, not placed, when after it some edge
-    still short of two covers lies in none of the candidates it leaves.
+    it: once its index passes, for some such edge, the index of the last
+    matching that holds the edge.  A candidate is skipped, not placed,
+    when after it some edge still short of two covers lies in none of
+    the candidates it leaves.
     The skip keeps the result: on the branch of the least cover
     j1 <= ... <= j6, every member after the pick at j_k, the closing
     pair included, is at or after j_k and avoids every doubly covered
@@ -115,14 +117,8 @@ def find_cover(g: CubicGraph, max_nodes: int | None = None,
         raise BudgetError(f"more than {facts.cap} perfect matchings")
     m = g.edge_count
     full = (1 << m) - 1
-    # has[e]: bitset of the matchings holding e.  Row i of ``rows`` is
-    # the m-bit string of masks[-1 - i], so column e, read top down, is
-    # bit e of every mask, last matching first: has[e] in binary
-    rows = "".join(format(mask, f"0{m}b") for mask in reversed(masks))
-    has = [int(rows[m - 1 - e::m], 2) for e in range(m)] if rows else [0] * m
-    suffix = [0] * (len(masks) + 1)  # suffix[i]: union of masks[i:]
-    for idx in range(len(masks) - 1, -1, -1):
-        suffix[idx] = suffix[idx + 1] | masks[idx]
+    has = _edge_columns(masks, m)  # has[e]: bitset of the matchings holding e
+    last = [h.bit_length() - 1 for h in has]  # last[e]: the last matching holding e
 
     nodes = 0
     chosen: list[int] = []
@@ -134,7 +130,7 @@ def find_cover(g: CubicGraph, max_nodes: int | None = None,
         nodes += 1
 
     # dfs refers to itself through its closure cell; the del below empties
-    # the cell, so no reference cycle keeps has and suffix alive
+    # the cell, so no reference cycle keeps has and last alive
     def dfs(allowed: int, m1: int, m2: int) -> tuple[int, ...] | None:
         need = full & ~m2
         if len(chosen) == 4:
@@ -150,10 +146,12 @@ def find_cover(g: CubicGraph, max_nodes: int | None = None,
             place()
             place()
             return (*chosen, a, (need ^ a) | m0)
+        # some edge of need lies in no matching after index stop
+        stop = min((last[e] for e in edge_set(need)), default=len(masks))
         while allowed:
             low = allowed & -allowed
             idx = low.bit_length() - 1
-            if need & ~suffix[idx]:
+            if idx > stop:
                 break  # the skip would reject each later candidate singly, 2x slower
             mask = masks[idx]
             doubled = mask & m1

@@ -243,6 +243,19 @@ def test_mask_kernel_matches_the_pruned_search_it_replaces(petersen, blanusa1, b
     assert min(loops, parallel, empty) >= 10
 
 
+def test_edge_columns_match_their_definition(theta, k4, petersen, cube):
+    """Bit i of column e is set iff masks[i] holds edge e: edge counts
+    below, at (the cube's double, 24) and above a multiple of 8, and
+    lists of many masks, of one and of none."""
+    graphs = [theta, k4, petersen, sd.bipartite_double(cube), sd.flower_snark(11)]
+    graphs += _random_multigraphs(20261022, 56)[:50]
+    cases = [(sd.perfect_matching_masks(g), g.edge_count) for g in graphs]
+    cases += [(sd.perfect_matching_masks(petersen)[:1], 15), ([], 15), ([], 0)]
+    for masks, m in cases:
+        want = [sum(1 << i for i, mask in enumerate(masks) if mask >> e & 1) for e in range(m)]
+        assert colouring._edge_columns(masks, m) == want, (masks, m)
+
+
 def test_matching_walk_replays_each_open_edge_set():
     """J17 has 131,072 matchings.  Replaying what it found below each set
     of open edges, the walk lists them in 0.03 s of CPU; keeping only

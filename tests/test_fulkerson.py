@@ -157,6 +157,28 @@ def test_find_cover_node_count_on_random_graphs():
     assert sum(placed_nodes(g) for g in graphs) == 325
 
 
+WAGNER = sd.CubicGraph(8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)])
+
+
+# Each cover as the indices of its members in the matching list, and the
+# members placed.  Pinned from the search as it was when it built has[e]
+# from bit strings and ended a level on a suffix union of the masks.
+@pytest.mark.parametrize("make, members, nodes", [
+    # 24 edges, a multiple of 8 (the cube's double is not connected)
+    (lambda: sd.bipartite_double(WAGNER), (0, 0, 24, 24, 48, 48), 6),
+    (lambda: sd.flower_snark(13), (0, 7, 4097, 4100, 8189, 8191), 6),
+    # 48 edges; the search backtracks and ends levels early
+    (lambda: simple_bridgeless_cubic(random.Random(8), 32), (24, 24, 98, 98, 111, 111), 30),
+], ids=["double-wagner", "j13", "random32"])
+def test_find_cover_members_are_pinned(make, members, nodes):
+    g = make()
+    masks = sd.perfect_matching_masks(g)
+    cover = sd.find_cover(g, max_nodes=nodes)
+    assert tuple(sorted(masks.index(sum(1 << e for e in m)) for m in cover.matchings)) == members
+    with pytest.raises(sd.BudgetError, match=f"exceeded {nodes - 1} nodes"):
+        sd.find_cover(g, max_nodes=nodes - 1)
+
+
 def test_find_cover_matching_cap_holds_exactly_that_many(petersen):
     assert cover_lists(sd.find_cover(petersen, facts=sd.GraphFacts(petersen, 6))) == PETERSEN_COVER
     with pytest.raises(sd.BudgetError, match="more than 5 perfect matchings"):
